@@ -137,6 +137,7 @@ class RoutingGraph:
         self.ag = ag
         self.nodes = nodes                  # tuple of PortNode, sorted
         self.adj = adj                      # dict PortNode -> tuple of PortNode
+        self._reach = None                  # memoised reach_bits()
 
     def local_in(self, tile):
         return PortNode(self.ag.check_tile(tile), "L", "in")
@@ -163,6 +164,70 @@ class RoutingGraph:
                     seen.add(nxt)
                     stack.append(nxt)
         return seen
+
+    def reach_bits(self):
+        """Reachability index: node -> bitset (int, bit d = tile d) of
+        the tiles whose local-out the node reaches, itself included.
+
+        Computed once per graph by one pass over the strongly connected
+        components (iterative Tarjan).  Tarjan completes a component
+        only after every component it has an edge into, so its bitset
+        is its own local-outs OR its successors' bitsets; that is exact
+        on cyclic graphs as well as acyclic ones.
+        """
+        if self._reach is None:
+            self._reach = _reach_bits(self.nodes, self.adj)
+        return self._reach
+
+
+def _reach_bits(nodes, adj):
+    index = {}                              # node -> DFS visit number
+    low = {}
+    bits = {}
+    scc_stack = []
+    on_stack = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        scc_stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    scc_stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] != index[node]:
+                    continue
+                members = []
+                while True:
+                    m = scc_stack.pop()
+                    on_stack.discard(m)
+                    members.append(m)
+                    if m == node:
+                        break
+                acc = 0
+                for m in members:
+                    if m.direction == "L" and m.kind == "out":
+                        acc |= 1 << m.tile
+                    for nxt in adj[m]:
+                        # Successors inside this component have no entry
+                        # yet; all others belong to finished components.
+                        acc |= bits.get(nxt, 0)
+                for m in members:
+                    bits[m] = acc
+    return bits
 
 
 def build_routing_graph(ag, turn_model, shm, regions=None):
@@ -282,9 +347,9 @@ def reachability_matrix(rg):
     """matrix[s][d] is True iff some route s -> d exists; the diagonal
     reflects local self-delivery (healthy PE)."""
     n = len(rg.ag)
-    matrix = [[False] * n for _ in range(n)]
+    reach = rg.reach_bits()
+    rows = []
     for s in range(n):
-        seen = rg.reachable_from(rg.local_in(s))
-        for d in range(n):
-            matrix[s][d] = rg.local_out(d) in seen
-    return matrix
+        bits = reach[rg.local_in(s)]
+        rows.append([bool(bits >> d & 1) for d in range(n)])
+    return rows

@@ -245,7 +245,8 @@ class Kernel:
 
     def _rebuild_tables(self):
         self.rg = self.msu.build_rg(self.shm)
-        self.tables = build_region_tables(self.rg, self.script.budget)
+        self.tables = build_region_tables(self.rg, self.script.budget,
+                                          prev=self.tables)
 
     def drop_check_at_injection(self, src_tile, dst_tile):
         """Injection-time firewall: drop when no output of the source

@@ -6,18 +6,28 @@ so the two sides can disagree when one is wrong.
 """
 
 import itertools
+import weakref
 
 import networkx as nx
 
 import nocsim as ns
+from nocsim.errors import RegionBudgetError
+from nocsim.reachability import Rectangle
+
+
+_NX_GRAPHS = weakref.WeakKeyDictionary()   # routing graph -> its digraph
 
 
 def rg_to_nx(rg):
-    g = nx.DiGraph()
-    g.add_nodes_from(rg.nodes)
-    for src, dsts in rg.adj.items():
-        for dst in dsts:
-            g.add_edge(src, dst)
+    """The routing graph as a networkx digraph; routing graphs are
+    immutable, so each is converted once."""
+    g = _NX_GRAPHS.get(rg)
+    if g is None:
+        g = _NX_GRAPHS[rg] = nx.DiGraph()
+        g.add_nodes_from(rg.nodes)
+        for src, dsts in rg.adj.items():
+            for dst in dsts:
+                g.add_edge(src, dst)
     return g
 
 
@@ -98,6 +108,99 @@ def drop_oracle(rg, src, dst):
         if dst in nx_port_reach(rg, src, direction):
             return False
     return True
+
+
+# The rectangle cover as first written: it tries every box over the
+# occupied coordinates and tests containment on materialised cell sets.
+# The library's summed-area-table cover must choose the same rectangles.
+
+
+def cover_rectangles(dest_set, dims, budget):
+    """Cover a destination set (tile coords) with at most `budget`
+    rectangles.
+
+    First an exact cover: repeatedly extract the largest rectangle fully
+    inside the remaining set (ties: lexicographically smallest corners).
+    If that exceeds the budget, repeatedly merge the pair with the
+    smallest bounding box (ties by the lowest tile id of the box
+    corners), which may over-approximate but never under-approximate.
+    """
+    cells = {_norm_coords(c) for c in dest_set}
+    if not cells:
+        return ()
+    if budget < 1:
+        raise RegionBudgetError(
+            f"budget {budget} cannot cover {len(cells)} destinations"
+        )
+    dims3 = dims if len(dims) == 3 else (dims[0], dims[1], 1)
+
+    rects = []
+    remaining = set(cells)
+    while remaining:
+        rects.append(_largest_rectangle(remaining, dims3))
+        remaining -= _cells_of(rects[-1])
+
+    def corner_tile(coords):
+        x, y, z = coords
+        return x + y * dims3[0] + z * dims3[0] * dims3[1]
+
+    while len(rects) > budget:
+        best = None
+        for i in range(len(rects)):
+            for j in range(i + 1, len(rects)):
+                box = rects[i].bounding(rects[j])
+                key = (box.area(), corner_tile(box.lo), corner_tile(box.hi))
+                if best is None or key < best[0]:
+                    best = (key, i, j, box)
+        _, i, j, box = best
+        rects[i] = box
+        del rects[j]
+
+    if len(dims) == 2:
+        rects = [Rectangle(r.lo[:2], r.hi[:2]) for r in rects]
+    return tuple(rects)
+
+
+def _norm_coords(coords):
+    return coords if len(coords) == 3 else (coords[0], coords[1], 0)
+
+
+def _cells_of(rect):
+    (x1, y1, z1), (x2, y2, z2) = rect.lo, rect.hi
+    return {
+        (x, y, z)
+        for x in range(x1, x2 + 1)
+        for y in range(y1, y2 + 1)
+        for z in range(z1, z2 + 1)
+    }
+
+
+def _largest_rectangle(cells, dims3):
+    """Largest box fully contained in `cells`; deterministic ties."""
+    best = None
+    xs = sorted({c[0] for c in cells})
+    ys = sorted({c[1] for c in cells})
+    zs = sorted({c[2] for c in cells})
+    for x1 in xs:
+        for x2 in (x for x in xs if x >= x1):
+            for y1 in ys:
+                for y2 in (y for y in ys if y >= y1):
+                    for z1 in zs:
+                        for z2 in (z for z in zs if z >= z1):
+                            rect = Rectangle((x1, y1, z1), (x2, y2, z2))
+                            if rect.area() > len(cells):
+                                continue
+                            if best is not None and rect.area() < best.area():
+                                continue
+                            if not _cells_of(rect) <= cells:
+                                continue
+                            if (
+                                best is None
+                                or rect.area() > best.area()
+                                or (rect.area() == best.area() and (rect.lo, rect.hi) < (best.lo, best.hi))
+                            ):
+                                best = rect
+    return best
 
 
 def exhaustive_best_mapping(tg, shm, rg, cost, comm=None):

@@ -1,9 +1,12 @@
+import itertools
+import pathlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
+from nocsim import reachability
 from nocsim.errors import RegionBudgetError, SemanticError, UnknownPort
 
 import oracles
@@ -116,6 +119,24 @@ def test_cover_is_sound_and_within_budget(seed, budget):
     assert covered == cells
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_cover_matches_oracle(data):
+    """The summed-area-table cover picks exactly the rectangles of the
+    exhaustive one, merges included."""
+    dims = data.draw(st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)),
+    ))
+    density = data.draw(st.floats(0, 1))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    cells = {c for c in itertools.product(*(range(d) for d in dims))
+             if rng.random() < density}
+    budget = data.draw(st.integers(1, 8))
+    assert ns.cover_rectangles(cells, dims, budget) == \
+        oracles.cover_rectangles(cells, dims, budget)
+
+
 def test_cover_deterministic():
     cells = {(0, 0), (2, 1), (1, 2), (2, 2), (0, 2)}
     a = ns.cover_rectangles(cells, (3, 3), 2)
@@ -197,6 +218,76 @@ def test_drop_conservative_at_tight_budget(seed):
             truth = oracles.drop_oracle(rg, src, dst)
             if truth:
                 assert ns.should_drop(tight, src, dst)
+
+
+# -- table reuse across fault rebuilds ----------------------------------------------
+
+REGIONS = ns.load_scenario(str(pathlib.Path(__file__).resolve().parent.parent
+                               / "scenarios" / "regions.json"))
+PLATFORMS = {
+    "xy_4x4": (ns.build_mesh(4, 4), ns.XY, None),
+    "west_first_5x4": (ns.build_mesh(5, 4), ns.WEST_FIRST, None),
+    "xyz_3x3x2": (ns.build_mesh(3, 3, 2), ns.XYZ, None),
+    "regions_json": (REGIONS.ag, REGIONS.turn_model, REGIONS.regions),
+}
+
+
+def _apply_random_fault(shm, rng):
+    ag = shm.ag
+    kind = rng.choice(("link", "turn", "pe"))
+    if kind == "link":
+        shm.apply_fault(("link", rng.randrange(len(ag.links))))
+    elif kind == "turn":
+        slot = rng.randrange(len(ns.turn_slots(ag.is_3d)))
+        shm.apply_fault(("turn", rng.randrange(len(ag)), slot))
+    else:
+        shm.apply_fault(("pe", rng.randrange(len(ag))))
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10**6), budget=st.integers(1, 4))
+def test_reuse_matches_cold_build(platform, seed, budget):
+    """Tables built from the previous step's tables after each of a
+    seeded sequence of permanent faults equal a cold build."""
+    ag, model, regions = PLATFORMS[platform]
+    rng = random.Random(seed)
+    shm = ns.SystemHealthMap(ag)
+    tables = None
+    for _ in range(6):
+        _apply_random_fault(shm, rng)
+        rg = ns.build_routing_graph(ag, model, shm, regions)
+        tables = ns.build_region_tables(rg, budget, prev=tables)
+        assert tables.dump() == ns.build_region_tables(rg, budget).dump()
+
+
+def test_reuse_only_same_platform_and_budget(monkeypatch):
+    ag = ns.build_mesh(4, 4)
+    twin = ns.build_mesh(4, 4)
+    rgs = []
+    for mesh in (ag, twin):
+        shm = ns.SystemHealthMap(mesh)
+        shm.apply_fault(("link", mesh.link(5, "E").id))
+        shm.apply_fault(("turn", 10, 4))
+        rgs.append(ns.build_routing_graph(mesh, ns.XY, shm))
+    rg, twin_rg = rgs
+    tight = ns.build_region_tables(rg, 1)
+    cold = ns.build_region_tables(rg, 8)
+    # Past the budget line the two dumps differ, so a wrong reuse shows.
+    assert tight.dump().split("\n", 1)[1] != cold.dump().split("\n", 1)[1]
+    ports = sum(len(tight.ports(t)) for t in range(len(ag)))
+
+    calls = []
+    cover = reachability.cover_rectangles
+    monkeypatch.setattr(reachability, "cover_rectangles",
+                        lambda *args: calls.append(args) or cover(*args))
+    assert ns.build_region_tables(rg, 1, prev=tight).dump() == tight.dump()
+    assert calls == []
+    assert ns.build_region_tables(rg, 8, prev=tight).dump() == cold.dump()
+    assert len(calls) == ports
+    twin_tables = ns.build_region_tables(twin_rg, 1, prev=tight)
+    assert len(calls) == 2 * ports
+    assert twin_tables.dump() == tight.dump()
 
 
 # -- region partition ------------------------------------------------------------

@@ -200,6 +200,45 @@ def test_reachable_from_matches_oracle():
         assert mat_row == oracles.nx_tile_reach(rg, t)
 
 
+# The index is checked on acyclic planar models, a cyclic model that
+# allows all eight turns, a 3D mesh and a mesh without ports.
+INDEX_CASES = {
+    "xy_4x4": ((4, 4), ns.XY),
+    "west_first_4x3": ((4, 3), ns.WEST_FIRST),
+    "all_turns_3x3": ((3, 3), ns.custom_turn_model(ns.TURN_SLOTS_2D)),
+    "xyz_3x3x2": ((3, 3, 2), ns.XYZ),
+    "xy_1x1": ((1, 1), ns.XY),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+@given(seed=st.integers(0, 10**6))
+def test_reach_index_matches_oracles(case, seed):
+    dims, model = INDEX_CASES[case]
+    ag = ns.build_mesh(*dims)
+    shm = random_shm(ag, seed, max_links=3 if ag.links else 0, max_pes=2)
+    rg = ns.build_routing_graph(ag, model, shm)
+    n = len(ag)
+    reach = rg.reach_bits()
+    for node in rg.nodes:
+        expected = {m.tile for m in rg.reachable_from(node)
+                    if m.direction == "L" and m.kind == "out"}
+        assert {t for t in range(n) if reach[node] >> t & 1} == expected
+    mat = ns.reachability_matrix(rg)
+    for s in range(n):
+        assert {d for d in range(n) if mat[s][d]} == oracles.nx_tile_reach(rg, s)
+    for tile in range(n):
+        for d in ag.directions():
+            if ag.neighbor(tile, d) is not None:
+                assert ns.unreachable_set(rg, tile, d) == \
+                    oracles.unreachable_oracle(rg, tile, d)
+
+
+def test_reach_index_memoised():
+    rg = healthy_rg(3, 3)
+    assert rg.reach_bits() is rg.reach_bits()
+
+
 @given(st.integers(0, 10**6))
 def test_rg_monotone_under_extra_faults(seed):
     """Breaking more elements never adds routing-graph edges."""
