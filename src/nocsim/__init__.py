@@ -67,13 +67,9 @@ from .health import (
     HEALTHY,
     LbdrConfig,
     ShmSnapshot,
-    ShmView,
     SystemHealthMap,
     derive_lbdr_config,
-    link_fault,
-    pe_fault,
     shm_tag,
-    turn_fault,
 )
 from .reachability import (
     PortRegionTable,
@@ -124,7 +120,6 @@ from .shmu import (
     TRANSIENT,
     classify,
     degrade_targets,
-    fault_tag,
     location_used,
     map_and_deploy,
     map_and_store,
@@ -144,6 +139,6 @@ from .simkernel import (
     run,
 )
 from .scenario import load_scenario, parse_scenario
-from .rng import derive_seed, substream
+from .rng import derive_seed
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import concurrent.futures
 import os
 import sys
 
-from .errors import InfeasibilityError, ValidationError
+from .errors import InfeasibilityError, RangeError, ValidationError
 from .health import SystemHealthMap
 from .mapsched import dump_mapping, evaluate_cost
 from .reachability import build_region_tables
@@ -104,7 +104,7 @@ def cmd_map(args):
     for update in script.aging:
         if update.time <= 0:
             shm.set_aging(update.tile, update.percent)
-    msu = _msu(script)
+    msu = Msu.from_script(script)
     mapping, schedule, report = map_and_deploy(
         shm, msu, MpmMemory(script.mpm_capacity), CurrentMappingMemory())
     cost = evaluate_cost(schedule, script.cost)
@@ -155,7 +155,7 @@ def cmd_regions(args):
         if inj.persistence == "permanent":
             for fault in degrade_targets(inj.location, script.ag):
                 shm.apply_fault(fault)
-    msu = _msu(script)
+    msu = Msu.from_script(script)
     rg = msu.build_rg(shm)
     tables = build_region_tables(rg, script.budget)
     text = tables.dump()
@@ -178,6 +178,8 @@ def _sweep_one(task):
 
 
 def cmd_sweep(args):
+    if args.seeds < 1:
+        raise RangeError(f"--seeds must be >= 1, got {args.seeds}")
     base = _load(args)                       # validate once, fail fast
     start = args.seed if args.seed is not None else base.seed
     tasks = [(args.scenario, start + i, args.heuristic, args.cost, args.budget)
@@ -203,23 +205,6 @@ def cmd_sweep(args):
     else:
         print(text, end="")
     return 0
-
-
-def _msu(script):
-    return Msu(
-        tg=script.tg,
-        turn_model=script.turn_model,
-        ctg=script.ctg,
-        regions=script.regions,
-        heuristic=script.heuristic,
-        cost=script.cost,
-        comm=script.comm,
-        cost_model=script.cost_model,
-        iterations=script.iterations,
-        sa_params=script.sa_params,
-        initial_policy=script.initial_policy,
-        seed=script.seed,
-    )
 
 
 def _lines(items):

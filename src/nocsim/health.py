@@ -1,33 +1,22 @@
 """System health map: one binary health value per processing element,
 per router turn, and per directed link, plus a per-PE aging byte.
 
-The map has a single writer (the fault-management unit); everything on
-the mapping/scheduling side reads through ShmView, which exposes no
-mutating operation.  The canonical text serialization fixes the element
-order (tiles ascending, turn slots in canonical order, links ascending,
-aging bytes) and is the preimage of the 64-bit configuration tag.
+The map has a single writer (the fault-management unit); the
+mapping/scheduling side reads the SystemHealthMap directly and calls
+only its reader operations.  The canonical text serialization fixes the
+element order (tiles ascending, turn slots in canonical order, links
+ascending, aging bytes) and is the preimage of the 64-bit configuration
+tag.
 """
 
 import hashlib
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, RangeError, UnknownTarget, UnknownTile
+from .errors import DimensionMismatch, RangeError, UnknownTarget
 from .routing import turn_slots
 
 HEALTHY = True
 BROKEN = False
-
-
-def pe_fault(tile):
-    return ("pe", tile)
-
-
-def turn_fault(tile, slot):
-    return ("turn", tile, slot)
-
-
-def link_fault(link_id):
-    return ("link", link_id)
 
 
 @dataclass(frozen=True)
@@ -122,9 +111,6 @@ class SystemHealthMap:
             aging=tuple(self._aging),
         )
 
-    def view(self):
-        return ShmView(self)
-
     # -- writer operations -------------------------------------------------
 
     def apply_fault(self, fault):
@@ -178,47 +164,6 @@ class SystemHealthMap:
     def _check_link(self, link_id):
         if not isinstance(link_id, int) or not 0 <= link_id < len(self._links):
             raise UnknownTarget(f"link {link_id!r} outside 0..{len(self._links) - 1}")
-
-
-class ShmView:
-    """Read-only window on a health map, safe to hand to the mapping
-    side: no mutating operation is reachable from it."""
-
-    __slots__ = ("_shm",)
-
-    def __init__(self, shm):
-        object.__setattr__(self, "_shm", shm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShmView is read-only")
-
-    @property
-    def ag(self):
-        return self._shm.ag
-
-    def pe_healthy(self, tile):
-        return self._shm.pe_healthy(tile)
-
-    def turn_healthy(self, tile, slot):
-        return self._shm.turn_healthy(tile, slot)
-
-    def link_healthy(self, link_id):
-        return self._shm.link_healthy(link_id)
-
-    def aging(self, tile):
-        return self._shm.aging(tile)
-
-    def pe_usable(self, tile):
-        return self._shm.pe_usable(tile)
-
-    def effective_wcet(self, tile, wcet):
-        return self._shm.effective_wcet(tile, wcet)
-
-    def broken_elements(self):
-        return self._shm.broken_elements()
-
-    def serialize(self):
-        return self._shm.serialize()
 
 
 def shm_tag(shm):

@@ -2,10 +2,12 @@
 
 A mapping is a plain list: index task id, value tile id.  The scheduler
 does one topological pass computing each task's start exactly once, so
-its work is linear in the task count (an operation counter on the
-result makes that checkable).  Data transfers occupy route links and
-are serialized where links are contended; tasks sharing a processing
-element are serialized too.
+the number of start computations is linear in the task count (an
+operation counter on the result makes that checkable).  Its work is
+not: data transfers occupy route links and are serialized where links
+are contended, and each placement scans the busy intervals already on
+its links, so the whole pass grows roughly cubically with the task
+count.  Tasks sharing a processing element are serialized too.
 
 Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
@@ -128,14 +130,20 @@ class Schedule:
 
     task_times: tuple                       # (tile, start, finish) per task id
     flows: tuple
-    link_busy: dict                         # link -> ((start, end), ...)
     start_computations: int
     base_time: int
     retained: frozenset                     # tasks not re-executed this pass
     makespan: int
 
-    def tile_of(self, task):
-        return self.task_times[task][0]
+    @property
+    def link_busy(self):
+        """link -> ((start, end), ...) over all flows, sorted by link;
+        each link's intervals in placement order."""
+        busy = {}
+        for flow in self.flows:
+            for link, s, e in flow.intervals:
+                busy.setdefault(link, []).append((s, e))
+        return {l: tuple(iv) for l, iv in sorted(busy.items())}
 
     def dump(self):
         lines = ["task tile start finish"]
@@ -216,7 +224,6 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
     return Schedule(
         task_times=tuple(task_times),
         flows=tuple(flows),
-        link_busy={l: tuple(iv) for l, iv in sorted(link_busy.items())},
         start_computations=computations,
         base_time=base_time,
         retained=finished,

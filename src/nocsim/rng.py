@@ -6,7 +6,6 @@ consumer added later cannot shift the draws of an existing one.
 """
 
 import hashlib
-import random
 
 
 def derive_seed(master_seed, name):
@@ -14,8 +13,3 @@ def derive_seed(master_seed, name):
     text = f"{master_seed}:{name}".encode()
     digest = hashlib.blake2b(text, digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def substream(master_seed, name):
-    """Independent random.Random seeded from (master_seed, name)."""
-    return random.Random(derive_seed(master_seed, name))

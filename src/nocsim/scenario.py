@@ -362,7 +362,7 @@ def _parse_injections(raw, ag):
     last_time = 0
     for i, item in enumerate(raw):
         path = f"injections[{i}]"
-        _known(item, path, ("time", "target", "persistence", "stuck"))
+        _known(item, path, ("time", "target", "persistence"))
         time = _int(_req(item, "time", path), f"{path}.time", lo=0)
         if time < last_time:
             raise SemanticError(f"{path}.time: times must be non-decreasing")
@@ -370,12 +370,8 @@ def _parse_injections(raw, ag):
         location = _parse_target(_req(item, "target", path), ag, f"{path}.target")
         persistence = _parse_persistence(item.get("persistence", "transient"),
                                          f"{path}.persistence")
-        stuck = item.get("stuck", "SA0")
-        if stuck not in ("SA0", "SA1"):
-            raise SemanticError(f"{path}.stuck: {stuck!r} not one of "
-                                "('SA0', 'SA1')")
         out.append(Injection(time=time, location=location,
-                             persistence=persistence, stuck=stuck))
+                             persistence=persistence))
     return tuple(out)
 
 

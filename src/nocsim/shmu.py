@@ -37,9 +37,6 @@ IGNORE = "ignore"
 REMAP = "remap"
 REMAP_AND_STORE = "remap_and_store"
 
-STUCK_AT_0 = "SA0"
-STUCK_AT_1 = "SA1"
-
 CHECKER_UNITS = ("routing_logic", "arbiter", "fifo_control", "datapath_parity")
 _CONTROL_UNITS = ("routing_logic", "arbiter", "fifo_control")
 
@@ -51,7 +48,6 @@ class FaultEvent:
 
     time: int
     location: tuple
-    stuck: str = STUCK_AT_0
     retest_persistent: bool = False
 
 
@@ -163,11 +159,6 @@ def severity(location, fault_class, cmm, ag):
     if fault_class == PERMANENT:
         return REMAP if location_used(location, cmm, ag) else IGNORE
     raise RangeError(f"unknown fault class {fault_class!r}")
-
-
-def fault_tag(shm):
-    """64-bit tag of the health map's canonical serialization."""
-    return shm_tag(shm)
 
 
 def predict_mpfs(histories, k, config):
@@ -299,6 +290,24 @@ class Msu:
     sa_params: SaParams = field(default_factory=SaParams)
     initial_policy: str = "first_fit"
     seed: int = 0
+
+    @classmethod
+    def from_script(cls, script):
+        """The context a scenario script configures."""
+        return cls(
+            tg=script.tg,
+            turn_model=script.turn_model,
+            ctg=script.ctg,
+            regions=script.regions,
+            heuristic=script.heuristic,
+            cost=script.cost,
+            comm=script.comm,
+            cost_model=script.cost_model,
+            iterations=script.iterations,
+            sa_params=script.sa_params,
+            initial_policy=script.initial_policy,
+            seed=script.seed,
+        )
 
     def build_rg(self, shm):
         return build_routing_graph(shm.ag, self.turn_model, shm, self.regions)

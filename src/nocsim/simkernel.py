@@ -27,7 +27,6 @@ from .shmu import (
     INTERMITTENT,
     PERMANENT,
     REMAP,
-    REMAP_AND_STORE,
     TRANSIENT,
     ClassifierConfig,
     CostModel,
@@ -58,7 +57,6 @@ class Injection:
     time: int
     location: tuple
     persistence: object
-    stuck: str = "SA0"
 
 
 @dataclass(frozen=True)
@@ -165,17 +163,14 @@ def expand_injection(injection):
     persistent retest failure."""
     p = injection.persistence
     if p == "transient":
-        return [FaultEvent(injection.time, injection.location, injection.stuck)]
+        return [FaultEvent(injection.time, injection.location)]
     if p == "permanent":
-        return [
-            FaultEvent(injection.time, injection.location, injection.stuck,
-                       retest_persistent=True)
-        ]
+        return [FaultEvent(injection.time, injection.location,
+                           retest_persistent=True)]
     if isinstance(p, tuple) and len(p) == 3 and p[0] == "intermittent":
         _, count, spacing = p
         return [
-            FaultEvent(injection.time + i * spacing, injection.location,
-                       injection.stuck)
+            FaultEvent(injection.time + i * spacing, injection.location)
             for i in range(count)
         ]
     raise SemanticError(f"unknown persistence {p!r}")
@@ -189,20 +184,7 @@ class Kernel:
         self.tg = script.tg
         self.ag = script.ag
         self.shm = SystemHealthMap(self.ag)
-        self.msu = Msu(
-            tg=script.tg,
-            turn_model=script.turn_model,
-            ctg=script.ctg,
-            regions=script.regions,
-            heuristic=script.heuristic,
-            cost=script.cost,
-            comm=script.comm,
-            cost_model=script.cost_model,
-            iterations=script.iterations,
-            sa_params=script.sa_params,
-            initial_policy=script.initial_policy,
-            seed=script.seed,
-        )
+        self.msu = Msu.from_script(script)
         self.mpm = MpmMemory(script.mpm_capacity)
         self.cmm = CurrentMappingMemory()
         self.classifier = script.classifier
@@ -336,7 +318,11 @@ class Kernel:
                 self.shm, self.msu, self.mpm, self.cmm, rg=self.rg
             )
         except InfeasibilityError as exc:
-            self._cancel_unrunnable(now)
+            # No feasible remap: abandon the tasks pinned to broken PEs.
+            pinned = [t for t, (tile, _, _) in self._plan_tasks.items()
+                      if t not in self._completed
+                      and not self.shm.pe_usable(tile)]
+            self._cancel(now, pinned)
             self._decide(now, f"event {_loc(event.location)} class={fclass} "
                               f"severity={sev} action=infeasible ({exc})")
             return
@@ -410,16 +396,11 @@ class Kernel:
                 self.metrics.flows_dropped += 1
             self._log(now, f"flow_severed {fp.src_task}->{fp.dst_task}")
 
-    def _cancel_unrunnable(self, now):
-        """No feasible remap: abandon tasks pinned to broken PEs and
-        everything depending on them; the rest keeps running."""
-        lost = set()
-        for t, (tile, start, finish) in sorted(self._plan_tasks.items()):
-            if t in self._completed:
-                continue
-            if not self.shm.pe_usable(tile):
-                lost.add(t)
-        frontier = sorted(lost)
+    def _cancel(self, now, tasks):
+        """Abandon `tasks` and every successor that has not completed;
+        the rest keeps running."""
+        lost = set(tasks)
+        frontier = list(lost)
         while frontier:
             t = frontier.pop()
             for s in self.tg.successors(t):
@@ -483,24 +464,11 @@ class Kernel:
             self.metrics.flows_dropped += 1
             self._log(time, f"flow_drop {fp.src_task}->{fp.dst_task} "
                             f"src_tile={fp.src_tile} dst_tile={fp.dst_tile}")
-            self._cancel_starved(time, fp.dst_task)
+            self._cancel(time, [fp.dst_task])
             return
         state.injected_at = time
         self._log(time, f"flow_inject {fp.src_task}->{fp.dst_task} "
                         f"links={','.join(map(str, fp.links))}")
-
-    def _cancel_starved(self, time, task):
-        lost = {task}
-        frontier = [task]
-        while frontier:
-            t = frontier.pop()
-            for s in self.tg.successors(t):
-                if s not in lost and s not in self._completed:
-                    lost.add(s)
-                    frontier.append(s)
-        self._cancelled |= lost
-        for t in sorted(lost):
-            self._log(time, f"task_cancelled task={t}")
 
     def _on_flow_deliver(self, time, payload):
         _, gen, state = payload

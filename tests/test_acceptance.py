@@ -217,7 +217,7 @@ def test_criterion_06_shm_restored_after_mpfs_pass():
     shm.apply_fault(("link", 0))
     shm.set_aging(3, 40)
     before_text = shm.serialize()
-    before_tag = ns.fault_tag(shm)
+    before_tag = ns.shm_tag(shm)
 
     tg = ns.random_task_graph(8, 0.3, seed=11)
     msu = ns.Msu(tg=tg, turn_model=ns.XY, seed=11)
@@ -234,7 +234,7 @@ def test_criterion_06_shm_restored_after_mpfs_pass():
                  if ns.map_and_store(shm, loc, msu, mpm) is not None)
     assert stored == 4
     assert shm.serialize() == before_text
-    assert ns.fault_tag(shm) == before_tag
+    assert ns.shm_tag(shm) == before_tag
     report(6, "serialization and fault tag bit-identical after a k=4 "
               "speculative mapping pass")
 

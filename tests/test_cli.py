@@ -180,6 +180,13 @@ def test_sweep_parallel_matches_serial(scenario, capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_without_seeds_exits_1(scenario, capsys, seeds):
+    assert main(["sweep", "--scenario", scenario(BASIC),
+                 "--seeds", seeds]) == 1
+    assert f"error: --seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nocsim.cli", "validate",

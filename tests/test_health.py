@@ -171,25 +171,6 @@ def test_tag_single_flip_corpus(mesh44):
         assert ns.shm_tag(shm) != base
 
 
-# -- single-writer view -----------------------------------------------------------
-
-
-def test_view_reads_through(mesh22):
-    shm = ns.SystemHealthMap(mesh22)
-    view = shm.view()
-    assert view.pe_healthy(0)
-    shm.apply_fault(("pe", 0))
-    assert not view.pe_healthy(0)
-
-
-def test_view_has_no_writers(mesh22):
-    view = ns.SystemHealthMap(mesh22).view()
-    assert not hasattr(view, "apply_fault")
-    assert not hasattr(view, "set_aging")
-    with pytest.raises(AttributeError):
-        view.anything = 1
-
-
 # -- LBDR --------------------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import (
@@ -140,6 +141,28 @@ def test_asap_link_contention_bumps_injection():
     assert len(busy) == 2
     (s1, e1), (s2, e2) = sorted(busy)
     assert s2 >= e1                      # no overlap on the wire
+
+
+@given(st.integers(0, 10**5))
+@settings(max_examples=25)
+def test_link_busy_groups_flow_intervals(seed):
+    # Twelve tasks on the two end tiles of a 3x1 row: the transfers
+    # share the same two links, so placements almost always contend.
+    ag, shm, rg = platform(3, 1)
+    tg = ns.random_task_graph(12, 0.4, seed=seed)
+    rng = random.Random(seed)
+    mapping = [rng.choice((0, 2)) for _ in range(len(tg))]
+    s = ns.asap_schedule(tg, mapping, shm, rg)
+    assume(any(f.injection > s.task_times[f.src_task][2] for f in s.flows))
+    expected = {}
+    for f in s.flows:
+        for link, start, end in f.intervals:
+            expected.setdefault(link, []).append((start, end))
+    assert list(s.link_busy) == sorted(expected)
+    assert s.link_busy == {l: tuple(iv) for l, iv in expected.items()}
+    for iv in s.link_busy.values():
+        ordered = sorted(iv)
+        assert all(e1 <= s2 for (_, e1), (s2, _) in zip(ordered, ordered[1:]))
 
 
 def test_asap_counter_counts_each_task_once():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import nocsim as ns
+from nocsim.cli import main
 from nocsim.errors import CycleError, ParseError, SemanticError
 
 
@@ -217,6 +218,18 @@ def test_persistence_forms():
     with pytest.raises(SemanticError, match="persistence"):
         ns.parse_scenario(inj_doc({"kind": "pe", "tile": 0},
                                   persistence="sporadic"))
+
+
+def test_stuck_at_polarity_is_an_unknown_field(tmp_path, capsys):
+    bad = inj_doc({"kind": "pe", "tile": 0})
+    bad["injections"][0]["stuck"] = "SA0"
+    with pytest.raises(SemanticError, match=r"injections\[0\]\.stuck: "
+                                            "unknown field"):
+        ns.parse_scenario(bad)
+    p = tmp_path / "stuck.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "--scenario", str(p)]) == 1
+    assert "error: injections[0].stuck: unknown field" in capsys.readouterr().err
 
 
 def test_injection_times_must_be_non_decreasing():

@@ -235,12 +235,12 @@ def test_map_and_store_leaves_shm_intact():
     ag, tg, msu = small_msu()
     shm = ns.SystemHealthMap(ag)
     before = shm.serialize()
-    tag_before = ns.fault_tag(shm)
+    tag_before = ns.shm_tag(shm)
     mpm = ns.MpmMemory(4)
     entry = ns.map_and_store(shm, ("pe", 3), msu, mpm)
     assert entry is not None
     assert shm.serialize() == before
-    assert ns.fault_tag(shm) == tag_before
+    assert ns.shm_tag(shm) == tag_before
     assert len(mpm) == 1
 
 
@@ -342,8 +342,3 @@ def test_extract_partial_mapping():
     assert ns.shmu.extract_partial_mapping([0, 0], [1, 1]) == ((0, 1), (1, 1))
     with pytest.raises(LengthMismatch):
         ns.shmu.extract_partial_mapping([0], [0, 1])
-
-
-def test_fault_tag_is_shm_tag(mesh22):
-    shm = ns.SystemHealthMap(mesh22)
-    assert ns.fault_tag(shm) == ns.shm_tag(shm)

@@ -186,6 +186,38 @@ def test_generous_budget_delivers_same_column_flow(mesh33):
     assert res.metrics.tasks_completed == 3
 
 
+# -- infeasible remap -----------------------------------------------------------------
+
+
+def test_infeasible_remap_cancels_pinned_tasks_and_successors(mesh22):
+    # Tiles 1 and 3 carry no work, so their faults only rebuild the
+    # tables.  Tasks 0 and 1 finish on tile 0; tile 2's fault then moves
+    # tasks 2 and 3 onto tile 0, and tile 0's fault leaves no usable PE.
+    tg = chain_tg([5, 5, 5, 5], [2, 1, 1])
+    injections = tuple(
+        ns.Injection(time=t, location=("pe", tile), persistence="permanent")
+        for t, tile in ((1, 1), (2, 3), (12, 2), (20, 0)))
+    res = ns.run(script(tg, mesh22, injections=injections))
+    assert res.decisions[-1] == (
+        "21 event pe:0 class=permanent severity=remap "
+        "action=infeasible (no usable processing element)")
+
+    def tasks(kind):
+        return {int(l.split("task=")[1].split()[0])
+                for l in res.trace if f" {kind} " in l}
+
+    finished, cancelled = tasks("task_finish"), tasks("task_cancelled")
+    assert finished == {0, 1}
+    assert not finished & cancelled
+    # Tasks 2 and 3 were planned on the broken tile and never ran;
+    # task 3 is also task 2's successor.
+    assert cancelled == {2, 3}
+    assert "21 task_cancelled task=2" in res.trace
+    m = res.metrics
+    assert m.remaps == 1
+    assert m.tasks_completed + m.tasks_unfinished == len(tg)
+
+
 # -- severed in-flight flows -----------------------------------------------------------
 
 
