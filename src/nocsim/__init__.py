@@ -46,6 +46,7 @@ from .routing import (
     NEGATIVE_FIRST,
     NORTH_LAST,
     PortNode,
+    RouteProvider,
     RoutingGraph,
     TURN_SLOTS_2D,
     TURN_SLOTS_3D,
@@ -85,7 +86,6 @@ from .mapsched import (
     CommModel,
     FlowPlan,
     HeuristicResult,
-    RouteProvider,
     SaParams,
     Schedule,
     SCHEDULE_LENGTH,

@@ -3,21 +3,23 @@
 A mapping is a plain list: index task id, value tile id.  The scheduler
 does one topological pass computing each task's start exactly once, so
 the number of start computations is linear in the task count (an
-operation counter on the result makes that checkable).  Its work is
-not: data transfers occupy route links and are serialized where links
-are contended, and each placement scans the busy intervals already on
-its links, so the whole pass grows roughly cubically with the task
-count.  Tasks sharing a processing element are serialized too.
+operation counter on the result makes that checkable).  Data transfers
+occupy route links and are serialized where links are contended
+(earliest-fit); each link keeps its busy intervals sorted, so one probe
+of a link costs O(log I) in the I intervals already on it.  Tasks
+sharing a processing element are serialized too.
 
 Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
 given their inputs and seed.  With a clustered application the move
 unit is the whole cluster; tasks inherit their cluster's tile.
-"""
+Candidates are scored by the same scheduling pass without building a
+Schedule; only the winner's is built."""
 
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from .errors import (
     InfeasibleInstance,
@@ -27,8 +29,9 @@ from .errors import (
     SemanticError,
     UnroutableFlow,
 )
-from .graphs import CRITICAL, OPPOSITE
+from .graphs import CRITICAL
 from .rng import derive_seed
+from .routing import RouteProvider  # noqa: F401  (part of this module's API)
 
 
 @dataclass(frozen=True)
@@ -39,73 +42,6 @@ class CommModel:
 
     unit_link_cycles: int = 1
     router_delay: int = 1
-
-
-class RouteProvider:
-    """Deterministic route choice on a routing graph.
-
-    Shortest port paths only; where several shortest continuations
-    exist (adaptive turn models) one is drawn uniformly from a per
-    (src, dst) sub-stream, so the choice does not depend on evaluation
-    order.  Routes are cached."""
-
-    def __init__(self, rg, seed=0):
-        self.rg = rg
-        self.seed = seed
-        self._rev = {n: [] for n in rg.nodes}
-        for node, succs in rg.adj.items():
-            for nxt in succs:
-                self._rev[nxt].append(node)
-        self._dist = {}                     # dst tile -> {node: hops to local-out}
-        self._routes = {}                   # (src, dst) -> Route or None
-
-    def _dist_to(self, dst):
-        if dst in self._dist:
-            return self._dist[dst]
-        goal = self.rg.local_out(dst)
-        dist = {goal: 0}
-        frontier = [goal]
-        while frontier:
-            nxt_frontier = []
-            for node in frontier:
-                for prev in self._rev[node]:
-                    if prev not in dist:
-                        dist[prev] = dist[node] + 1
-                        nxt_frontier.append(prev)
-            frontier = nxt_frontier
-        self._dist[dst] = dist
-        return dist
-
-    def route(self, src, dst):
-        """Route(ports, links, hops) or None when unroutable."""
-        key = (src, dst)
-        if key in self._routes:
-            return self._routes[key]
-        dist = self._dist_to(dst)
-        node = self.rg.local_in(src)
-        if node not in dist:
-            self._routes[key] = None
-            return None
-        rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
-        ports = [node]
-        links = []
-        while dist[node] > 0:
-            step = [n for n in self.rg.adj[node] if dist.get(n, -1) == dist[node] - 1]
-            nxt = step[0] if len(step) == 1 else rng.choice(step)
-            if nxt.tile != node.tile:
-                links.append(self.rg.ag.link(node.tile, node.direction).id)
-            ports.append(nxt)
-            node = nxt
-        route = Route(tuple(ports), tuple(links), len(links) + 1)
-        self._routes[key] = route
-        return route
-
-
-@dataclass(frozen=True)
-class Route:
-    ports: tuple
-    links: tuple
-    hops: int                               # routers on the route
 
 
 @dataclass(frozen=True)
@@ -178,91 +114,145 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
     between mapped tiles has no route.
     """
     comm = comm or CommModel()
-    routes = routes or RouteProvider(rg)
+    routes = routes or rg.route_provider()
     finished = frozenset(finished or ())
     validate_mapping(tg, mapping, shm)
 
-    n = len(tg)
-    task_times = [None] * n
-    pe_free = {}
-    link_busy = {}
+    order, preds, release = _task_arrays(tg)
+    wcet = _wcet_table(tg, shm, set(mapping))
+    records = []
+    start, finish, _ = _asap(order, preds, release, wcet, mapping,
+                             _RouteTable(routes), comm, len(shm.ag.links),
+                             base_time, finished, records)
+
+    r = comm.router_delay
     flows = []
-    computations = 0
-
-    for b in tg.topological_order():
-        computations += 1
-        tile_b = mapping[b]
-        if b in finished:
-            task_times[b] = (tile_b, base_time, base_time)
-            continue
-
-        data_ready = base_time
-        for a in tg.predecessors(b):
-            tile_a = mapping[a]
-            finish_a = task_times[a][2]
-            weight = tg.edges[(a, b)]
-            if tile_a == tile_b:
-                arrival = finish_a
-            else:
-                route = routes.route(tile_a, tile_b)
-                if route is None:
-                    raise UnroutableFlow(tile_a, tile_b)
-                flow = _place_flow(a, b, tile_a, tile_b, weight, route,
-                                   finish_a, comm, link_busy)
-                flows.append(flow)
-                arrival = flow.delivery
-            data_ready = max(data_ready, arrival)
-
-        task = tg.task(b)
-        start = max(task.release, data_ready, pe_free.get(tile_b, base_time), base_time)
-        finish = start + shm.effective_wcet(tile_b, task.wcet)
-        pe_free[tile_b] = finish
-        task_times[b] = (tile_b, start, finish)
-
-    executed = [task_times[t][2] for t in range(n) if t not in finished]
-    makespan = max(executed) if executed else base_time
+    for a, b, tile_a, tile_b, weight, route, t in records:
+        hold = weight * comm.unit_link_cycles
+        intervals = tuple(
+            (link, t + i * r, t + i * r + hold)
+            for i, link in enumerate(route.links, start=1)
+        ) if hold > 0 else ()
+        flows.append(FlowPlan(a, b, tile_a, tile_b, weight, route.links,
+                              route.ports, t, t + route.hops * r + hold,
+                              intervals))
+    executed = [finish[t] for t in range(len(tg)) if t not in finished]
     return Schedule(
-        task_times=tuple(task_times),
+        task_times=tuple(zip(mapping, start, finish)),
         flows=tuple(flows),
-        start_computations=computations,
+        start_computations=len(order),
         base_time=base_time,
         retained=finished,
-        makespan=makespan,
+        makespan=max(executed) if executed else base_time,
     )
 
 
-def _place_flow(a, b, tile_a, tile_b, weight, route, injection, comm, link_busy):
-    """Earliest contention-free placement of one transfer.
+def _task_arrays(tg):
+    """(topological order, ((pred, weight), ...) per task, release per
+    task): the task graph as the flat arrays the ASAP core reads."""
+    preds = [tuple((a, tg.edges[(a, b)]) for a in tg.predecessors(b))
+             for b in range(len(tg))]
+    return tg.topological_order(), preds, [t.release for t in tg.tasks]
 
-    The head needs router_delay per router; the body holds link i for
-    weight x unit_link_cycles starting i router delays after injection.
-    Contended links push the injection later (earliest-fit)."""
+
+def _wcet_table(tg, shm, tiles):
+    """Per tile id, each task's cycles on that tile after aging; None
+    for tiles not in `tiles`."""
+    table = [None] * len(shm.ag)
+    for tile in tiles:
+        table[tile] = [shm.effective_wcet(tile, t.wcet) for t in tg.tasks]
+    return table
+
+
+class _RouteTable(dict):
+    """(src tile, dst tile) -> Route or None, asked of the provider once
+    per pair; later lookups are plain dict hits."""
+
+    def __init__(self, provider):
+        super().__init__()
+        self.provider = provider
+
+    def __missing__(self, key):
+        route = self[key] = self.provider.route(*key)
+        return route
+
+
+def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
+          base_time=0, finished=frozenset(), records=None):
+    """The ASAP pass shared by asap_schedule and candidate evaluation.
+
+    Visits tasks in topological order and computes each start once:
+    the latest of release, PE free time and data arrivals.  wcet[tile]
+    lists each task's cycles on that tile; routes[src, dst] is a Route
+    or None (then UnroutableFlow is raised).  Returns the per-task start
+    and finish lists and busy: per link id, None if unused, else the
+    link's busy intervals in time order as [start, end, start, end,
+    ...].  When `records` is a list, appends (src task, dst task, src
+    tile, dst tile, weight, route, injection) to it per transfer.
+
+    A transfer's head needs router_delay per router; its body holds
+    link i for weight x unit_link_cycles from i router delays after
+    injection.  Placement is earliest-fit: a conflict on some link moves
+    the injection past the conflicting interval, and past any later
+    ones on that link whose gaps are too short for the body; then the
+    check restarts at the first link.  Every time skipped conflicts on
+    that link, so the result is the earliest conflict-free injection.
+    Intervals on one link never overlap, so their flat list is sorted
+    and one bisection finds the only interval that can conflict: O(log
+    I) per link probe.
+    """
     r = comm.router_delay
-    hold = weight * comm.unit_link_cycles
-    t = injection
-    if hold > 0:
-        while True:
-            bumped = False
-            for i, link in enumerate(route.links, start=1):
-                s = t + i * r
-                for (cs, ce) in link_busy.get(link, ()):
-                    if cs < s + hold and ce > s:
-                        t = ce - i * r
-                        bumped = True
-                        break
-                if bumped:
-                    break
-            if not bumped:
-                break
-    intervals = []
-    for i, link in enumerate(route.links, start=1):
-        s = t + i * r
-        if hold > 0:
-            link_busy.setdefault(link, []).append((s, s + hold))
-            intervals.append((link, s, s + hold))
-    delivery = t + route.hops * r + hold
-    return FlowPlan(a, b, tile_a, tile_b, weight, route.links, route.ports,
-                    t, delivery, tuple(intervals))
+    unit = comm.unit_link_cycles
+    start = [base_time] * len(order)
+    finish = [base_time] * len(order)
+    pe_free = [base_time] * len(wcet)
+    busy = [None] * n_links
+    for b in order:
+        if b in finished:
+            continue
+        tile_b = mapping[b]
+        ready = pe_free[tile_b]
+        if release[b] > ready:
+            ready = release[b]
+        for a, weight in preds[b]:
+            tile_a = mapping[a]
+            t = finish[a]
+            if tile_a != tile_b:
+                route = routes[tile_a, tile_b]
+                if route is None:
+                    raise UnroutableFlow(tile_a, tile_b)
+                hold = weight * unit
+                if hold > 0:
+                    while True:
+                        s = t
+                        slots = []          # (lane, index, start) per link
+                        for link in route.links:
+                            s += r
+                            lane = busy[link]
+                            if lane is None:
+                                lane = busy[link] = []
+                            k = bisect_right(lane, s)
+                            if k & 1 or (k < len(lane) and lane[k] < s + hold):
+                                k |= 1      # end of the conflicting interval
+                                # Skip on while the gap after it is too short.
+                                while (k + 1 < len(lane)
+                                       and lane[k + 1] < lane[k] + hold):
+                                    k += 2
+                                t += lane[k] - s
+                                break
+                            slots.append((lane, k, s))
+                        else:
+                            break
+                    for lane, k, s in slots:
+                        lane[k:k] = (s, s + hold)
+                if records is not None:
+                    records.append((a, b, tile_a, tile_b, weight, route, t))
+                t += route.hops * r + hold
+            if t > ready:
+                ready = t
+        start[b] = ready
+        finish[b] = pe_free[tile_b] = ready + wcet[tile_b][b]
+    return start, finish, busy
 
 
 # ---------------------------------------------------------------------------
@@ -360,62 +350,78 @@ def _expand(units, unit_tiles, n_tasks):
     return mapping
 
 
-def _deadline_ok(tg, schedule):
-    for task in tg.tasks:
-        if task.criticality == CRITICAL and task.slack is not None:
-            finish = schedule.task_times[task.id][2]
-            if finish > task.release + task.slack:
-                return False
-    return True
-
-
 class _Search:
-    """Shared candidate evaluation for all heuristics."""
+    """Shared candidate evaluation for all heuristics.
+
+    Everything a candidate does not change is prepared once per search:
+    the flat task arrays, each task's cycles on each usable tile, the
+    critical deadlines and a route table.  Candidates only ever place
+    units on usable tiles, so they need no per-candidate validation."""
 
     def __init__(self, tg, shm, rg, cost, ctg, comm, routes):
+        if cost not in COST_KINDS:
+            raise RangeError(f"unknown cost function {cost!r}; choices: {COST_KINDS}")
         self.tg = tg
-        self.shm = shm
-        self.rg = rg
         self.cost = cost
         self.units = _units(tg, ctg)
+        self.clustered = ctg is not None
         self.comm = comm
-        self.routes = routes or RouteProvider(rg)
+        self.routes = _RouteTable(routes or rg.route_provider())
         self.tiles = usable_tiles(shm)
+        self.order, self.preds, self.release = _task_arrays(tg)
+        self.wcet = _wcet_table(tg, shm, self.tiles)
+        self.deadlines = [(t.id, t.release + t.slack) for t in tg.tasks
+                          if t.criticality == CRITICAL and t.slack is not None]
+        self.n_links = len(shm.ag.links)
         self.evaluations = 0
 
     def evaluate(self, unit_tiles):
-        """(cost, schedule) or None when the candidate is infeasible
-        (unroutable transfer or missed critical deadline)."""
+        """The candidate's cost, or None when it is infeasible
+        (unroutable transfer or missed critical deadline).  Equal to
+        evaluate_cost of its asap_schedule, float for float: the sums
+        are taken in the same order."""
         self.evaluations += 1
-        mapping = _expand(self.units, unit_tiles, len(self.tg))
+        if self.clustered:
+            mapping = _expand(self.units, unit_tiles, len(self.tg))
+        else:
+            mapping = unit_tiles
         try:
-            schedule = asap_schedule(self.tg, mapping, self.shm, self.rg,
-                                     comm=self.comm, routes=self.routes)
+            start, finish, busy = _asap(self.order, self.preds, self.release,
+                                        self.wcet, mapping, self.routes,
+                                        self.comm, self.n_links)
         except UnroutableFlow:
             return None
-        if not _deadline_ok(self.tg, schedule):
-            return None
-        return evaluate_cost(schedule, self.cost), schedule
+        for task, deadline in self.deadlines:
+            if finish[task] > deadline:
+                return None
+        if self.cost == SCHEDULE_LENGTH:
+            return max(finish, default=0)
+        if self.cost == TRAFFIC_BALANCE:
+            return _pstdev([sum(lane[1::2]) - sum(lane[::2])
+                            for lane in busy if lane])
+        per_pe = {}
+        for tile, s, f in zip(mapping, start, finish):
+            per_pe[tile] = per_pe.get(tile, 0) + (f - s)
+        return _pstdev([b for b in per_pe.values() if b > 0])
 
     def feasible_start(self, unit_tiles):
         """The given start if feasible, else bounded probing: all units
         on one tile, each usable tile in turn (a one-tile assignment has
         no transfers, so only deadlines can still fail)."""
-        result = self.evaluate(unit_tiles)
-        if result is not None:
-            return unit_tiles, result
+        cost = self.evaluate(unit_tiles)
+        if cost is not None:
+            return unit_tiles, cost
         for tile in self.tiles:
             cand = [tile] * len(self.units)
-            result = self.evaluate(cand)
-            if result is not None:
-                return cand, result
+            cost = self.evaluate(cand)
+            if cost is not None:
+                return cand, cost
         raise InfeasibleInstance(
             "no feasible assignment found by bounded probing"
         )
 
-    def descend(self, unit_tiles, result):
+    def descend(self, unit_tiles, cost):
         """Steepest descent with the single-unit-move neighborhood."""
-        cost, schedule = result
         while True:
             best_move = None
             for u in range(len(self.units)):
@@ -425,18 +431,14 @@ class _Search:
                         continue
                     cand = list(unit_tiles)
                     cand[u] = tile
-                    r = self.evaluate(cand)
-                    if r is not None and r[0] < cost and (
-                        best_move is None or r[0] < best_move[0]
+                    c = self.evaluate(cand)
+                    if c is not None and c < cost and (
+                        best_move is None or c < best_move[0]
                     ):
-                        best_move = (r[0], cand, r[1])
+                        best_move = (c, cand)
             if best_move is None:
-                return unit_tiles, (cost, schedule)
-            cost, unit_tiles, schedule = best_move
-
-
-def _tiles_of(units, mapping):
-    return [mapping[min(members)] for members in units]
+                return unit_tiles, cost
+            cost, unit_tiles = best_move
 
 
 def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
@@ -444,26 +446,33 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
                   iterations=10, sa_params=None):
     """Dispatch a mapping heuristic; returns HeuristicResult with the
     number of candidate evaluations performed (the mapping effort unit
-    of the reconfiguration cost model)."""
+    of the reconfiguration cost model).  Candidates are scored without
+    building a Schedule; the winner's is built once at the end."""
     comm = comm or CommModel()
     search = _Search(tg, shm, rg, cost, ctg, comm, routes)
     if initial is None:
         initial = initial_mapping(tg, shm, policy=initial_policy,
                                   seed=derive_seed(seed, "initial"), ctg=ctg)
-    start = _tiles_of(search.units, initial)
+    if len(initial) != len(tg):
+        raise LengthMismatch(
+            f"initial mapping has {len(initial)} entries for {len(tg)} tasks"
+        )
+    start = [initial[min(members)] for members in search.units]
+    validate_mapping(tg, _expand(search.units, start, len(tg)), shm)
 
     if name == "greedy":
-        assign, result = search.feasible_start(start)
-        assign, result = search.descend(assign, result)
+        assign, _ = search.descend(*search.feasible_start(start))
     elif name == "ils":
-        assign, result = _run_ils(search, start, seed, iterations)
+        assign = _run_ils(search, start, seed, iterations)
     elif name == "sa":
-        assign, result = _run_sa(search, start, seed, sa_params or SaParams())
+        assign = _run_sa(search, start, seed, sa_params or SaParams())
     else:
         raise RangeError(f"unknown heuristic {name!r}; choices: greedy, ils, sa")
 
     mapping = _expand(search.units, assign, len(tg))
-    return HeuristicResult(mapping, result[1], search.evaluations)
+    schedule = asap_schedule(tg, mapping, shm, rg, comm=comm,
+                             routes=search.routes.provider)
+    return HeuristicResult(mapping, schedule, search.evaluations)
 
 
 def map_greedy(tg, shm, rg, cost=SCHEDULE_LENGTH, **kw):
@@ -488,31 +497,29 @@ def map_sa(tg, shm, rg, cost=SCHEDULE_LENGTH, sa_params=None, seed=0, **kw):
 
 def _run_ils(search, start, seed, iterations):
     rng = random.Random(derive_seed(seed, "ils"))
-    assign, result = search.feasible_start(start)
-    best_assign, best_result = search.descend(assign, result)
+    best_assign, best_cost = search.descend(*search.feasible_start(start))
     strength = -(-len(search.units) // 4)   # ceil(units / 4)
     for _ in range(iterations):
         cand = list(best_assign)
         for u in rng.sample(range(len(search.units)), strength):
             cand[u] = rng.choice(search.tiles)
-        r = search.evaluate(cand)
-        if r is None:
-            cand, r = search.feasible_start(cand)
-        cand, r = search.descend(cand, r)
-        if r[0] < best_result[0]:
-            best_assign, best_result = cand, r
-    return best_assign, best_result
+        c = search.evaluate(cand)
+        if c is None:
+            cand, c = search.feasible_start(cand)
+        cand, c = search.descend(cand, c)
+        if c < best_cost:
+            best_assign, best_cost = cand, c
+    return best_assign
 
 
 def _run_sa(search, start, seed, params):
     rng = random.Random(derive_seed(seed, "sa"))
-    assign, result = search.feasible_start(start)
-    cost = result[0]
-    best_assign, best_result = list(assign), result
+    assign, cost = search.feasible_start(start)
+    best_assign, best_cost = list(assign), cost
 
     t0 = params.t0 if params.t0 is not None else float(cost)
     if t0 <= 0:
-        return search.descend(assign, result)
+        return search.descend(assign, cost)[0]
     tmin = params.tmin_ratio * t0
     temp = t0
     while temp > tmin:
@@ -523,16 +530,16 @@ def _run_sa(search, start, seed, params):
                 continue
             cand = list(assign)
             cand[u] = tile
-            r = search.evaluate(cand)
-            if r is None:
+            c = search.evaluate(cand)
+            if c is None:
                 continue
-            delta = r[0] - cost
+            delta = c - cost
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                assign, (cost, _) = cand, r
-                if r[0] < best_result[0]:
-                    best_assign, best_result = list(cand), r
+                assign, cost = cand, c
+                if c < best_cost:
+                    best_assign, best_cost = list(cand), c
         temp *= params.alpha
-    return best_assign, best_result
+    return best_assign
 
 
 def dump_mapping(mapping):

@@ -21,10 +21,13 @@ kinds and their gating:
                                        regions, both ends in one region)
 """
 
+import random
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RangeError, UnknownTile
 from .graphs import DIRS_2D, DIRS_3D, OPPOSITE
+from .rng import derive_seed
 
 # Canonical turn slot order.  The first eight are the planar turns and
 # double as the layout of per-router turn health and routing bits.
@@ -138,6 +141,7 @@ class RoutingGraph:
         self.nodes = nodes                  # tuple of PortNode, sorted
         self.adj = adj                      # dict PortNode -> tuple of PortNode
         self._reach = None                  # memoised reach_bits()
+        self._providers = {}                # seed -> memoised RouteProvider
 
     def local_in(self, tile):
         return PortNode(self.ag.check_tile(tile), "L", "in")
@@ -178,6 +182,14 @@ class RoutingGraph:
         if self._reach is None:
             self._reach = _reach_bits(self.nodes, self.adj)
         return self._reach
+
+    def route_provider(self, seed=0):
+        """The RouteProvider for `seed`, built once per graph: its
+        distance tables and routes are then shared by every caller."""
+        provider = self._providers.get(seed)
+        if provider is None:
+            provider = self._providers[seed] = RouteProvider(self, seed)
+        return provider
 
 
 def _reach_bits(nodes, adj):
@@ -353,3 +365,74 @@ def reachability_matrix(rg):
         bits = reach[rg.local_in(s)]
         rows.append([bool(bits >> d & 1) for d in range(n)])
     return rows
+
+
+class RouteProvider:
+    """Deterministic route choice on a routing graph.
+
+    Shortest port paths only; where several shortest continuations
+    exist (adaptive turn models) one is drawn uniformly from a per
+    (src, dst) sub-stream, so the choice does not depend on evaluation
+    order.  Routes are cached.  Holds the graph's platform and adjacency,
+    not the graph: graphs memoise their providers, and a reference back
+    would keep every replaced graph alive until the cycle collector
+    runs."""
+
+    def __init__(self, rg, seed=0):
+        self.ag = rg.ag
+        self.adj = rg.adj
+        self.seed = seed
+        self._rev = {n: [] for n in rg.nodes}
+        for node, succs in rg.adj.items():
+            for nxt in succs:
+                self._rev[nxt].append(node)
+        self._dist = {}                     # dst tile -> {node: hops to local-out}
+        self._routes = {}                   # (src, dst) -> Route or None
+
+    def _dist_to(self, dst):
+        if dst in self._dist:
+            return self._dist[dst]
+        goal = PortNode(self.ag.check_tile(dst), "L", "out")
+        dist = {goal: 0}
+        frontier = [goal]
+        while frontier:
+            nxt_frontier = []
+            for node in frontier:
+                for prev in self._rev[node]:
+                    if prev not in dist:
+                        dist[prev] = dist[node] + 1
+                        nxt_frontier.append(prev)
+            frontier = nxt_frontier
+        self._dist[dst] = dist
+        return dist
+
+    def route(self, src, dst):
+        """Route(ports, links, hops) or None when unroutable."""
+        key = (src, dst)
+        if key in self._routes:
+            return self._routes[key]
+        dist = self._dist_to(dst)
+        node = PortNode(self.ag.check_tile(src), "L", "in")
+        if node not in dist:
+            self._routes[key] = None
+            return None
+        rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
+        ports = [node]
+        links = []
+        while dist[node] > 0:
+            step = [n for n in self.adj[node] if dist.get(n, -1) == dist[node] - 1]
+            nxt = step[0] if len(step) == 1 else rng.choice(step)
+            if nxt.tile != node.tile:
+                links.append(self.ag.link(node.tile, node.direction).id)
+            ports.append(nxt)
+            node = nxt
+        route = Route(tuple(ports), tuple(links), len(links) + 1)
+        self._routes[key] = route
+        return route
+
+
+@dataclass(frozen=True)
+class Route:
+    ports: tuple
+    links: tuple
+    hops: int                               # routers on the route

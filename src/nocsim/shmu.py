@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
 from .health import shm_tag
-from .mapsched import CommModel, RouteProvider, SaParams, asap_schedule, run_heuristic
+from .mapsched import CommModel, SaParams, asap_schedule, run_heuristic
 from .rng import derive_seed
 from .routing import build_routing_graph, turn_slots
 
@@ -313,7 +313,7 @@ class Msu:
         return build_routing_graph(shm.ag, self.turn_model, shm, self.regions)
 
     def routes_for(self, rg):
-        return RouteProvider(rg, seed=derive_seed(self.seed, "routing"))
+        return rg.route_provider(derive_seed(self.seed, "routing"))
 
     def compute(self, shm, rg=None):
         """Run the configured heuristic for the given health state.

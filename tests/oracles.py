@@ -11,8 +11,16 @@ import weakref
 import networkx as nx
 
 import nocsim as ns
-from nocsim.errors import RegionBudgetError
+from nocsim.errors import RegionBudgetError, UnroutableFlow
+from nocsim.mapsched import (
+    CommModel,
+    FlowPlan,
+    Schedule,
+    evaluate_cost,
+    validate_mapping,
+)
 from nocsim.reachability import Rectangle
+from nocsim.routing import RouteProvider
 
 
 _NX_GRAPHS = weakref.WeakKeyDictionary()   # routing graph -> its digraph
@@ -254,3 +262,121 @@ def pstdev(values):
         return 0.0
     mean = sum(values) / len(values)
     return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+
+
+# -- ASAP scheduling -----------------------------------------------------------
+# The scheduler as it was before link busy lists were kept sorted: every
+# placement scans each link's intervals in insertion order.  Kept
+# verbatim as the reference for the bisecting core in nocsim.mapsched.
+
+
+def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
+                  finished=None):
+    """Single-pass as-soon-as-possible schedule for `mapping`.
+
+    Tasks listed in `finished` are pinned as zero-length sources at
+    base_time on their mapped tile (used when resuming after a remap);
+    everything else executes.  Raises UnroutableFlow when a transfer
+    between mapped tiles has no route.
+    """
+    comm = comm or CommModel()
+    routes = routes or RouteProvider(rg)
+    finished = frozenset(finished or ())
+    validate_mapping(tg, mapping, shm)
+
+    n = len(tg)
+    task_times = [None] * n
+    pe_free = {}
+    link_busy = {}
+    flows = []
+    computations = 0
+
+    for b in tg.topological_order():
+        computations += 1
+        tile_b = mapping[b]
+        if b in finished:
+            task_times[b] = (tile_b, base_time, base_time)
+            continue
+
+        data_ready = base_time
+        for a in tg.predecessors(b):
+            tile_a = mapping[a]
+            finish_a = task_times[a][2]
+            weight = tg.edges[(a, b)]
+            if tile_a == tile_b:
+                arrival = finish_a
+            else:
+                route = routes.route(tile_a, tile_b)
+                if route is None:
+                    raise UnroutableFlow(tile_a, tile_b)
+                flow = _place_flow(a, b, tile_a, tile_b, weight, route,
+                                   finish_a, comm, link_busy)
+                flows.append(flow)
+                arrival = flow.delivery
+            data_ready = max(data_ready, arrival)
+
+        task = tg.task(b)
+        start = max(task.release, data_ready, pe_free.get(tile_b, base_time), base_time)
+        finish = start + shm.effective_wcet(tile_b, task.wcet)
+        pe_free[tile_b] = finish
+        task_times[b] = (tile_b, start, finish)
+
+    executed = [task_times[t][2] for t in range(n) if t not in finished]
+    makespan = max(executed) if executed else base_time
+    return Schedule(
+        task_times=tuple(task_times),
+        flows=tuple(flows),
+        start_computations=computations,
+        base_time=base_time,
+        retained=finished,
+        makespan=makespan,
+    )
+
+
+def _place_flow(a, b, tile_a, tile_b, weight, route, injection, comm, link_busy):
+    """Earliest contention-free placement of one transfer.
+
+    The head needs router_delay per router; the body holds link i for
+    weight x unit_link_cycles starting i router delays after injection.
+    Contended links push the injection later (earliest-fit)."""
+    r = comm.router_delay
+    hold = weight * comm.unit_link_cycles
+    t = injection
+    if hold > 0:
+        while True:
+            bumped = False
+            for i, link in enumerate(route.links, start=1):
+                s = t + i * r
+                for (cs, ce) in link_busy.get(link, ()):
+                    if cs < s + hold and ce > s:
+                        t = ce - i * r
+                        bumped = True
+                        break
+                if bumped:
+                    break
+            if not bumped:
+                break
+    intervals = []
+    for i, link in enumerate(route.links, start=1):
+        s = t + i * r
+        if hold > 0:
+            link_busy.setdefault(link, []).append((s, s + hold))
+            intervals.append((link, s, s + hold))
+    delivery = t + route.hops * r + hold
+    return FlowPlan(a, b, tile_a, tile_b, weight, route.links, route.ports,
+                    t, delivery, tuple(intervals))
+
+
+def evaluate_candidate(tg, mapping, shm, rg, comm, routes, cost):
+    """Candidate evaluation as the heuristics scored it before cost-only
+    evaluation: the reference Schedule, the deadline check and the
+    public cost function.  None for an infeasible candidate."""
+    try:
+        schedule = asap_schedule(tg, mapping, shm, rg, comm=comm, routes=routes)
+    except UnroutableFlow:
+        return None
+    for task in tg.tasks:
+        if task.criticality == ns.CRITICAL and task.slack is not None:
+            if schedule.task_times[task.id][2] > task.release + task.slack:
+                return None
+    return evaluate_cost(schedule, cost)

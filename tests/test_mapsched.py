@@ -412,3 +412,219 @@ def test_greedy_valid_on_random_instances(seed):
     ns.validate_mapping(tg, mapping, shm)
     for f in sched.flows:
         assert ns.RouteProvider(rg).route(f.src_tile, f.dst_tile) is not None
+
+
+# -- initial mapping validation -----------------------------------------------
+
+
+def test_initial_of_wrong_length_is_a_length_mismatch():
+    ag, shm, rg = platform(2, 2)
+    tg = chain_tg([3, 3, 3, 3, 3])
+    with pytest.raises(LengthMismatch):
+        ns.run_heuristic("greedy", tg, shm, rg, initial=[0, 1, 2, 3])
+    with pytest.raises(LengthMismatch):
+        ns.run_heuristic("sa", tg, shm, rg, initial=[0, 1, 2, 3, 0, 1])
+
+
+def test_initial_outside_the_mesh_is_an_unknown_tile():
+    ag, shm, rg = platform(2, 2)
+    tg = chain_tg([3, 3, 3])
+    with pytest.raises(UnknownTile):
+        ns.run_heuristic("greedy", tg, shm, rg, initial=[0, 4, 1])
+    with pytest.raises(UnknownTile):
+        ns.run_heuristic("ils", tg, shm, rg, initial=[-1, 0, 1])
+
+
+def test_initial_on_an_unusable_tile_is_a_semantic_error():
+    ag, shm, rg = platform(2, 2)
+    shm.apply_fault(("pe", 3))
+    shm.set_aging(2, 100)
+    tg = chain_tg([3, 3, 3])
+    for bad in (3, 2):
+        with pytest.raises(SemanticError):
+            ns.run_heuristic("greedy", tg, shm, rg, initial=[0, bad, 1])
+
+
+# -- route provider memo ------------------------------------------------------
+
+
+def test_route_provider_memoised_per_graph_and_seed(mesh44):
+    shm = ns.SystemHealthMap(mesh44)
+    rg = ns.build_routing_graph(mesh44, ns.WEST_FIRST, shm)
+    assert rg.route_provider(7) is rg.route_provider(7)
+    assert rg.route_provider(7) is not rg.route_provider(8)
+    other = ns.build_routing_graph(mesh44, ns.WEST_FIRST, shm)
+    assert other.route_provider(7) is not rg.route_provider(7)
+    fresh = ns.RouteProvider(rg, seed=7)
+    for src, dst in itertools.product(range(16), repeat=2):
+        assert rg.route_provider(7).route(src, dst) == fresh.route(src, dst)
+
+
+def test_msu_routes_for_reuses_the_graphs_provider(mesh33):
+    tg = chain_tg([3, 3])
+    msu = ns.Msu(tg=tg, turn_model=ns.WEST_FIRST, seed=4)
+    shm = ns.SystemHealthMap(mesh33)
+    rg = msu.build_rg(shm)
+    assert msu.routes_for(rg) is msu.routes_for(rg)
+    assert msu.routes_for(msu.build_rg(shm)) is not msu.routes_for(rg)
+
+
+# -- differential checks against the reference scheduler ----------------------
+
+
+def schedule_inputs(seed, critical=False):
+    """A contended random instance: a small mesh with faults and aging,
+    a DAG mapped onto some tiles, and random resume and comm settings."""
+    rng = random.Random(seed)
+    ag = ns.build_mesh(rng.randint(2, 4), rng.randint(2, 4))
+    shm = random_shm(ag, seed, max_links=2, max_turns=1, max_pes=1)
+    for tile in rng.sample(range(len(ag)), rng.randint(0, 2)):
+        shm.set_aging(tile, rng.choice((10, 25, 60, 100)))
+    usable = [t for t in range(len(ag)) if shm.pe_usable(t)]
+    assume(usable)
+    rg = ns.build_routing_graph(ag, rng.choice((ns.XY, ns.WEST_FIRST)), shm)
+    tg = ns.random_task_graph(rng.randint(1, 20), rng.choice((0.2, 0.4, 0.7)),
+                              seed=seed)
+    if critical:
+        kinds = [ns.CRITICAL] + [ns.NON_CRITICAL] * 4
+        tasks = [ns.Task(t.id, t.wcet, release=rng.randint(0, 5),
+                         criticality=rng.choice(kinds), slack=rng.randint(0, 400))
+                 for t in tg.tasks]
+        tg = ns.build_task_graph(tasks, tg.edges)
+    # Few tiles make links contended; all tiles make many busy links
+    # and PEs, where the order of the cost sums shows in the floats.
+    tiles = rng.sample(usable, min(len(usable), rng.choice((1, 2, 3, 16))))
+    mapping = [rng.choice(tiles) for _ in range(len(tg))]
+    comm = ns.CommModel(unit_link_cycles=rng.choice((0, 1, 1, 3)),
+                        router_delay=rng.choice((0, 1, 1, 2)))
+    return tg, shm, rg, mapping, comm, rng
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UnroutableFlow as exc:
+        return ("unroutable", exc.src, exc.dst)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_asap_schedule_matches_reference(seed):
+    tg, shm, rg, mapping, comm, rng = schedule_inputs(seed)
+    finished = set(rng.sample(range(len(tg)), rng.randint(0, len(tg) // 2)))
+    base_time = rng.choice((0, 0, 17))
+    routes = rg.route_provider(rng.randrange(4))
+    args = (tg, mapping, shm, rg)
+    kw = dict(comm=comm, routes=routes, base_time=base_time, finished=finished)
+    new = _outcome(lambda: ns.asap_schedule(*args, **kw))
+    ref = _outcome(lambda: oracles.asap_schedule(*args, **kw))
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert new.dump() == ref.dump()
+    assert new.flows == ref.flows
+    assert new.task_times == ref.task_times
+    assert new.makespan == ref.makespan
+    assert new.start_computations == ref.start_computations
+    assert new.retained == ref.retained
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=150)
+def test_cost_only_evaluation_matches_reference(seed, clustered):
+    tg, shm, rg, mapping, comm, rng = schedule_inputs(seed, critical=True)
+    ctg = ns.cluster_tasks(tg, rng.randint(1, len(tg))) if clustered else None
+    routes = rg.route_provider(rng.randrange(4))
+    for kind in ns.mapsched.COST_KINDS:
+        search = ns.mapsched._Search(tg, shm, rg, kind, ctg, comm, routes)
+        unit_tiles = [mapping[min(members)] for members in search.units]
+        expanded = ns.mapsched._expand(search.units, unit_tiles, len(tg))
+        got = search.evaluate(unit_tiles)
+        want = oracles.evaluate_candidate(tg, expanded, shm, rg, comm, routes, kind)
+        assert got == want and type(got) is type(want), kind
+        assert search.evaluations == 1
+
+
+def test_cost_only_sums_in_reference_order():
+    # Many busy links and PEs with uneven loads: here the population
+    # stddev's float result depends on the order of the sums, so the
+    # cost-only path must add in the order evaluate_cost does.
+    ag, shm, rg = platform(4, 4)
+    shm.set_aging(5, 30)
+    order_sensitive = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        tg = ns.random_task_graph(20, 0.4, seed=seed)
+        mapping = [rng.randrange(16) for _ in range(len(tg))]
+        sched = oracles.asap_schedule(tg, mapping, shm, rg)
+        for kind in ns.mapsched.COST_KINDS:
+            search = ns.mapsched._Search(tg, shm, rg, kind, None,
+                                         ns.CommModel(), None)
+            assert search.evaluate(mapping) == ns.evaluate_cost(sched, kind), \
+                (seed, kind)
+        busy = [sum(e - s for s, e in iv) for iv in sched.link_busy.values()]
+        order_sensitive += oracles.pstdev(busy) != oracles.pstdev(busy[::-1])
+    assert order_sensitive >= 10
+
+
+def test_cost_only_deadline_is_inclusive():
+    # Finishing exactly at release + slack meets the deadline.
+    ag, shm, rg = platform(2, 1)
+    for slack, want in ((10, 10), (9, None)):
+        tg = ns.build_task_graph(
+            [ns.Task(0, 10, release=3, criticality=ns.CRITICAL, slack=slack),
+             ns.Task(1, 4)], {(0, 1): 2})
+        search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None,
+                                     ns.CommModel(), None)
+        got = search.evaluate([0, 1])
+        assert got == oracles.evaluate_candidate(
+            tg, [0, 1], shm, rg, ns.CommModel(), None, ns.SCHEDULE_LENGTH)
+        assert got == (None if want is None else 21)
+
+
+def _oracle_search(monkeypatch, shm, rg):
+    """Make every heuristic score its candidates with the reference
+    scheduler and the public cost function."""
+    def evaluate(search, unit_tiles):
+        search.evaluations += 1
+        mapping = ns.mapsched._expand(search.units, unit_tiles, len(search.tg))
+        return oracles.evaluate_candidate(search.tg, mapping, shm, rg, search.comm,
+                                          search.routes.provider, search.cost)
+    monkeypatch.setattr(ns.mapsched._Search, "evaluate", evaluate)
+
+
+SEARCH_CASES = [
+    # (heuristic, mesh side, turn model, tasks, cost, clusters, seed)
+    ("greedy", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 1),
+    ("greedy", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, None, 2),
+    ("greedy", 4, ns.WEST_FIRST, 10, ns.UTILIZATION_BALANCE, 5, 3),
+    ("ils", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 4),
+    ("ils", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, 4, 5),
+    ("sa", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 6),
+    ("sa", 3, ns.WEST_FIRST, 9, ns.UTILIZATION_BALANCE, None, 7),
+    ("sa", 4, ns.XY, 9, ns.TRAFFIC_BALANCE, 6, 8),
+]
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES,
+                         ids=[f"{c[0]}-{c[4]}-{c[6]}" for c in SEARCH_CASES])
+def test_heuristics_match_reference_driven_search(monkeypatch, case):
+    name, side, model, m, cost, k, seed = case
+    ag = ns.build_mesh(side, side)
+    shm = random_shm(ag, seed, max_links=2, max_turns=1, max_pes=1)
+    shm.set_aging(seed % len(ag), 40)
+    rg = ns.build_routing_graph(ag, model, shm)
+    tg = ns.random_task_graph(m, 0.4, seed=seed)
+    ctg = ns.cluster_tasks(tg, k) if k else None
+    kw = dict(cost=cost, ctg=ctg, seed=seed, iterations=3,
+              routes=rg.route_provider(seed),
+              sa_params=ns.SaParams(alpha=0.8, moves_per_temp=30))
+    got = ns.run_heuristic(name, tg, shm, rg, **kw)
+    with monkeypatch.context() as mp:
+        _oracle_search(mp, shm, rg)
+        want = ns.run_heuristic(name, tg, shm, rg, **kw)
+    assert got.mapping == want.mapping
+    assert got.evaluations == want.evaluations
+    assert got.schedule.dump() == want.schedule.dump()
+    ref = oracles.asap_schedule(tg, want.mapping, shm, rg, routes=kw["routes"])
+    assert got.schedule.dump() == ref.dump()
