@@ -6,8 +6,15 @@ the number of start computations is linear in the task count (an
 operation counter on the result makes that checkable).  Data transfers
 occupy route links and are serialized where links are contended
 (earliest-fit); each link keeps its busy intervals sorted, so one probe
-of a link costs O(log I) in the I intervals already on it.  Tasks
-sharing a processing element are serialized too.
+of a link costs O(log I) in the I intervals already on it, and a link
+nothing uses yet costs none.  Tasks sharing a processing element are
+serialized too.
+
+Routes are read from route rows, rows[src][dst], made once per search
+(or asap_schedule call): each tile pair is asked of the route provider
+once, and a source's row is made on its first use.  A row entry holds
+the route's links and its tail, hops x router_delay, so placement reads
+no Route attributes and hashes no (src, dst) key.
 
 Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
@@ -121,21 +128,21 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
     order, preds, release = _task_arrays(tg)
     wcet = _wcet_table(tg, shm, set(mapping))
     records = []
-    start, finish, _ = _asap(order, preds, release, wcet, mapping,
-                             _RouteTable(routes), comm, len(shm.ag.links),
-                             base_time, finished, records)
+    table = _RouteTable(routes, len(shm.ag), comm.router_delay)
+    start, finish, _ = _asap(order, preds, release, wcet, mapping, table,
+                             comm, len(shm.ag.links), base_time, finished,
+                             records)
 
     r = comm.router_delay
     flows = []
-    for a, b, tile_a, tile_b, weight, route, t in records:
+    for a, b, tile_a, tile_b, weight, (links, tail, route), t in records:
         hold = weight * comm.unit_link_cycles
         intervals = tuple(
             (link, t + i * r, t + i * r + hold)
-            for i, link in enumerate(route.links, start=1)
+            for i, link in enumerate(links, start=1)
         ) if hold > 0 else ()
-        flows.append(FlowPlan(a, b, tile_a, tile_b, weight, route.links,
-                              route.ports, t, t + route.hops * r + hold,
-                              intervals))
+        flows.append(FlowPlan(a, b, tile_a, tile_b, weight, links,
+                              route.ports, t, t + tail + hold, intervals))
     executed = [finish[t] for t in range(len(tg)) if t not in finished]
     return Schedule(
         task_times=tuple(zip(mapping, start, finish)),
@@ -164,17 +171,35 @@ def _wcet_table(tg, shm, tiles):
     return table
 
 
-class _RouteTable(dict):
-    """(src tile, dst tile) -> Route or None, asked of the provider once
-    per pair; later lookups are plain dict hits."""
+class _RouteTable:
+    """Route rows for one search: rows[src][dst] is None until the pair is
+    first asked of the provider (once per pair), then () when it has no
+    route, else (links, tail, route) with tail = hops x router_delay.  A
+    row is made on a source's first use, so a large mesh allocates only
+    the rows a search touches."""
 
-    def __init__(self, provider):
-        super().__init__()
+    def __init__(self, provider, n_tiles, router_delay):
         self.provider = provider
+        self.router_delay = router_delay
+        self.rows = [None] * n_tiles
 
-    def __missing__(self, key):
-        route = self[key] = self.provider.route(*key)
-        return route
+    def entry(self, src, dst):
+        """The pair's (links, tail, route); raises UnroutableFlow when
+        it has none."""
+        row = self.rows[src]
+        if row is None:
+            row = self.rows[src] = [None] * len(self.rows)
+        entry = row[dst]
+        if entry is None:
+            route = self.provider.route(src, dst)
+            if route is None:
+                entry = ()
+            else:
+                entry = (route.links, route.hops * self.router_delay, route)
+            row[dst] = entry
+        if not entry:
+            raise UnroutableFlow(src, dst)
+        return entry
 
 
 def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
@@ -183,32 +208,38 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
 
     Visits tasks in topological order and computes each start once:
     the latest of release, PE free time and data arrivals.  wcet[tile]
-    lists each task's cycles on that tile; routes[src, dst] is a Route
-    or None (then UnroutableFlow is raised).  Returns the per-task start
-    and finish lists and busy: per link id, None if unused, else the
-    link's busy intervals in time order as [start, end, start, end,
-    ...].  When `records` is a list, appends (src task, dst task, src
-    tile, dst tile, weight, route, injection) to it per transfer.
+    lists each task's cycles on that tile; routes is a _RouteTable for
+    comm.router_delay (an unroutable pair raises UnroutableFlow).
+    Returns the per-task start and finish lists and busy: per link id,
+    None if unused, else the link's busy intervals in time order as
+    [start, end, start, end, ...].  When `records` is a list, appends
+    (src task, dst task, src tile, dst tile, weight, route row entry,
+    injection) to it per transfer.
 
     A transfer's head needs router_delay per router; its body holds
     link i for weight x unit_link_cycles from i router delays after
-    injection.  Placement is earliest-fit: a conflict on some link moves
-    the injection past the conflicting interval, and past any later
-    ones on that link whose gaps are too short for the body; then the
-    check restarts at the first link.  Every time skipped conflicts on
-    that link, so the result is the earliest conflict-free injection.
-    Intervals on one link never overlap, so their flat list is sorted
-    and one bisection finds the only interval that can conflict: O(log
-    I) per link probe.
+    injection.  Placement is earliest-fit: a conflict on some link
+    moves the injection past the conflicting interval, and past any
+    later ones on that link whose gaps are too short for the body; then
+    the check restarts at the first link.  Every time skipped conflicts
+    on that link, so the result is the earliest conflict-free
+    injection.  Intervals on one link never overlap, so their flat list
+    is sorted and one bisection finds the only interval that can
+    conflict: O(log I) per link probe, and an unused link needs none.
+    After a conflict-free pass each interval is inserted where a
+    bisection puts it, which is where the probe found room: a route
+    never repeats a link, so no lane changes between the check and the
+    insert.
     """
-    r = comm.router_delay
     unit = comm.unit_link_cycles
+    r = comm.router_delay
+    rows = routes.rows
     start = [base_time] * len(order)
     finish = [base_time] * len(order)
     pe_free = [base_time] * len(wcet)
     busy = [None] * n_links
     for b in order:
-        if b in finished:
+        if finished and b in finished:
             continue
         tile_b = mapping[b]
         ready = pe_free[tile_b]
@@ -218,36 +249,43 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
             tile_a = mapping[a]
             t = finish[a]
             if tile_a != tile_b:
-                route = routes[tile_a, tile_b]
-                if route is None:
-                    raise UnroutableFlow(tile_a, tile_b)
+                row = rows[tile_a]
+                entry = row and row[tile_b]
+                if not entry:
+                    entry = routes.entry(tile_a, tile_b)
+                links, tail, _ = entry
                 hold = weight * unit
                 if hold > 0:
                     while True:
                         s = t
-                        slots = []          # (lane, index, start) per link
-                        for link in route.links:
+                        for link in links:
                             s += r
                             lane = busy[link]
                             if lane is None:
-                                lane = busy[link] = []
+                                continue
                             k = bisect_right(lane, s)
                             if k & 1 or (k < len(lane) and lane[k] < s + hold):
                                 k |= 1      # end of the conflicting interval
                                 # Skip on while the gap after it is too short.
-                                while (k + 1 < len(lane)
-                                       and lane[k + 1] < lane[k] + hold):
+                                last = len(lane) - 1
+                                while k < last and lane[k + 1] < lane[k] + hold:
                                     k += 2
                                 t += lane[k] - s
                                 break
-                            slots.append((lane, k, s))
                         else:
                             break
-                    for lane, k, s in slots:
-                        lane[k:k] = (s, s + hold)
+                    s = t
+                    for link in links:
+                        s += r
+                        lane = busy[link]
+                        if lane is None:
+                            busy[link] = [s, s + hold]
+                        else:
+                            k = bisect_right(lane, s)
+                            lane[k:k] = (s, s + hold)
                 if records is not None:
-                    records.append((a, b, tile_a, tile_b, weight, route, t))
-                t += route.hops * r + hold
+                    records.append((a, b, tile_a, tile_b, weight, entry, t))
+                t += tail + hold
             if t > ready:
                 ready = t
         start[b] = ready
@@ -366,7 +404,8 @@ class _Search:
         self.units = _units(tg, ctg)
         self.clustered = ctg is not None
         self.comm = comm
-        self.routes = _RouteTable(routes or rg.route_provider())
+        self.routes = _RouteTable(routes or rg.route_provider(), len(shm.ag),
+                                  comm.router_delay)
         self.tiles = usable_tiles(shm)
         self.order, self.preds, self.release = _task_arrays(tg)
         self.wcet = _wcet_table(tg, shm, self.tiles)
@@ -458,6 +497,12 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
             f"initial mapping has {len(initial)} entries for {len(tg)} tasks"
         )
     start = [initial[min(members)] for members in search.units]
+    for members, tile in zip(search.units, start):
+        if any(initial[t] != tile for t in members):
+            raise SemanticError(
+                f"initial mapping splits cluster {sorted(members)} over "
+                f"tiles {sorted({initial[t] for t in members})}"
+            )
     validate_mapping(tg, _expand(search.units, start, len(tg)), shm)
 
     if name == "greedy":

@@ -342,6 +342,12 @@ def map_and_store(shm, location, msu, mpm):
     """Precompute for `location` failing permanently: apply the fault
     hypothetically, map, store, and restore the health map bit for bit.
 
+    When the memory already holds the hypothetical state, its entry is
+    stored again (refreshing its age) without mapping anew: the
+    serialization covers all the state Msu.compute reads, and the
+    heuristic's seed comes from the tag, so a new run would return
+    the same assignment.
+
     Returns the stored MpmEntry, or None when the hypothetical state
     admits no feasible mapping (a warning case, nothing stored)."""
     snap = shm.snapshot()
@@ -350,11 +356,13 @@ def map_and_store(shm, location, msu, mpm):
             shm.apply_fault(fault)
         tag = shm_tag(shm)
         full_config = shm.serialize()
-        try:
-            result = msu.compute(shm)
-        except InfeasibilityError:
-            return None
-        entry = MpmEntry(tag, full_config, tuple(result.mapping))
+        entry = mpm.lookup(tag, full_config)
+        if entry is None:
+            try:
+                result = msu.compute(shm)
+            except InfeasibilityError:
+                return None
+            entry = MpmEntry(tag, full_config, tuple(result.mapping))
         mpm.store(entry)
         return entry
     finally:

@@ -1,0 +1,67 @@
+"""Golden-output corpus: every file `nocsim simulate --out` writes for
+each bundled scenario under greedy, ILS and SA, and the `nocsim
+regions` dump of scenarios/regions.json at budgets 1 and 8, compared
+byte for byte with the files under tests/golden/.
+
+The corpus pins the model's outputs, so a refactor or speed-up that
+changes any byte fails here.  The only way to rewrite it is
+
+    NOCSIM_UPDATE_GOLDEN=1 python -m pytest tests/test_golden.py
+
+which is for a change that declares a model change (and says why) in
+CHANGES.md; any other change must leave these files as they are."""
+
+import os
+import pathlib
+
+import pytest
+
+from nocsim.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+UPDATE = os.environ.get("NOCSIM_UPDATE_GOLDEN") == "1"
+
+SIMULATE_FILES = ("metrics.txt", "trace.txt", "decisions.log", "mapping.txt",
+                  "mpm.txt", "shm.txt")
+SCENARIO_NAMES = sorted(p.stem for p in SCENARIOS.glob("*.json"))
+HEURISTICS = ("greedy", "ils", "sa")
+BUDGETS = (1, 8)
+
+
+def _check(produced, expected):
+    """Compare one produced file with its golden copy (or rewrite the
+    golden copy when updating)."""
+    data = produced.read_bytes()
+    if UPDATE:
+        expected.parent.mkdir(parents=True, exist_ok=True)
+        expected.write_bytes(data)
+        return
+    assert expected.exists(), f"missing golden file {expected}"
+    assert data == expected.read_bytes(), f"{expected} differs"
+
+
+def test_corpus_covers_every_scenario():
+    assert SCENARIO_NAMES == ["burst_recovery", "regions", "smoke"]
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_simulate_matches_golden(name, heuristic, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(SCENARIOS / f"{name}.json"),
+                 "--heuristic", heuristic, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(SIMULATE_FILES)
+    for fname in SIMULATE_FILES:
+        _check(out / fname, GOLDEN / name / heuristic / fname)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_regions_matches_golden(budget, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["regions", "--scenario", str(SCENARIOS / "regions.json"),
+                 "--regions-budget", str(budget), "--out", str(out)]) == 0
+    capsys.readouterr()
+    _check(out / "regions.txt", GOLDEN / "regions_dump" / f"budget{budget}.txt")

@@ -445,6 +445,33 @@ def test_initial_on_an_unusable_tile_is_a_semantic_error():
             ns.run_heuristic("greedy", tg, shm, rg, initial=[0, bad, 1])
 
 
+def test_initial_that_splits_a_cluster_is_a_semantic_error():
+    ag, shm, rg = platform(2, 2)
+    tg = chain_tg([4, 4, 4, 4], [9, 1, 9])
+    ctg = ns.ClusteredTaskGraph(tg, (frozenset({0, 1}), frozenset({2, 3})))
+    for name in ("greedy", "ils", "sa"):
+        with pytest.raises(SemanticError, match="splits cluster"):
+            ns.run_heuristic(name, tg, shm, rg, ctg=ctg, initial=[0, 3, 1, 2])
+
+
+def test_initial_that_keeps_clusters_whole_maps_as_before():
+    ag, shm, rg = platform(2, 2)
+    tg = chain_tg([4, 4, 4, 4], [9, 1, 9])
+    ctg = ns.ClusteredTaskGraph(tg, (frozenset({0, 1}), frozenset({2, 3})))
+    # (heuristic, initial) -> (mapping, evaluations), frozen values.
+    expected = {
+        ("greedy", (0, 0, 3, 3)): ([3, 3, 3, 3], 13),
+        ("greedy", (1, 1, 2, 2)): ([2, 2, 2, 2], 13),
+        ("sa", (0, 0, 3, 3)): ([0, 0, 0, 0], 17162),
+        ("sa", (1, 1, 2, 2)): ([1, 1, 1, 1], 17161),
+    }
+    for (name, initial), (mapping, evaluations) in expected.items():
+        r = ns.run_heuristic(name, tg, shm, rg, ctg=ctg, initial=list(initial),
+                             seed=3)
+        assert (r.mapping, r.evaluations) == (mapping, evaluations)
+        assert r.schedule.makespan == 16
+
+
 # -- route provider memo ------------------------------------------------------
 
 
@@ -467,6 +494,41 @@ def test_msu_routes_for_reuses_the_graphs_provider(mesh33):
     rg = msu.build_rg(shm)
     assert msu.routes_for(rg) is msu.routes_for(rg)
     assert msu.routes_for(msu.build_rg(shm)) is not msu.routes_for(rg)
+
+
+def test_route_rows_ask_each_pair_once(mesh44):
+    shm = ns.SystemHealthMap(mesh44)
+    for fault in (("link", 3), ("link", 17), ("turn", 5, 2)):
+        shm.apply_fault(fault)
+    rg = ns.build_routing_graph(mesh44, ns.XY, shm)
+    provider = rg.route_provider(5)
+    asked = []
+
+    class Counting:
+        def route(self, src, dst):
+            asked.append((src, dst))
+            return provider.route(src, dst)
+
+    tg = ns.random_task_graph(8, 0.5, seed=11)
+    comm = ns.CommModel(unit_link_cycles=2, router_delay=3)
+    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None, comm,
+                                 Counting())
+    tiles = (0, 3, 5, 12)
+    rng = random.Random(2)
+    for _ in range(60):
+        search.evaluate([rng.choice(tiles) for _ in range(len(tg))])
+    assert asked and len(asked) == len(set(asked))
+    rows = search.routes.rows
+    sources = {src for src, _ in asked}
+    assert sources <= set(tiles)
+    assert all(rows[t] is None for t in range(len(mesh44)) if t not in sources)
+    for src, dst in asked:
+        route = provider.route(src, dst)
+        if route is None:
+            assert rows[src][dst] == ()
+        else:
+            assert rows[src][dst] == (route.links, 3 * route.hops, route)
+    assert any(provider.route(*pair) is None for pair in asked)
 
 
 # -- differential checks against the reference scheduler ----------------------

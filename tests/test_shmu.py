@@ -267,6 +267,38 @@ def test_mpfs_pass_bounded_entries_and_clean_shm():
     assert shm.serialize() == before
 
 
+def test_map_and_store_reuses_a_stored_state(monkeypatch):
+    ag, tg, msu = small_msu()
+    # A, B, A, C at capacity 2: storing A again refreshes it, so C
+    # evicts B, exactly as when every state is mapped anew.
+    locations = [("pe", 3), ("pe", 1), ("pe", 3), ("pe", 2)]
+    cold = ns.MpmMemory(2)
+    for loc in locations:
+        hyp = ns.SystemHealthMap(ag)
+        for fault in ns.degrade_targets(loc, ag):
+            hyp.apply_fault(fault)
+        result = msu.compute(hyp)
+        cold.store(ns.MpmEntry(ns.shm_tag(hyp), hyp.serialize(),
+                               tuple(result.mapping)))
+
+    calls = []
+    run_heuristic = ns.shmu.run_heuristic
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_heuristic(*args, **kwargs)
+
+    monkeypatch.setattr(ns.shmu, "run_heuristic", counted)
+    shm = ns.SystemHealthMap(ag)
+    before = shm.serialize()
+    mpm = ns.MpmMemory(2)
+    entries = [ns.map_and_store(shm, loc, msu, mpm) for loc in locations]
+    assert len(calls) == 3                  # the second ("pe", 3) maps nothing
+    assert entries[2] == entries[0]
+    assert mpm.dump() == cold.dump()
+    assert shm.serialize() == before
+
+
 def test_deploy_miss_then_hit_latency_identities():
     ag, tg, msu = small_msu()
     shm = ns.SystemHealthMap(ag)
