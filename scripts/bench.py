@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Per-layer timing ladder for nocsim (standard library only).
 
-Each rung is timed with time.perf_counter over --repeats runs in this
-one process, and the median is recorded with the rung's size
+Each rung is timed with time.perf_counter over REPEATS (5) runs in
+this one process, and the median is recorded with the rung's size
 parameters and work counters:
 
   asap      one asap_schedule on a fault-free 4x4 XY mesh at 100, 250,
@@ -11,8 +11,8 @@ parameters and work counters:
   simulate  `simulate scenarios/smoke.json --heuristic sa`, one
             Kernel(script).run() per repeat
 
-The sizes are fixed; a rung whose first run takes longer than --limit
-seconds is recorded as "skipped: exceeds N s" instead of repeated.
+The sizes are fixed; a rung whose first run takes longer than LIMIT_S
+(60) seconds is recorded as "skipped: exceeds 60 s" instead of repeated.
 
     python3 scripts/bench.py --label change --out BENCH_5.json
     python3 scripts/bench.py --label parent --src OTHER_CHECKOUT/src \\
@@ -35,6 +35,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ASAP_TASKS = (100, 250, 500, 1000)
 GREEDY_SIZES = ((12, 4), (20, 6), (30, 8))      # (tasks, mesh side)
+REPEATS = 5
+LIMIT_S = 60.0
 SIMULATE_SCENARIO = "smoke.json"
 SIMULATE_HEURISTIC = "sa"
 
@@ -43,25 +45,25 @@ def _density(tasks):
     return min(0.2, 20.0 / tasks)
 
 
-def _time(fn, repeats, limit):
+def _time(fn):
     """(sorted run times, last result), or (None, None) when the first
-    run exceeds `limit` seconds."""
+    run exceeds LIMIT_S seconds."""
     runs = []
     result = None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         result = fn()
         runs.append(time.perf_counter() - t0)
-        if runs[0] > limit:
+        if runs[0] > LIMIT_S:
             return None, None
     return sorted(runs), result
 
 
-def _rung(layer, size, fn, work, repeats, limit):
-    runs, result = _time(fn, repeats, limit)
+def _rung(layer, size, fn, work):
+    runs, result = _time(fn)
     rung = {"layer": layer, "size": size}
     if runs is None:
-        rung["status"] = f"skipped: exceeds {limit:g} s"
+        rung["status"] = f"skipped: exceeds {LIMIT_S:g} s"
     else:
         rung["median_s"] = statistics.median(runs)
         rung["runs_s"] = runs
@@ -71,7 +73,7 @@ def _rung(layer, size, fn, work, repeats, limit):
     return rung
 
 
-def asap_rungs(ns, repeats, limit):
+def asap_rungs(ns):
     ag = ns.build_mesh(4, 4)
     shm = ns.SystemHealthMap(ag)
     rg = ns.build_routing_graph(ag, ns.XY, shm)
@@ -84,12 +86,11 @@ def asap_rungs(ns, repeats, limit):
             {"mesh": [4, 4], "tasks": m, "density": _density(m), "seed": m},
             lambda: ns.asap_schedule(tg, mapping, shm, rg),
             lambda s: {"start_computations": s.start_computations,
-                       "flows": len(s.flows), "makespan": s.makespan},
-            repeats, limit))
+                       "flows": len(s.flows), "makespan": s.makespan}))
     return rungs
 
 
-def greedy_rungs(ns, repeats, limit):
+def greedy_rungs(ns):
     rungs = []
     for m, side in GREEDY_SIZES:
         ag = ns.build_mesh(side, side)
@@ -102,12 +103,11 @@ def greedy_rungs(ns, repeats, limit):
              "seed": m},
             lambda: ns.run_heuristic("greedy", tg, shm, rg),
             lambda r: {"evaluations": r.evaluations,
-                       "makespan": r.schedule.makespan},
-            repeats, limit))
+                       "makespan": r.schedule.makespan}))
     return rungs
 
 
-def simulate_rung(ns, repeats, limit):
+def simulate_rung(ns):
     import nocsim.shmu as shmu
 
     path = os.path.join(ROOT, "scenarios", SIMULATE_SCENARIO)
@@ -133,8 +133,7 @@ def simulate_rung(ns, repeats, limit):
             run,
             lambda r: {"evaluations": evaluations[-1],
                        "makespan": r.metrics.makespan,
-                       "trace_lines": len(r.trace)},
-            repeats, limit)
+                       "trace_lines": len(r.trace)})
     finally:
         shmu.run_heuristic = run_heuristic
 
@@ -146,20 +145,15 @@ def main():
                     help="nocsim source tree to import (default: ./src)")
     ap.add_argument("--label", default="change",
                     help="key of this run in the output's runs object")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--limit", type=float, default=60.0,
-                    help="skip a rung whose first run exceeds this many s")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
 
     sys.path.insert(0, os.path.abspath(args.src))
     import nocsim as ns
 
-    rungs = asap_rungs(ns, args.repeats, args.limit)
-    rungs += greedy_rungs(ns, args.repeats, args.limit)
-    rungs.append(simulate_rung(ns, args.repeats, args.limit))
+    rungs = asap_rungs(ns)
+    rungs += greedy_rungs(ns)
+    rungs.append(simulate_rung(ns))
 
     doc = {"runs": {}}
     if os.path.exists(args.out):
@@ -173,8 +167,8 @@ def main():
             "system": platform.system(),
             "machine": platform.machine(),
         },
-        "repeats": args.repeats,
-        "limit_s": args.limit,
+        "repeats": REPEATS,
+        "limit_s": LIMIT_S,
         "rungs": rungs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

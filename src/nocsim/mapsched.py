@@ -133,7 +133,7 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
                              comm, len(shm.ag.links), base_time, finished,
                              records)
 
-    r = comm.router_delay
+    r = table.router_delay
     flows = []
     for a, b, tile_a, tile_b, weight, (links, tail, route), t in records:
         hold = weight * comm.unit_link_cycles
@@ -208,8 +208,9 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
 
     Visits tasks in topological order and computes each start once:
     the latest of release, PE free time and data arrivals.  wcet[tile]
-    lists each task's cycles on that tile; routes is a _RouteTable for
-    comm.router_delay (an unroutable pair raises UnroutableFlow).
+    lists each task's cycles on that tile; routes is a _RouteTable,
+    whose router_delay the pass uses (an unroutable pair raises
+    UnroutableFlow).
     Returns the per-task start and finish lists and busy: per link id,
     None if unused, else the link's busy intervals in time order as
     [start, end, start, end, ...].  When `records` is a list, appends
@@ -232,7 +233,7 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
     insert.
     """
     unit = comm.unit_link_cycles
-    r = comm.router_delay
+    r = routes.router_delay
     rows = routes.rows
     start = [base_time] * len(order)
     finish = [base_time] * len(order)
@@ -497,13 +498,13 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
             f"initial mapping has {len(initial)} entries for {len(tg)} tasks"
         )
     start = [initial[min(members)] for members in search.units]
-    for members, tile in zip(search.units, start):
-        if any(initial[t] != tile for t in members):
-            raise SemanticError(
-                f"initial mapping splits cluster {sorted(members)} over "
-                f"tiles {sorted({initial[t] for t in members})}"
-            )
-    validate_mapping(tg, _expand(search.units, start, len(tg)), shm)
+    mapping = _expand(search.units, start, len(tg))
+    if mapping != list(initial):
+        split = [sorted(m) for m in search.units
+                 if len({initial[t] for t in m}) > 1]
+        raise SemanticError(
+            f"initial mapping {list(initial)} splits clusters {split}")
+    validate_mapping(tg, mapping, shm)
 
     if name == "greedy":
         assign, _ = search.descend(*search.feasible_start(start))
