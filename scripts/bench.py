@@ -11,12 +11,27 @@ parameters and work counters:
   simulate  `simulate scenarios/smoke.json --heuristic sa`, one
             Kernel(script).run() per repeat
 
+and, on 4x4, 8x8, 12x12 and 16x16 west_first meshes with two permanent
+link faults (TABLE_BUDGET rectangles per port):
+
+  graph         a cold build_routing_graph
+  graph_fault   the graph after one more link fault: RoutingGraph.without
+                where the source tree has it, else a cold build (the
+                work counters record which)
+  tables_cold   build_region_tables on a graph not used before
+  tables_warm   the same after the extra fault, with the two-fault
+                tables as `prev`
+  routes        a new RouteProvider asked route() for every tile pair
+
+Each repeat of a table or route rung gets its own graph, built untimed
+beforehand, so no repeat reads another's memoised reach bits or routes.
+
 The sizes are fixed; a rung whose first run takes longer than LIMIT_S
 (60) seconds is recorded as "skipped: exceeds 60 s" instead of repeated.
 
-    python3 scripts/bench.py --label change --out BENCH_5.json
+    python3 scripts/bench.py --label change --out BENCH_6.json
     python3 scripts/bench.py --label parent --src OTHER_CHECKOUT/src \\
-        --out BENCH_5.json
+        --out BENCH_6.json
 
 --src picks the nocsim source tree to import (default: this
 checkout's src), so one script times two checkouts.  Results go under
@@ -27,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -39,6 +55,9 @@ REPEATS = 5
 LIMIT_S = 60.0
 SIMULATE_SCENARIO = "smoke.json"
 SIMULATE_HEURISTIC = "sa"
+ROUTING_SIDES = (4, 8, 12, 16)
+TABLE_BUDGET = 4
+ROUTE_SEED = 1
 
 
 def _density(tasks):
@@ -107,6 +126,87 @@ def greedy_rungs(ns):
     return rungs
 
 
+def _fault_links(ag, side):
+    """Three distinct link ids, fixed per mesh side: the first two are
+    the standing faults, the third the extra one."""
+    return random.Random(f"bench-routing:{side}").sample(range(len(ag.links)), 3)
+
+
+def _edges(rg):
+    return sum(len(succs) for succs in rg.adj.values())
+
+
+def _rectangles(tables, n):
+    return sum(len(tables.rectangles(t, d))
+               for t in range(n) for d in tables.ports(t))
+
+
+def routing_rungs(ns):
+    rungs = []
+    for side in ROUTING_SIDES:
+        ag = ns.build_mesh(side, side)
+        n = len(ag)
+        shm = ns.SystemHealthMap(ag)
+        first, second, extra = _fault_links(ag, side)
+        shm.apply_fault(("link", first))
+        shm.apply_fault(("link", second))
+        after = ns.SystemHealthMap(ag)
+        after.restore(shm.snapshot())
+        after.apply_fault(("link", extra))
+        size = {"mesh": [side, side], "turn_model": "west_first",
+                "faults": [["link", first], ["link", second]],
+                "extra_fault": ["link", extra], "budget": TABLE_BUDGET}
+
+        def cold(state=shm):
+            return ns.build_routing_graph(ag, ns.WEST_FIRST, state)
+
+        def fresh(state):
+            return [cold(state) for _ in range(REPEATS)]
+
+        rungs.append(_rung("graph", size, cold,
+                           lambda rg: {"edges": _edges(rg)}))
+
+        base = cold()
+        if hasattr(base, "without"):
+            method = "without"
+
+            def faulted():
+                return base.without([("link", extra)])
+        else:
+            method = "cold"
+
+            def faulted():
+                return cold(after)
+        rungs.append(_rung("graph_fault", size, faulted,
+                           lambda rg: {"method": method, "edges": _edges(rg)}))
+
+        graphs = fresh(shm)
+        rungs.append(_rung(
+            "tables_cold", size,
+            lambda: ns.build_region_tables(graphs.pop(), TABLE_BUDGET),
+            lambda t: {"rectangles": _rectangles(t, n)}))
+
+        prev = ns.build_region_tables(cold(), TABLE_BUDGET)
+        graphs = fresh(after)
+        rungs.append(_rung(
+            "tables_warm", size,
+            lambda: ns.build_region_tables(graphs.pop(), TABLE_BUDGET,
+                                           prev=prev),
+            lambda t: {"rectangles": _rectangles(t, n)}))
+
+        graphs = fresh(shm)
+
+        def all_routes():
+            provider = ns.RouteProvider(graphs.pop(), ROUTE_SEED)
+            return [provider.route(s, d) for s in range(n) for d in range(n)]
+
+        rungs.append(_rung(
+            "routes", dict(size, seed=ROUTE_SEED), all_routes,
+            lambda routes: {"routed": sum(r is not None for r in routes),
+                            "links": sum(len(r.links) for r in routes if r)}))
+    return rungs
+
+
 def simulate_rung(ns):
     import nocsim.shmu as shmu
 
@@ -145,7 +245,7 @@ def main():
                     help="nocsim source tree to import (default: ./src)")
     ap.add_argument("--label", default="change",
                     help="key of this run in the output's runs object")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_6.json"))
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -154,6 +254,7 @@ def main():
     rungs = asap_rungs(ns)
     rungs += greedy_rungs(ns)
     rungs.append(simulate_rung(ns))
+    rungs += routing_rungs(ns)
 
     doc = {"runs": {}}
     if os.path.exists(args.out):

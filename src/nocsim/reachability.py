@@ -2,14 +2,16 @@
 
 For every (tile, output port) the routing graph induces a set of
 destinations that port can no longer deliver to.  The sets are read off
-the routing graph's reachability index (RoutingGraph.reach_bits), one
+the routing graph's reachability index (RoutingGraph.reach_by_id), one
 pass over the graph that gives every port node the bitset of tiles it
 reaches.  Each set is stored compressed as at most `budget`
-axis-aligned rectangles (two inclusive corners), found with a
-summed-area table.  Compression may only over-approximate: a packet
-whose destination is covered on every output port of its source is
-dropped at injection instead of wandering, and a false positive merely
-drops a packet conservatively, never forwards one into a dead end.
+axis-aligned rectangles (two inclusive corners), found on the set's row
+masks: the x bits of each mesh row, ANDed over a range of rows, give
+the boxes that range holds.  Compression may only over-approximate: a
+packet whose destination is covered on every output port of its source
+is dropped at injection instead of wandering, and a false positive
+merely drops a packet conservatively, never forwards one into a dead
+end.
 
 A table keeps each port's exact set.  A rebuild after a fault is given
 the previous table and copies the rectangles of every port whose set
@@ -20,7 +22,6 @@ alone, so only the changed ports are covered again.
 from dataclasses import dataclass
 
 from .errors import RangeError, RegionBudgetError, SemanticError, UnknownPort
-from .routing import PortNode
 
 _PORT_DIRS = ("N", "E", "W", "S", "U", "D")
 
@@ -63,7 +64,7 @@ def unreachable_set(rg, tile, direction):
 
 def _unreachable_bits(rg, tile, direction):
     everyone = (1 << len(rg.ag)) - 1
-    reach = rg.reach_bits()[PortNode(tile, direction, "out")]
+    reach = rg.reach_by_id()[rg.port_id(tile, direction, "out")]
     return everyone & ~reach & ~(1 << tile)
 
 
@@ -76,8 +77,11 @@ def _tiles_of(bits):
 
 
 def cover_rectangles(dest_set, dims, budget):
-    """Cover a destination set (tile coords) with at most `budget`
-    rectangles.
+    """Cover a destination set with at most `budget` rectangles.
+
+    `dest_set` is an iterable of tile coords, or an int whose bit
+    x + (y + z*h)*w is set for each destination (w, h = dims[:2]): the
+    tile-id bitset of a mesh built by build_mesh.
 
     First an exact cover: repeatedly extract the largest rectangle fully
     inside the remaining set (ties: lexicographically smallest corners).
@@ -85,20 +89,23 @@ def cover_rectangles(dest_set, dims, budget):
     smallest bounding box (ties by the lowest tile id of the box
     corners), which may over-approximate but never under-approximate.
     """
-    cells = {_norm_coords(c) for c in dest_set}
-    if not cells:
+    w, h = dims[0], dims[1]
+    if isinstance(dest_set, int):
+        bits = dest_set
+    else:
+        bits = 0
+        for c in dest_set:
+            z = c[2] if len(c) == 3 else 0
+            bits |= 1 << (c[0] + (c[1] + z * h) * w)
+    if not bits:
         return ()
     if budget < 1:
         raise RegionBudgetError(
-            f"budget {budget} cannot cover {len(cells)} destinations"
+            f"budget {budget} cannot cover {bits.bit_count()} destinations"
         )
-    dims3 = dims if len(dims) == 3 else (dims[0], dims[1], 1)
+    dims3 = dims if len(dims) == 3 else (w, h, 1)
 
-    rects = []
-    remaining = set(cells)
-    while remaining:
-        rects.append(_largest_rectangle(remaining))
-        remaining -= _cells_of(rects[-1])
+    rects = _exact_cover(bits, dims3)
 
     def corner_tile(coords):
         x, y, z = coords
@@ -121,99 +128,79 @@ def cover_rectangles(dest_set, dims, budget):
     return tuple(rects)
 
 
-def _norm_coords(coords):
-    return coords if len(coords) == 3 else (coords[0], coords[1], 0)
+def _exact_cover(bits, dims3):
+    """Largest boxes, one after another, until none of the tile bitset
+    `bits` (bit x + (y + z*h)*w per cell) is left.
 
-
-def _cells_of(rect):
-    (x1, y1, z1), (x2, y2, z2) = rect.lo, rect.hi
-    return {
-        (x, y, z)
-        for x in range(x1, x2 + 1)
-        for y in range(y1, y2 + 1)
-        for z in range(z1, z2 + 1)
-    }
-
-
-def _largest_rectangle(cells):
-    """Largest box fully contained in `cells`; ties go to the smallest
-    (lo, hi).
-
-    Candidates are boxes over the occupied coordinates, visited with
-    x1, x2, y1, y2, z1, z2 nested in that order.  Containment is one
-    lookup in a 3D summed-area table over the cells' bounding box: a
-    box lies inside `cells` iff it holds as many cells as its volume.
-    A box that is not contained stays so when it grows, so a miss ends
-    the widening it was reached by, and a loop whose boxes cannot reach
-    the best area so far ends early; what that skips cannot be chosen.
+    The set is held as row masks, rows[z*h + y] = the x bits of row
+    (y, z).  A box over rows y1..y2 of layers z1..z2 lies inside the set
+    iff its x bits are set in the AND of those rows.  A chosen box is
+    subtracted by clearing its x bits in its rows.
     """
-    xs = sorted({c[0] for c in cells})
-    ys = sorted({c[1] for c in cells})
-    zs = sorted({c[2] for c in cells})
-    ox, oy, oz = xs[0], ys[0], zs[0]
-    # sat[x + y*sx + z*sxy] counts the cells with all three coordinates
-    # (shifted by the origin) below x, y and z.
-    sx, sy = xs[-1] - ox + 2, ys[-1] - oy + 2
-    sxy = sx * sy
-    sat = [0] * (sxy * (zs[-1] - oz + 2))
-    for x, y, z in cells:
-        sat[(x - ox + 1) + (y - oy + 1) * sx + (z - oz + 1) * sxy] = 1
-    for i in range(1, len(sat)):
-        if i % sx:
-            sat[i] += sat[i - 1]
-    for i in range(sx, len(sat)):
-        if i % sxy >= sx:
-            sat[i] += sat[i - sx]
-    for i in range(sxy, len(sat)):
-        sat[i] += sat[i - sxy]
+    w, h, d = dims3
+    full = (1 << w) - 1
+    rows = [bits >> (r * w) & full for r in range(h * d)]
+    rects = []
+    while True:
+        box = _largest_box(rows, h, d)
+        if box is None:
+            return rects
+        (x1, y1, z1), (x2, y2, z2) = box
+        keep = ~(((1 << (x2 - x1 + 1)) - 1) << x1)
+        for z in range(z1, z2 + 1):
+            for y in range(y1, y2 + 1):
+                rows[z * h + y] &= keep
+        rects.append(Rectangle(*box))
 
-    n = len(cells)
-    zspan = zs[-1] - oz + 1
+
+def _largest_box(rows, h, d):
+    """Largest box inside the row-mask set, as (lo, hi) corners; ties go
+    to the smallest (lo, hi).  None when the set is empty.
+
+    For each range of layers z1..z2 and rows y1..y2, the AND of its rows
+    holds the x positions a box over that range may span.  At one range
+    only the first longest run of ones can win: a shorter run has less
+    area, and a later run of equal length a larger x1.  Widening a range
+    only clears bits, so a range whose set bits, times the widest y span
+    still open, fall short of the best area ends its widening.
+    """
     best_area = 0
     best = None
-    for x1 in xs:
-        if (xs[-1] - x1 + 1) * (sy - 1) * zspan < best_area:
-            break
-        a1 = x1 - ox
-        for x2 in (x for x in xs if x >= x1):
-            b1 = x2 - ox + 1
-            dx = x2 - x1 + 1
-            widen_x = False
-            for y1 in ys:
-                if dx * (ys[-1] - y1 + 1) * zspan < best_area:
-                    widen_x = True          # a wider x2 may still win
-                    break
-                a2 = (y1 - oy) * sx
-                for y2 in (y for y in ys if y >= y1):
-                    dxy = dx * (y2 - y1 + 1)
-                    if dxy > n:
-                        break
-                    b2 = (y2 - oy + 1) * sx
-                    widen_y = False
-                    for z1 in zs:
-                        a3 = (z1 - oz) * sxy
-                        for z2 in (z for z in zs if z >= z1):
-                            area = dxy * (z2 - z1 + 1)
-                            if area > n:
-                                break
-                            b3 = (z2 - oz + 1) * sxy
-                            inside = (sat[b1 + b2 + b3] - sat[a1 + b2 + b3]
-                                      - sat[b1 + a2 + b3] - sat[b1 + b2 + a3]
-                                      + sat[a1 + a2 + b3] + sat[a1 + b2 + a3]
-                                      + sat[b1 + a2 + a3] - sat[a1 + a2 + a3])
-                            if inside != area:
-                                break
-                            widen_y = True
-                            box = ((x1, y1, z1), (x2, y2, z2))
-                            if area > best_area or (area == best_area and box < best):
-                                best_area = area
-                                best = box
-                    if not widen_y:
-                        break
-                    widen_x = True
-            if not widen_x:
+    for z1 in range(d):
+        layer = rows[z1 * h:(z1 + 1) * h]
+        for z2 in range(z1, d):
+            if z2 > z1:
+                above = rows[z2 * h:(z2 + 1) * h]
+                layer = [a & b for a, b in zip(layer, above)]
+            if not any(layer):
                 break
-    return Rectangle(*best)
+            dz = z2 - z1 + 1
+            for y1 in range(h):
+                m = layer[y1]
+                for y2 in range(y1, h):
+                    if y2 > y1:
+                        m &= layer[y2]
+                    if not m or m.bit_count() * (h - y1) * dz < best_area:
+                        break
+                    # After k - 1 steps, bit x of run is set iff x..x+k-1
+                    # are all set in m.
+                    run = m
+                    k = 1
+                    while True:
+                        longer = run & (run >> 1)
+                        if not longer:
+                            break
+                        run = longer
+                        k += 1
+                    area = k * (y2 - y1 + 1) * dz
+                    if area < best_area:
+                        continue
+                    x1 = (run & -run).bit_length() - 1
+                    box = ((x1, y1, z1), (x1 + k - 1, y2, z2))
+                    if area > best_area or box < best:
+                        best_area = area
+                        best = box
+    return best
 
 
 class PortRegionTable:
@@ -278,9 +265,9 @@ def build_region_tables(rg, budget=4, prev=None):
             if reuse and prev._unreach.get(key) == bits:
                 rects[key] = prev._rects[key]
             else:
-                coords = {ag.coords(d) for d in _tiles_of(bits)}
-                rects[key] = cover_rectangles(coords, ag.dims, budget)
-        local_ok.append(rg.local_out(tile) in rg.adj[rg.local_in(tile)])
+                rects[key] = cover_rectangles(bits, ag.dims, budget)
+        local_ok.append(rg.port_id(tile, "L", "out")
+                        in rg.succ[rg.port_id(tile, "L", "in")])
     return PortRegionTable(ag, budget, rects, local_ok, unreach)
 
 

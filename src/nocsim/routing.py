@@ -19,13 +19,22 @@ kinds and their gating:
                                        and the turn's health slot
   d-out -> neighbor opposite(d)-in     needs a healthy link (and, with
                                        regions, both ends in one region)
+
+Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
+PortNode order, and the graph is a tuple of sorted successor-id tuples.
+The reachability index, the route search and the region tables run on
+the ids; PortNode objects appear only in the views tests and the CLI
+read (nodes, adj, reach_bits, find_paths) and in Route.ports.  Every
+edge is gated by at most one health element, so a permanent fault only
+deletes edges: RoutingGraph.without derives the graph of the faulted
+state from the one before instead of building it again.
 """
 
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import RangeError, UnknownTile
+from .errors import RangeError, UnknownTarget, UnknownTile
 from .graphs import DIRS_2D, DIRS_3D, OPPOSITE
 from .rng import derive_seed
 
@@ -126,22 +135,55 @@ class PortNode(NamedTuple):
     kind: str                               # "in" or "out"
 
 
-_DIR_ORDER = {d: i for i, d in enumerate(("N", "E", "W", "S", "U", "D", "L"))}
-
-
-def node_key(node):
-    return (node.tile, _DIR_ORDER[node.direction], node.kind)
+# Node ids: tile * P + slot[direction] + (kind == "out"), where P is
+# twice the port count.  Slots follow the mesh's direction order, then
+# L, so ascending ids are in (tile, direction, kind) order.
+_SLOTS_2D = {d: 2 * i for i, d in enumerate(DIRS_2D + ("L",))}
+_SLOTS_3D = {d: 2 * i for i, d in enumerate(DIRS_3D + ("L",))}
+_KINDS = ("in", "out")
+# _new(PortNode, fields) is PortNode(*fields) without the Python-level
+# __new__ call; Route.ports are built with it.
+_new = tuple.__new__
 
 
 class RoutingGraph:
-    """Immutable port graph with deterministic (sorted) adjacency."""
+    """Immutable port graph over int node ids with sorted adjacency.
 
-    def __init__(self, ag, nodes, adj):
+    The PortNode views (nodes, adj, reach_bits) are built on first
+    request and memoised; tables, routes and derived graphs read the
+    ids only."""
+
+    def __init__(self, ag, succ, nodes=None):
         self.ag = ag
-        self.nodes = nodes                  # tuple of PortNode, sorted
-        self.adj = adj                      # dict PortNode -> tuple of PortNode
-        self._reach = None                  # memoised reach_bits()
+        self.succ = succ                    # tuple of sorted id tuples, by id
+        self.slots = _SLOTS_3D if ag.is_3d else _SLOTS_2D
+        self.ports_per_tile = 2 * len(self.slots)
+        self._nodes = nodes                 # memoised PortNode tuple, by id
+        self._adj = None                    # memoised PortNode adjacency
+        self._reach = None                  # memoised reach bitsets, by id
+        self._reach_view = None             # memoised reach_bits()
         self._providers = {}                # seed -> memoised RouteProvider
+
+    def port_id(self, tile, direction, kind):
+        return tile * self.ports_per_tile + self.slots[direction] + (kind == "out")
+
+    @property
+    def nodes(self):
+        """PortNode per id, ascending.  A derived graph takes its
+        source's tuple when that one is already built."""
+        if self._nodes is None:
+            self._nodes = tuple(PortNode(t, d, k) for t in range(len(self.ag))
+                                for d in self.slots for k in _KINDS)
+        return self._nodes
+
+    @property
+    def adj(self):
+        """dict PortNode -> tuple of successor PortNodes."""
+        if self._adj is None:
+            nodes = self.nodes
+            self._adj = {nodes[i]: tuple(nodes[j] for j in succs)
+                         for i, succs in enumerate(self.succ)}
+        return self._adj
 
     def local_in(self, tile):
         return PortNode(self.ag.check_tile(tile), "L", "in")
@@ -169,9 +211,10 @@ class RoutingGraph:
                     stack.append(nxt)
         return seen
 
-    def reach_bits(self):
-        """Reachability index: node -> bitset (int, bit d = tile d) of
-        the tiles whose local-out the node reaches, itself included.
+    def reach_by_id(self):
+        """Reachability index: per node id, the bitset (int, bit d =
+        tile d) of the tiles whose local-out the node reaches, itself
+        included.
 
         Computed once per graph by one pass over the strongly connected
         components (iterative Tarjan).  Tarjan completes a component
@@ -180,8 +223,14 @@ class RoutingGraph:
         on cyclic graphs as well as acyclic ones.
         """
         if self._reach is None:
-            self._reach = _reach_bits(self.nodes, self.adj)
+            self._reach = _reach_bits(self.succ, self.ports_per_tile)
         return self._reach
+
+    def reach_bits(self):
+        """reach_by_id() keyed by PortNode."""
+        if self._reach_view is None:
+            self._reach_view = dict(zip(self.nodes, self.reach_by_id()))
+        return self._reach_view
 
     def route_provider(self, seed=0):
         """The RouteProvider for `seed`, built once per graph: its
@@ -191,30 +240,70 @@ class RoutingGraph:
             provider = self._providers[seed] = RouteProvider(self, seed)
         return provider
 
+    def without(self, faults):
+        """This graph minus the edges that `faults` (health-map elements,
+        as SystemHealthMap.apply_fault takes them) remove.
 
-def _reach_bits(nodes, adj):
-    index = {}                              # node -> DFS visit number
-    low = {}
-    bits = {}
+        If this graph is the cold build of a health state, the result is
+        the cold build of that state with `faults` applied: a PE fault
+        removes its tile's local edges, a turn fault its turn edge, a
+        link fault its link edge, and no edge depends on anything else
+        of the health state.  An edge that is already absent (a broken
+        element, a turn the model forbids, a link across regions) stays
+        absent.  Deleting entries keeps every list sorted."""
+        port = self.port_id
+        succ = list(self.succ)
+
+        def drop(i, j):
+            if j in succ[i]:
+                succ[i] = tuple(k for k in succ[i] if k != j)
+
+        for fault in faults:
+            kind = fault[0]
+            if kind == "pe":
+                tile = fault[1]
+                succ[port(tile, "L", "in")] = ()
+                for d in self.ag.directions():
+                    drop(port(tile, d, "in"), port(tile, "L", "out"))
+            elif kind == "turn":
+                a, b = turn_slots(self.ag.is_3d)[fault[2]]
+                drop(port(fault[1], a, "in"), port(fault[1], b, "out"))
+            elif kind == "link":
+                link = self.ag.links[fault[1]]
+                drop(port(link.src, link.direction, "out"),
+                     port(link.dst, OPPOSITE[link.direction], "in"))
+            else:
+                raise UnknownTarget(f"not a health-map element: {fault!r}")
+        return RoutingGraph(self.ag, tuple(succ), self._nodes)
+
+
+def _reach_bits(succ, P):
+    n = len(succ)
+    index = [-1] * n                        # DFS visit number, -1 unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    bits = [0] * n
     scc_stack = []
-    on_stack = set()
-    for root in nodes:
-        if root in index:
+    visits = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = visits
+        visits += 1
         scc_stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj[root]))]
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = visits
+                    visits += 1
                     scc_stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack and index[nxt] < low[node]:
+                if on_stack[nxt] and index[nxt] < low[node]:
                     low[node] = index[nxt]
             else:
                 work.pop()
@@ -223,20 +312,19 @@ def _reach_bits(nodes, adj):
                 if low[node] != index[node]:
                     continue
                 members = []
+                acc = 0
                 while True:
                     m = scc_stack.pop()
-                    on_stack.discard(m)
+                    on_stack[m] = False
                     members.append(m)
+                    if m % P == P - 1:          # a local-out node
+                        acc |= 1 << (m // P)
+                    for nxt in succ[m]:
+                        # Successors inside this component are still 0;
+                        # all others belong to finished components.
+                        acc |= bits[nxt]
                     if m == node:
                         break
-                acc = 0
-                for m in members:
-                    if m.direction == "L" and m.kind == "out":
-                        acc |= 1 << m.tile
-                    for nxt in adj[m]:
-                        # Successors inside this component have no entry
-                        # yet; all others belong to finished components.
-                        acc |= bits.get(nxt, 0)
                 for m in members:
                     bits[m] = acc
     return bits
@@ -251,57 +339,52 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
     `shm` is read through pe_healthy / turn_healthy / link_healthy.
     """
     dirs = ag.directions()
-    is_3d = ag.is_3d
-    adj = {}
-    nodes = []
-    for tile in ag.tiles:
-        for d in dirs + ("L",):
-            for kind in ("in", "out"):
-                node = PortNode(tile.id, d, kind)
-                nodes.append(node)
-                adj[node] = []
+    slots = _SLOTS_3D if ag.is_3d else _SLOTS_2D
+    P = 2 * len(slots)
+    local = slots["L"]
+    straight = [(slots[d], slots[OPPOSITE[d]] + 1) for d in dirs]
+    turns = [(a, b, slots[a], slots[b] + 1) for a, b in turn_slots(ag.is_3d)]
+    succ = [[] for _ in range(len(ag) * P)]
 
-    for tile in ag.tiles:
-        t = tile.id
+    for t in range(len(ag)):
+        base = t * P
         model = turn_model
         if regions is not None:
             model = regions.turn_model_for(t) or turn_model
 
         if shm.pe_healthy(t):
+            lo = base + local + 1
+            succ[base + local] = [base + slots[d] + 1 for d in dirs] + [lo]
             for d in dirs:
-                adj[PortNode(t, "L", "in")].append(PortNode(t, d, "out"))
-                adj[PortNode(t, d, "in")].append(PortNode(t, "L", "out"))
-            adj[PortNode(t, "L", "in")].append(PortNode(t, "L", "out"))
+                succ[base + slots[d]].append(lo)
 
-        for d in dirs:
-            adj[PortNode(t, d, "in")].append(PortNode(t, OPPOSITE[d], "out"))
+        for i, o in straight:
+            succ[base + i].append(base + o)
 
-        for slot, (a, b) in enumerate(turn_slots(is_3d)):
+        for slot, (a, b, i, o) in enumerate(turns):
             if model.allows(a, b) and shm.turn_healthy(t, slot):
-                adj[PortNode(t, a, "in")].append(PortNode(t, b, "out"))
+                succ[base + i].append(base + o)
 
     for link in ag.links:
         if not shm.link_healthy(link.id):
             continue
         if regions is not None and regions.crosses(link.src, link.dst):
             continue
-        src = PortNode(link.src, link.direction, "out")
-        dst = PortNode(link.dst, OPPOSITE[link.direction], "in")
-        adj[src].append(dst)
+        succ[link.src * P + slots[link.direction] + 1].append(
+            link.dst * P + slots[OPPOSITE[link.direction]])
 
-    nodes.sort(key=node_key)
-    adj = {n: tuple(sorted(adj[n], key=node_key)) for n in nodes}
-    return RoutingGraph(ag, tuple(nodes), adj)
+    return RoutingGraph(ag, tuple(tuple(sorted(s)) for s in succ))
 
 
 def is_deadlock_free(rg):
     """True iff the port graph is acyclic (iterative three-color DFS)."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in rg.nodes}
-    for root in rg.nodes:
+    succ = rg.succ
+    color = [WHITE] * len(succ)
+    for root in range(len(succ)):
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(rg.adj[root]))]
+        stack = [(root, iter(succ[root]))]
         color[root] = GRAY
         while stack:
             node, it = stack[-1]
@@ -311,7 +394,7 @@ def is_deadlock_free(rg):
                     return False
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, iter(rg.adj[nxt])))
+                    stack.append((nxt, iter(succ[nxt])))
                     advanced = True
                     break
             if not advanced:
@@ -359,10 +442,10 @@ def reachability_matrix(rg):
     """matrix[s][d] is True iff some route s -> d exists; the diagonal
     reflects local self-delivery (healthy PE)."""
     n = len(rg.ag)
-    reach = rg.reach_bits()
+    reach = rg.reach_by_id()
     rows = []
     for s in range(n):
-        bits = reach[rg.local_in(s)]
+        bits = reach[rg.port_id(s, "L", "in")]
         rows.append([bool(bits >> d & 1) for d in range(n)])
     return rows
 
@@ -373,34 +456,44 @@ class RouteProvider:
     Shortest port paths only; where several shortest continuations
     exist (adaptive turn models) one is drawn uniformly from a per
     (src, dst) sub-stream, so the choice does not depend on evaluation
-    order.  Routes are cached.  Holds the graph's platform and adjacency,
-    not the graph: graphs memoise their providers, and a reference back
-    would keep every replaced graph alive until the cycle collector
-    runs."""
+    order.  The sub-stream is seeded at the pair's first choice; a pair
+    that has none never draws.  Routes are cached.  Holds the graph's
+    platform and adjacency, not the graph: graphs memoise their
+    providers, and a reference back would keep every replaced graph
+    alive until the cycle collector runs."""
 
     def __init__(self, rg, seed=0):
         self.ag = rg.ag
-        self.adj = rg.adj
+        self.succ = rg.succ
         self.seed = seed
-        self._rev = {n: [] for n in rg.nodes}
-        for node, succs in rg.adj.items():
+        self._P = rg.ports_per_tile
+        self._local = rg.slots["L"]
+        # (direction, kind) of each port of a tile, by id % P
+        self._names = tuple((d, k) for d in rg.slots for k in _KINDS)
+        self._rev = [[] for _ in rg.succ]
+        for node, succs in enumerate(rg.succ):
             for nxt in succs:
                 self._rev[nxt].append(node)
-        self._dist = {}                     # dst tile -> {node: hops to local-out}
+        self._dist = {}                     # dst tile -> hops by id, -1 unreachable
         self._routes = {}                   # (src, dst) -> Route or None
 
     def _dist_to(self, dst):
-        if dst in self._dist:
-            return self._dist[dst]
-        goal = PortNode(self.ag.check_tile(dst), "L", "out")
-        dist = {goal: 0}
+        dist = self._dist.get(dst)
+        if dist is not None:
+            return dist
+        goal = self.ag.check_tile(dst) * self._P + self._local + 1
+        rev = self._rev
+        dist = [-1] * len(rev)
+        dist[goal] = 0
         frontier = [goal]
+        hops = 0
         while frontier:
+            hops += 1
             nxt_frontier = []
             for node in frontier:
-                for prev in self._rev[node]:
-                    if prev not in dist:
-                        dist[prev] = dist[node] + 1
+                for prev in rev[node]:
+                    if dist[prev] < 0:
+                        dist[prev] = hops
                         nxt_frontier.append(prev)
             frontier = nxt_frontier
         self._dist[dst] = dist
@@ -412,21 +505,32 @@ class RouteProvider:
         if key in self._routes:
             return self._routes[key]
         dist = self._dist_to(dst)
-        node = PortNode(self.ag.check_tile(src), "L", "in")
-        if node not in dist:
+        P = self._P
+        node = self.ag.check_tile(src) * P + self._local
+        left = dist[node]
+        if left < 0:
             self._routes[key] = None
             return None
-        rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
-        ports = [node]
+        succ = self.succ
+        names = self._names
+        rng = None
+        path = [node]
         links = []
-        while dist[node] > 0:
-            step = [n for n in self.adj[node] if dist.get(n, -1) == dist[node] - 1]
-            nxt = step[0] if len(step) == 1 else rng.choice(step)
-            if nxt.tile != node.tile:
-                links.append(self.ag.link(node.tile, node.direction).id)
-            ports.append(nxt)
+        while left > 0:
+            left -= 1
+            step = [n for n in succ[node] if dist[n] == left]
+            if len(step) == 1:
+                nxt = step[0]
+            else:
+                if rng is None:
+                    rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
+                nxt = rng.choice(step)
+            if nxt // P != node // P:
+                links.append(self.ag.link(node // P, names[node % P][0]).id)
+            path.append(nxt)
             node = nxt
-        route = Route(tuple(ports), tuple(links), len(links) + 1)
+        ports = tuple([_new(PortNode, (i // P,) + names[i % P]) for i in path])
+        route = Route(ports, tuple(links), len(links) + 1)
         self._routes[key] = route
         return route
 

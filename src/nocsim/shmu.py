@@ -338,9 +338,13 @@ class Msu:
         )
 
 
-def map_and_store(shm, location, msu, mpm):
+def map_and_store(shm, location, msu, mpm, rg=None):
     """Precompute for `location` failing permanently: apply the fault
     hypothetically, map, store, and restore the health map bit for bit.
+
+    `rg`, the routing graph of the current health state, is optional:
+    with it, the hypothetical state's graph is derived from it
+    (RoutingGraph.without) instead of built cold.
 
     When the memory already holds the hypothetical state, its entry is
     stored again (refreshing its age) without mapping anew: the
@@ -352,14 +356,16 @@ def map_and_store(shm, location, msu, mpm):
     admits no feasible mapping (a warning case, nothing stored)."""
     snap = shm.snapshot()
     try:
-        for fault in degrade_targets(location, shm.ag):
+        targets = degrade_targets(location, shm.ag)
+        for fault in targets:
             shm.apply_fault(fault)
         tag = shm_tag(shm)
         full_config = shm.serialize()
         entry = mpm.lookup(tag, full_config)
         if entry is None:
             try:
-                result = msu.compute(shm)
+                result = msu.compute(
+                    shm, rg.without(targets) if rg is not None else None)
             except InfeasibilityError:
                 return None
             entry = MpmEntry(tag, full_config, tuple(result.mapping))

@@ -225,8 +225,14 @@ class Kernel:
             report_at = event.time + self.script.cost_model.detection_latency
             self._push(report_at, _FAULT, ("fault", event))
 
-    def _rebuild_tables(self):
-        self.rg = self.msu.build_rg(self.shm)
+    def _rebuild_tables(self, faults=()):
+        """Routing graph and region tables for the current health state.
+        The first graph is built cold; each later one is the previous
+        graph minus the edges of the newly applied `faults`."""
+        if self.rg is None:
+            self.rg = self.msu.build_rg(self.shm)
+        else:
+            self.rg = self.rg.without(faults)
         self.tables = build_region_tables(self.rg, self.script.budget,
                                           prev=self.tables)
 
@@ -289,7 +295,8 @@ class Kernel:
             stored = 0
             for loc in predict_mpfs(self.histories, self.script.prediction_k,
                                     self.classifier):
-                entry = map_and_store(self.shm, loc, self.msu, self.mpm)
+                entry = map_and_store(self.shm, loc, self.msu, self.mpm,
+                                      rg=self.rg)
                 if entry is not None:
                     stored += 1
                     self._log(now, f"store {_loc(loc)} tag={entry.tag:016x}")
@@ -303,7 +310,7 @@ class Kernel:
         # Permanent: record, rebuild routing state, then maybe remap.
         for fault in targets:
             self.shm.apply_fault(fault)
-        self._rebuild_tables()
+        self._rebuild_tables(targets)
         self._log(now, f"shm_update {_loc(event.location)}")
         self._sever_in_flight(now, targets)
 

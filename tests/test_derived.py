@@ -1,0 +1,200 @@
+"""Derived routing graphs: RoutingGraph.without against cold builds, the
+derived graphs the kernel and the mapping store use, and the bit-row
+rectangle cover on meshes larger than the oracle differential draws."""
+
+import itertools
+import pathlib
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import nocsim as ns
+from nocsim.errors import UnknownTarget
+
+import oracles
+
+
+def _halves(model_left, model_right):
+    """Region factory: left and right half of the mesh, one model each."""
+    def regions(ag):
+        labels = {t.id: "left" if t.coords[0] < ag.dims[0] // 2 else "right"
+                  for t in ag.tiles}
+        models = {"left": model_left, "right": model_right}
+        return ns.partition(ag, labels, {label: models[label]
+                                         for label in set(labels.values())})
+    return regions
+
+
+# name -> (turn model, 3D mesh?, region factory or None)
+MODEL_CASES = {
+    "xy": (ns.XY, False, None),
+    "west_first": (ns.WEST_FIRST, False, None),
+    "north_last": (ns.NORTH_LAST, False, None),
+    "negative_first": (ns.NEGATIVE_FIRST, False, None),
+    "all_turns": (ns.custom_turn_model(ns.TURN_SLOTS_2D), False, None),
+    "regions": (ns.XY, False, _halves(ns.XY, ns.WEST_FIRST)),
+    "xyz_3x3x2": (ns.XYZ, True, None),
+}
+
+
+def _random_location(ag, rng):
+    """A fault location of any kind, checker units included."""
+    kinds = ["pe", "turn", "checker"] + (["link"] if ag.links else [])
+    kind = rng.choice(kinds)
+    tile = rng.randrange(len(ag))
+    if kind == "pe":
+        return ("pe", tile)
+    if kind == "turn":
+        return ("turn", tile, rng.randrange(len(ns.turn_slots(ag.is_3d))))
+    if kind == "link":
+        return ("link", rng.randrange(len(ag.links)))
+    return ("checker", tile, rng.choice(ns.CHECKER_UNITS))
+
+
+def _assert_same_graph(derived, cold, budget, seed):
+    assert derived.succ == cold.succ
+    assert derived.adj == cold.adj
+    assert derived.nodes == cold.nodes
+    assert derived.reach_bits() == cold.reach_bits()
+    assert ns.is_deadlock_free(derived) == ns.is_deadlock_free(cold)
+    assert ns.build_region_tables(derived, budget).dump() == \
+        ns.build_region_tables(cold, budget).dump()
+    mine, theirs = derived.route_provider(seed), cold.route_provider(seed)
+    for src, dst in itertools.product(range(len(derived.ag)), repeat=2):
+        assert mine.route(src, dst) == theirs.route(src, dst), (src, dst)
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_without_equals_cold_build(case, data):
+    """A graph derived fault by fault equals a cold build of the same
+    health state: adjacency, views, reach bits, tables and routes."""
+    model, is_3d, regions_of = MODEL_CASES[case]
+    if is_3d:
+        ag = ns.build_mesh(3, 3, 2)
+    else:
+        ag = ns.build_mesh(data.draw(st.integers(1, 5), label="w"),
+                           data.draw(st.integers(1, 5), label="h"))
+    regions = regions_of(ag) if regions_of else None
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    budget = data.draw(st.integers(1, 4), label="budget")
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, model, shm, regions)
+    broken = []
+    for _ in range(rng.randint(1, 5)):
+        # Now and then break an element again.
+        if broken and rng.random() < 0.25:
+            location = rng.choice(broken)
+        else:
+            location = _random_location(ag, rng)
+        broken.append(location)
+        targets = ns.degrade_targets(location, ag)
+        for fault in targets:
+            shm.apply_fault(fault)
+        rg = rg.without(targets)
+        cold = ns.build_routing_graph(ag, model, shm, regions)
+        _assert_same_graph(rg, cold, budget, rng.randrange(4))
+
+
+def test_without_shares_nodes_and_leaves_the_source_graph():
+    ag = ns.build_mesh(3, 3)
+    rg = ns.build_routing_graph(ag, ns.WEST_FIRST, ns.SystemHealthMap(ag))
+    nodes, succ = rg.nodes, rg.succ
+    derived = rg.without([("link", 0), ("pe", 4), ("turn", 2, 6)])
+    assert derived.nodes is nodes
+    assert rg.succ == succ
+    assert derived.succ != succ
+    assert rg.without([]).succ == succ
+
+
+def test_without_rejects_unknown_element():
+    ag = ns.build_mesh(2, 2)
+    rg = ns.build_routing_graph(ag, ns.XY, ns.SystemHealthMap(ag))
+    with pytest.raises(UnknownTarget):
+        rg.without([("router", 0)])
+
+
+def test_port_ids_follow_port_order():
+    """Ascending ids are (tile, direction, kind) order with directions
+    as the mesh lists them, then L."""
+    for ag in (ns.build_mesh(2, 3), ns.build_mesh(2, 2, 2)):
+        rg = ns.build_routing_graph(ag, ns.XYZ if ag.is_3d else ns.XY,
+                                    ns.SystemHealthMap(ag))
+        order = {d: i for i, d in enumerate(ag.directions() + ("L",))}
+        keys = [(n.tile, order[n.direction], n.kind) for n in rg.nodes]
+        assert keys == sorted(keys)
+        for i, node in enumerate(rg.nodes):
+            assert rg.port_id(*node) == i
+
+
+# -- derived graphs in the kernel and the mapping store ------------------------
+
+
+def test_kernel_graph_equals_cold_build_after_faults():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    for name in ("smoke.json", "regions.json", "burst_recovery.json"):
+        kernel = ns.Kernel(ns.load_scenario(str(path / name)))
+        result = kernel.run()
+        cold = kernel.msu.build_rg(kernel.shm)
+        assert kernel.rg.succ == cold.succ, name
+        assert result.tables.dump() == \
+            ns.build_region_tables(cold, kernel.script.budget).dump(), name
+
+
+def test_map_and_store_derives_from_the_given_graph(monkeypatch):
+    ag = ns.build_mesh(3, 3)
+    tg = ns.random_task_graph(6, 0.4, seed=3)
+    msu = ns.Msu(tg=tg, turn_model=ns.WEST_FIRST, seed=11)
+    shm = ns.SystemHealthMap(ag)
+    shm.apply_fault(("link", ag.link(4, "E").id))
+    locations = [("pe", 4), ("link", ag.link(1, "N").id), ("turn", 4, 0),
+                 ("checker", 3, "arbiter"), ("checker", 5, "datapath_parity"),
+                 ("pe", 4)]
+
+    cold = ns.MpmMemory(4)
+    cold_entries = [ns.map_and_store(shm, loc, msu, cold) for loc in locations]
+
+    rg = msu.build_rg(shm)
+    builds = []
+    build = ns.shmu.build_routing_graph
+    monkeypatch.setattr(ns.shmu, "build_routing_graph",
+                        lambda *args: builds.append(args) or build(*args))
+    before = shm.serialize()
+    mpm = ns.MpmMemory(4)
+    entries = [ns.map_and_store(shm, loc, msu, mpm, rg=rg) for loc in locations]
+    assert builds == []
+    assert entries == cold_entries
+    assert mpm.dump() == cold.dump()
+    assert shm.serialize() == before
+
+
+# -- bit-row cover on larger meshes ------------------------------------------------
+
+
+@pytest.mark.parametrize("dims,density,seed", [
+    ((12, 12), 0.3, 1),
+    ((12, 12), 0.7, 2),
+    ((12, 12), 0.95, 3),
+    ((4, 4, 3), 0.4, 4),
+    ((4, 4, 3), 0.8, 5),
+])
+def test_cover_matches_oracle_on_larger_meshes(dims, density, seed):
+    rng = random.Random(seed)
+    cells = {c for c in itertools.product(*(range(d) for d in dims))
+             if rng.random() < density}
+    for budget in (1, 4, 8):
+        assert ns.cover_rectangles(cells, dims, budget) == \
+            oracles.cover_rectangles(cells, dims, budget)
+
+
+def test_cover_takes_a_tile_bitset():
+    ag = ns.build_mesh(4, 3, 2)
+    rng = random.Random(9)
+    tiles = {t for t in range(len(ag)) if rng.random() < 0.5}
+    bits = sum(1 << t for t in tiles)
+    coords = {ag.coords(t) for t in tiles}
+    assert ns.cover_rectangles(bits, ag.dims, 3) == \
+        ns.cover_rectangles(coords, ag.dims, 3)
+    assert ns.cover_rectangles(0, ag.dims, 3) == ()
