@@ -74,20 +74,6 @@ class SystemHealthMap:
             raise RangeError(f"tile {tile} fully aged out, no effective wcet")
         return -(-wcet * 100 // (100 - dec))
 
-    def broken_elements(self):
-        out = []
-        for t in range(len(self.ag)):
-            if not self._pe[t]:
-                out.append(("pe", t))
-        for t in range(len(self.ag)):
-            for s, healthy in enumerate(self._turns[t]):
-                if not healthy:
-                    out.append(("turn", t, s))
-        for l, healthy in enumerate(self._links):
-            if not healthy:
-                out.append(("link", l))
-        return out
-
     def serialize(self):
         """Canonical text form; identical states serialize identically."""
         lines = []

@@ -10,11 +10,11 @@ of a link costs O(log I) in the I intervals already on it, and a link
 nothing uses yet costs none.  Tasks sharing a processing element are
 serialized too.
 
-Routes are read from route rows, rows[src][dst], made once per search
-(or asap_schedule call): each tile pair is asked of the route provider
-once, and a source's row is made on its first use.  A row entry holds
-the route's links and its tail, hops x router_delay, so placement reads
-no Route attributes and hashes no (src, dst) key.
+Routes are read from the route provider's rows, rows[src][dst], which
+every search and asap_schedule call given that provider shares: each
+tile pair is routed once per provider, and a row entry holds the
+route's links and hop count, so placement reads no Route attributes and
+hashes no (src, dst) key.
 
 Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
@@ -94,8 +94,8 @@ class Schedule:
             mark = " retained" if tid in self.retained else ""
             lines.append(f"{tid} {tile} {start} {finish}{mark}")
         lines.append("link busy-intervals")
-        for link in sorted(self.link_busy):
-            body = " ".join(f"[{s},{e})" for s, e in self.link_busy[link])
+        for link, intervals in self.link_busy.items():
+            body = " ".join(f"[{s},{e})" for s, e in intervals)
             lines.append(f"{link} {body}")
         return "\n".join(lines) + "\n"
 
@@ -128,21 +128,20 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
     order, preds, release = _task_arrays(tg)
     wcet = _wcet_table(tg, shm, set(mapping))
     records = []
-    table = _RouteTable(routes, len(shm.ag), comm.router_delay)
-    start, finish, _ = _asap(order, preds, release, wcet, mapping, table,
+    start, finish, _ = _asap(order, preds, release, wcet, mapping, routes,
                              comm, len(shm.ag.links), base_time, finished,
                              records)
 
-    r = table.router_delay
+    r = comm.router_delay
     flows = []
-    for a, b, tile_a, tile_b, weight, (links, tail, route), t in records:
+    for a, b, tile_a, tile_b, weight, (links, hops, route), t in records:
         hold = weight * comm.unit_link_cycles
         intervals = tuple(
             (link, t + i * r, t + i * r + hold)
             for i, link in enumerate(links, start=1)
         ) if hold > 0 else ()
         flows.append(FlowPlan(a, b, tile_a, tile_b, weight, links,
-                              route.ports, t, t + tail + hold, intervals))
+                              route.ports, t, t + hops * r + hold, intervals))
     executed = [finish[t] for t in range(len(tg)) if t not in finished]
     return Schedule(
         task_times=tuple(zip(mapping, start, finish)),
@@ -171,46 +170,15 @@ def _wcet_table(tg, shm, tiles):
     return table
 
 
-class _RouteTable:
-    """Route rows for one search: rows[src][dst] is None until the pair is
-    first asked of the provider (once per pair), then () when it has no
-    route, else (links, tail, route) with tail = hops x router_delay.  A
-    row is made on a source's first use, so a large mesh allocates only
-    the rows a search touches."""
-
-    def __init__(self, provider, n_tiles, router_delay):
-        self.provider = provider
-        self.router_delay = router_delay
-        self.rows = [None] * n_tiles
-
-    def entry(self, src, dst):
-        """The pair's (links, tail, route); raises UnroutableFlow when
-        it has none."""
-        row = self.rows[src]
-        if row is None:
-            row = self.rows[src] = [None] * len(self.rows)
-        entry = row[dst]
-        if entry is None:
-            route = self.provider.route(src, dst)
-            if route is None:
-                entry = ()
-            else:
-                entry = (route.links, route.hops * self.router_delay, route)
-            row[dst] = entry
-        if not entry:
-            raise UnroutableFlow(src, dst)
-        return entry
-
-
 def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
           base_time=0, finished=frozenset(), records=None):
     """The ASAP pass shared by asap_schedule and candidate evaluation.
 
     Visits tasks in topological order and computes each start once:
     the latest of release, PE free time and data arrivals.  wcet[tile]
-    lists each task's cycles on that tile; routes is a _RouteTable,
-    whose router_delay the pass uses (an unroutable pair raises
-    UnroutableFlow).
+    lists each task's cycles on that tile; routes is a RouteProvider,
+    whose rows the pass reads, routing a pair not yet in them (an
+    unroutable pair raises UnroutableFlow).
     Returns the per-task start and finish lists and busy: per link id,
     None if unused, else the link's busy intervals in time order as
     [start, end, start, end, ...].  When `records` is a list, appends
@@ -233,7 +201,7 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
     insert.
     """
     unit = comm.unit_link_cycles
-    r = routes.router_delay
+    r = comm.router_delay
     rows = routes.rows
     start = [base_time] * len(order)
     finish = [base_time] * len(order)
@@ -253,8 +221,12 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
                 row = rows[tile_a]
                 entry = row and row[tile_b]
                 if not entry:
-                    entry = routes.entry(tile_a, tile_b)
-                links, tail, _ = entry
+                    if entry is None:
+                        routes.route(tile_a, tile_b)
+                        entry = rows[tile_a][tile_b]
+                    if not entry:
+                        raise UnroutableFlow(tile_a, tile_b)
+                links, hops, _ = entry
                 hold = weight * unit
                 if hold > 0:
                     while True:
@@ -286,7 +258,7 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
                             lane[k:k] = (s, s + hold)
                 if records is not None:
                     records.append((a, b, tile_a, tile_b, weight, entry, t))
-                t += tail + hold
+                t += hops * r + hold
             if t > ready:
                 ready = t
         start[b] = ready
@@ -394,8 +366,9 @@ class _Search:
 
     Everything a candidate does not change is prepared once per search:
     the flat task arrays, each task's cycles on each usable tile, the
-    critical deadlines and a route table.  Candidates only ever place
-    units on usable tiles, so they need no per-candidate validation."""
+    critical deadlines and the route provider, whose rows outlive the
+    search.  Candidates only ever place units on usable tiles, so they
+    need no per-candidate validation."""
 
     def __init__(self, tg, shm, rg, cost, ctg, comm, routes):
         if cost not in COST_KINDS:
@@ -405,8 +378,7 @@ class _Search:
         self.units = _units(tg, ctg)
         self.clustered = ctg is not None
         self.comm = comm
-        self.routes = _RouteTable(routes or rg.route_provider(), len(shm.ag),
-                                  comm.router_delay)
+        self.routes = routes or rg.route_provider()
         self.tiles = usable_tiles(shm)
         self.order, self.preds, self.release = _task_arrays(tg)
         self.wcet = _wcet_table(tg, shm, self.tiles)
@@ -517,7 +489,7 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
 
     mapping = _expand(search.units, assign, len(tg))
     schedule = asap_schedule(tg, mapping, shm, rg, comm=comm,
-                             routes=search.routes.provider)
+                             routes=search.routes)
     return HeuristicResult(mapping, schedule, search.evaluations)
 
 

@@ -24,10 +24,14 @@ Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
 PortNode order, and the graph is a tuple of sorted successor-id tuples.
 The reachability index, the route search and the region tables run on
 the ids; PortNode objects appear only in the views tests and the CLI
-read (nodes, adj, reach_bits, find_paths) and in Route.ports.  Every
-edge is gated by at most one health element, so a permanent fault only
-deletes edges: RoutingGraph.without derives the graph of the faulted
-state from the one before instead of building it again.
+read (nodes, adj, port, find_paths) and in Route.ports.  Each question
+about a graph has one structure: one Tarjan pass answers reachability
+and deadlock freedom (reach_by_id, is_deadlock_free), and the graph's
+RouteProvider keeps every route it computed in its rows, which the
+scheduler reads directly.  Every edge is gated by at most one health
+element, so a permanent fault only deletes edges: RoutingGraph.without
+derives the graph of the faulted state from the one before instead of
+building it again.
 """
 
 import random
@@ -149,9 +153,8 @@ _new = tuple.__new__
 class RoutingGraph:
     """Immutable port graph over int node ids with sorted adjacency.
 
-    The PortNode views (nodes, adj, reach_bits) are built on first
-    request and memoised; tables, routes and derived graphs read the
-    ids only."""
+    The PortNode views (nodes, adj) are built on first request and
+    memoised; tables, routes and derived graphs read the ids only."""
 
     def __init__(self, ag, succ, nodes=None):
         self.ag = ag
@@ -161,7 +164,7 @@ class RoutingGraph:
         self._nodes = nodes                 # memoised PortNode tuple, by id
         self._adj = None                    # memoised PortNode adjacency
         self._reach = None                  # memoised reach bitsets, by id
-        self._reach_view = None             # memoised reach_bits()
+        self._acyclic = None                # memoised with _reach
         self._providers = {}                # seed -> memoised RouteProvider
 
     def port_id(self, tile, direction, kind):
@@ -197,20 +200,6 @@ class RoutingGraph:
             raise UnknownTile(f"no port node {node}")
         return node
 
-    def successors(self, node):
-        return self.adj.get(node, ())
-
-    def reachable_from(self, node):
-        """All nodes reachable from `node` (itself included)."""
-        seen = {node}
-        stack = [node]
-        while stack:
-            for nxt in self.adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
     def reach_by_id(self):
         """Reachability index: per node id, the bitset (int, bit d =
         tile d) of the tiles whose local-out the node reaches, itself
@@ -220,17 +209,13 @@ class RoutingGraph:
         components (iterative Tarjan).  Tarjan completes a component
         only after every component it has an edge into, so its bitset
         is its own local-outs OR its successors' bitsets; that is exact
-        on cyclic graphs as well as acyclic ones.
+        on cyclic graphs as well as acyclic ones.  The same pass tells
+        whether the graph is acyclic, which is_deadlock_free reads.
         """
         if self._reach is None:
-            self._reach = _reach_bits(self.succ, self.ports_per_tile)
+            self._reach, self._acyclic = _reach_bits(self.succ,
+                                                     self.ports_per_tile)
         return self._reach
-
-    def reach_bits(self):
-        """reach_by_id() keyed by PortNode."""
-        if self._reach_view is None:
-            self._reach_view = dict(zip(self.nodes, self.reach_by_id()))
-        return self._reach_view
 
     def route_provider(self, seed=0):
         """The RouteProvider for `seed`, built once per graph: its
@@ -278,6 +263,10 @@ class RoutingGraph:
 
 
 def _reach_bits(succ, P):
+    """(reach bitset per node id, whether every strongly connected
+    component is a single node).  Routing graphs have no self-loops by
+    construction (every edge joins two different ports), so the second
+    value is true iff the graph is acyclic."""
     n = len(succ)
     index = [-1] * n                        # DFS visit number, -1 unvisited
     low = [0] * n
@@ -285,6 +274,7 @@ def _reach_bits(succ, P):
     bits = [0] * n
     scc_stack = []
     visits = 0
+    acyclic = True
     for root in range(n):
         if index[root] >= 0:
             continue
@@ -325,9 +315,11 @@ def _reach_bits(succ, P):
                         acc |= bits[nxt]
                     if m == node:
                         break
+                if len(members) > 1:
+                    acyclic = False
                 for m in members:
                     bits[m] = acc
-    return bits
+    return bits, acyclic
 
 
 def build_routing_graph(ag, turn_model, shm, regions=None):
@@ -377,30 +369,11 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
 
 
 def is_deadlock_free(rg):
-    """True iff the port graph is acyclic (iterative three-color DFS)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    succ = rg.succ
-    color = [WHITE] * len(succ)
-    for root in range(len(succ)):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    """True iff the port graph is acyclic (Dally & Seitz): read off the
+    graph's memoised Tarjan pass, where a graph is acyclic iff every
+    strongly connected component is a single node."""
+    rg.reach_by_id()
+    return rg._acyclic
 
 
 def find_paths(rg, src, dst, limit=None):
@@ -457,7 +430,14 @@ class RouteProvider:
     exist (adaptive turn models) one is drawn uniformly from a per
     (src, dst) sub-stream, so the choice does not depend on evaluation
     order.  The sub-stream is seeded at the pair's first choice; a pair
-    that has none never draws.  Routes are cached.  Holds the graph's
+    that has none never draws.
+
+    Routes are kept in rows: rows[src][dst] is None until the pair is
+    first routed, then () when it has no route, else (links, hops,
+    Route).  A source's row is made on its first use, so a large mesh
+    allocates only the rows its callers touch.  The scheduler reads the
+    rows directly and calls route() only for an entry that is still
+    None, so each pair is computed once per provider.  Holds the graph's
     platform and adjacency, not the graph: graphs memoise their
     providers, and a reference back would keep every replaced graph
     alive until the cycle collector runs."""
@@ -475,13 +455,13 @@ class RouteProvider:
             for nxt in succs:
                 self._rev[nxt].append(node)
         self._dist = {}                     # dst tile -> hops by id, -1 unreachable
-        self._routes = {}                   # (src, dst) -> Route or None
+        self.rows = [None] * len(rg.ag)     # src tile -> route row, or None
 
     def _dist_to(self, dst):
         dist = self._dist.get(dst)
         if dist is not None:
             return dist
-        goal = self.ag.check_tile(dst) * self._P + self._local + 1
+        goal = dst * self._P + self._local + 1
         rev = self._rev
         dist = [-1] * len(rev)
         dist[goal] = 0
@@ -500,17 +480,26 @@ class RouteProvider:
         return dist
 
     def route(self, src, dst):
-        """Route(ports, links, hops) or None when unroutable."""
-        key = (src, dst)
-        if key in self._routes:
-            return self._routes[key]
+        """Route(ports, links, hops) or None when unroutable, from the
+        pair's row entry; the entry is computed on the first request."""
+        self.ag.check_tile(src)
+        self.ag.check_tile(dst)
+        row = self.rows[src]
+        if row is None:
+            row = self.rows[src] = [None] * len(self.rows)
+        entry = row[dst]
+        if entry is None:
+            entry = row[dst] = self._walk(src, dst)
+        return entry[2] if entry else None
+
+    def _walk(self, src, dst):
+        """The pair's row entry: () or (links, hops, Route)."""
         dist = self._dist_to(dst)
         P = self._P
-        node = self.ag.check_tile(src) * P + self._local
+        node = src * P + self._local
         left = dist[node]
         if left < 0:
-            self._routes[key] = None
-            return None
+            return ()
         succ = self.succ
         names = self._names
         rng = None
@@ -531,8 +520,7 @@ class RouteProvider:
             node = nxt
         ports = tuple([_new(PortNode, (i // P,) + names[i % P]) for i in path])
         route = Route(ports, tuple(links), len(links) + 1)
-        self._routes[key] = route
-        return route
+        return (route.links, route.hops, route)
 
 
 @dataclass(frozen=True)

@@ -233,12 +233,10 @@ class MpmMemory:
 
 @dataclass
 class CurrentMappingMemory:
-    """The deployed mapping and schedule plus the health tag they were
-    computed under."""
+    """The deployed mapping and schedule."""
 
     mapping: list = None
     schedule: object = None
-    shm_tag: int = None
 
 
 @dataclass(frozen=True)
@@ -423,5 +421,4 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
     )
     cmm.mapping = list(mapping)
     cmm.schedule = schedule
-    cmm.shm_tag = tag
     return mapping, schedule, report

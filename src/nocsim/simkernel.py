@@ -202,8 +202,7 @@ class Kernel:
         self._completed = {}                # task -> finish time
         self._cancelled = set()
         self._plan_tasks = {}               # task -> (tile, start, finish) current plan
-        self._reports = []
-        self._walls = []
+        self._reports = []                  # LatencyReport per remap
 
     # -- plumbing ------------------------------------------------------------
 
@@ -334,13 +333,7 @@ class Kernel:
                               f"severity={sev} action=infeasible ({exc})")
             return
 
-        self.metrics.remaps += 1
-        if report.hit:
-            self.metrics.mpm_hits += 1
-        else:
-            self.metrics.mpm_misses += 1
         self._reports.append(report)
-        self._walls.append(report.t_rl)
         deploy_at = now + report.t_rl
         self._deploy_plan(deploy_at, finished)
         self._decide(
@@ -513,8 +506,12 @@ class Kernel:
         self.metrics.makespan = max(self._completed.values(), default=0)
         self.metrics.tasks_completed = len(self._completed)
         self.metrics.tasks_unfinished = len(self.tg) - len(self._completed)
-        self.metrics.recovery_walls = tuple(self._walls)
-        self.metrics.latency_reports = tuple(self._reports)
+        reports = self._reports
+        self.metrics.remaps = len(reports)
+        self.metrics.mpm_hits = sum(r.hit for r in reports)
+        self.metrics.mpm_misses = len(reports) - self.metrics.mpm_hits
+        self.metrics.recovery_walls = tuple(r.t_rl for r in reports)
+        self.metrics.latency_reports = tuple(reports)
         return RunResult(
             metrics=self.metrics,
             trace=self.trace,

@@ -49,3 +49,13 @@ def chain_tg(wcets, weights=None):
     weights = weights or [1] * (len(wcets) - 1)
     edges = {(i, i + 1): weights[i] for i in range(len(wcets) - 1)}
     return ns.build_task_graph(tasks, edges)
+
+
+def two_regions(ag, left, right):
+    """Regions for the left and right half of the mesh, one turn model
+    each."""
+    labels = {t.id: "left" if t.coords[0] < ag.dims[0] // 2 else "right"
+              for t in ag.tiles}
+    models = {"left": left, "right": right}
+    return ns.partition(ag, labels, {label: models[label]
+                                     for label in set(labels.values())})

@@ -80,19 +80,19 @@ def nx_simple_paths(rg, src, dst, cutoff=None):
     return out
 
 
+def nx_reach(rg, start):
+    """Tiles whose local-out is reachable from port node `start`."""
+    seen = nx.descendants(rg_to_nx(rg), start) | {start}
+    return {n.tile for n in seen if n.direction == "L" and n.kind == "out"}
+
+
 def nx_port_reach(rg, tile, direction):
     """Tiles whose local-out is reachable from (tile, direction, out)."""
-    g = rg_to_nx(rg)
-    start = rg.port(tile, direction, "out")
-    seen = nx.descendants(g, start) | {start}
-    return {n.tile for n in seen if n.direction == "L" and n.kind == "out"}
+    return nx_reach(rg, rg.port(tile, direction, "out"))
 
 
 def nx_tile_reach(rg, src):
-    g = rg_to_nx(rg)
-    start = rg.local_in(src)
-    seen = nx.descendants(g, start) | {start}
-    return {n.tile for n in seen if n.direction == "L" and n.kind == "out"}
+    return nx_reach(rg, rg.local_in(src))
 
 
 def unreachable_oracle(rg, tile, direction):

@@ -13,17 +13,7 @@ import nocsim as ns
 from nocsim.errors import UnknownTarget
 
 import oracles
-
-
-def _halves(model_left, model_right):
-    """Region factory: left and right half of the mesh, one model each."""
-    def regions(ag):
-        labels = {t.id: "left" if t.coords[0] < ag.dims[0] // 2 else "right"
-                  for t in ag.tiles}
-        models = {"left": model_left, "right": model_right}
-        return ns.partition(ag, labels, {label: models[label]
-                                         for label in set(labels.values())})
-    return regions
+from conftest import two_regions
 
 
 # name -> (turn model, 3D mesh?, region factory or None)
@@ -33,7 +23,8 @@ MODEL_CASES = {
     "north_last": (ns.NORTH_LAST, False, None),
     "negative_first": (ns.NEGATIVE_FIRST, False, None),
     "all_turns": (ns.custom_turn_model(ns.TURN_SLOTS_2D), False, None),
-    "regions": (ns.XY, False, _halves(ns.XY, ns.WEST_FIRST)),
+    "regions": (ns.XY, False,
+                lambda ag: two_regions(ag, ns.XY, ns.WEST_FIRST)),
     "xyz_3x3x2": (ns.XYZ, True, None),
 }
 
@@ -56,7 +47,7 @@ def _assert_same_graph(derived, cold, budget, seed):
     assert derived.succ == cold.succ
     assert derived.adj == cold.adj
     assert derived.nodes == cold.nodes
-    assert derived.reach_bits() == cold.reach_bits()
+    assert derived.reach_by_id() == cold.reach_by_id()
     assert ns.is_deadlock_free(derived) == ns.is_deadlock_free(cold)
     assert ns.build_region_tables(derived, budget).dump() == \
         ns.build_region_tables(cold, budget).dump()

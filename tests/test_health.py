@@ -22,7 +22,6 @@ def test_fresh_map_all_healthy(mesh22):
     assert all(shm.pe_healthy(t) for t in range(4))
     assert all(shm.link_healthy(l) for l in range(8))
     assert all(shm.turn_healthy(t, s) for t in range(4) for s in range(8))
-    assert shm.broken_elements() == []
 
 
 def test_apply_fault_idempotent(mesh22):
@@ -53,14 +52,6 @@ def test_apply_fault_unknown_target(mesh22):
         shm.apply_fault(("turn", 0, 99))
     with pytest.raises(UnknownTarget):
         shm.apply_fault(("link", 99))
-
-
-def test_broken_elements_sorted(mesh22):
-    shm = ns.SystemHealthMap(mesh22)
-    shm.apply_fault(("link", 5))
-    shm.apply_fault(("pe", 2))
-    shm.apply_fault(("turn", 0, 3))
-    assert shm.broken_elements() == [("pe", 2), ("turn", 0, 3), ("link", 5)]
 
 
 # -- aging ---------------------------------------------------------------------

@@ -487,6 +487,15 @@ def test_route_provider_memoised_per_graph_and_seed(mesh44):
         assert rg.route_provider(7).route(src, dst) == fresh.route(src, dst)
 
 
+def test_route_rejects_tiles_outside_the_mesh(mesh22):
+    rg = ns.build_routing_graph(mesh22, ns.XY, ns.SystemHealthMap(mesh22))
+    provider = rg.route_provider()
+    for src, dst in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+        with pytest.raises(UnknownTile):
+            provider.route(src, dst)
+    assert provider.rows == [None] * 4
+
+
 def test_msu_routes_for_reuses_the_graphs_provider(mesh33):
     tg = chain_tg([3, 3])
     msu = ns.Msu(tg=tg, turn_model=ns.WEST_FIRST, seed=4)
@@ -496,39 +505,49 @@ def test_msu_routes_for_reuses_the_graphs_provider(mesh33):
     assert msu.routes_for(msu.build_rg(shm)) is not msu.routes_for(rg)
 
 
-def test_route_rows_ask_each_pair_once(mesh44):
+def test_route_rows_ask_each_pair_once(mesh44, monkeypatch):
     shm = ns.SystemHealthMap(mesh44)
     for fault in (("link", 3), ("link", 17), ("turn", 5, 2)):
         shm.apply_fault(fault)
     rg = ns.build_routing_graph(mesh44, ns.XY, shm)
     provider = rg.route_provider(5)
     asked = []
+    route = provider.route
 
-    class Counting:
-        def route(self, src, dst):
-            asked.append((src, dst))
-            return provider.route(src, dst)
+    def counting(src, dst):
+        asked.append((src, dst))
+        return route(src, dst)
 
+    monkeypatch.setattr(provider, "route", counting)
     tg = ns.random_task_graph(8, 0.5, seed=11)
     comm = ns.CommModel(unit_link_cycles=2, router_delay=3)
-    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None, comm,
-                                 Counting())
     tiles = (0, 3, 5, 12)
     rng = random.Random(2)
-    for _ in range(60):
-        search.evaluate([rng.choice(tiles) for _ in range(len(tg))])
+    # Two searches and a schedule share the provider's rows.
+    feasible = []
+    for _ in range(2):
+        search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None,
+                                     comm, provider)
+        for _ in range(30):
+            cand = [rng.choice(tiles) for _ in range(len(tg))]
+            if search.evaluate(cand) is not None:
+                feasible.append(cand)
     assert asked and len(asked) == len(set(asked))
-    rows = search.routes.rows
+    before = len(asked)
+    ns.asap_schedule(tg, feasible[-1], shm, rg, comm=comm, routes=provider)
+    assert len(asked) == before
+    rows = provider.rows
     sources = {src for src, _ in asked}
     assert sources <= set(tiles)
     assert all(rows[t] is None for t in range(len(mesh44)) if t not in sources)
+    fresh = ns.RouteProvider(rg, seed=5)
     for src, dst in asked:
-        route = provider.route(src, dst)
-        if route is None:
+        want = fresh.route(src, dst)
+        if want is None:
             assert rows[src][dst] == ()
         else:
-            assert rows[src][dst] == (route.links, 3 * route.hops, route)
-    assert any(provider.route(*pair) is None for pair in asked)
+            assert rows[src][dst] == (want.links, want.hops, want)
+    assert any(fresh.route(*pair) is None for pair in asked)
 
 
 # -- differential checks against the reference scheduler ----------------------
@@ -651,7 +670,7 @@ def _oracle_search(monkeypatch, shm, rg):
         search.evaluations += 1
         mapping = ns.mapsched._expand(search.units, unit_tiles, len(search.tg))
         return oracles.evaluate_candidate(search.tg, mapping, shm, rg, search.comm,
-                                          search.routes.provider, search.cost)
+                                          search.routes, search.cost)
     monkeypatch.setattr(ns.mapsched._Search, "evaluate", evaluate)
 
 

@@ -5,7 +5,7 @@ import nocsim as ns
 from nocsim.errors import RangeError
 
 import oracles
-from conftest import random_shm
+from conftest import random_shm, two_regions
 
 
 def healthy_rg(w, h, model=None, depth=None):
@@ -190,21 +190,12 @@ def test_reachability_matrix_1x1():
     assert ns.reachability_matrix(rg) == [[True]]
 
 
-def test_reachable_from_matches_oracle():
-    ag = ns.build_mesh(3, 3)
-    shm = random_shm(ag, 12345)
-    rg = ns.build_routing_graph(ag, ns.NORTH_LAST, shm)
-    for t in range(9):
-        mat_row = {d for d in range(9)
-                   if rg.local_out(d) in rg.reachable_from(rg.local_in(t))}
-        assert mat_row == oracles.nx_tile_reach(rg, t)
-
-
 # The index is checked on acyclic planar models, a cyclic model that
 # allows all eight turns, a 3D mesh and a mesh without ports.
 INDEX_CASES = {
     "xy_4x4": ((4, 4), ns.XY),
     "west_first_4x3": ((4, 3), ns.WEST_FIRST),
+    "north_last_3x3": ((3, 3), ns.NORTH_LAST),
     "all_turns_3x3": ((3, 3), ns.custom_turn_model(ns.TURN_SLOTS_2D)),
     "xyz_3x3x2": ((3, 3, 2), ns.XYZ),
     "xy_1x1": ((1, 1), ns.XY),
@@ -219,11 +210,10 @@ def test_reach_index_matches_oracles(case, seed):
     shm = random_shm(ag, seed, max_links=3 if ag.links else 0, max_pes=2)
     rg = ns.build_routing_graph(ag, model, shm)
     n = len(ag)
-    reach = rg.reach_bits()
-    for node in rg.nodes:
-        expected = {m.tile for m in rg.reachable_from(node)
-                    if m.direction == "L" and m.kind == "out"}
-        assert {t for t in range(n) if reach[node] >> t & 1} == expected
+    reach = rg.reach_by_id()
+    for i, node in enumerate(rg.nodes):
+        assert {t for t in range(n) if reach[i] >> t & 1} == \
+            oracles.nx_reach(rg, node)
     mat = ns.reachability_matrix(rg)
     for s in range(n):
         assert {d for d in range(n) if mat[s][d]} == oracles.nx_tile_reach(rg, s)
@@ -236,7 +226,40 @@ def test_reach_index_matches_oracles(case, seed):
 
 def test_reach_index_memoised():
     rg = healthy_rg(3, 3)
-    assert rg.reach_bits() is rg.reach_bits()
+    assert rg.reach_by_id() is rg.reach_by_id()
+
+
+ALL_TURNS = ns.custom_turn_model(ns.TURN_SLOTS_2D)
+# name -> (turn model, regions' (left, right) models or None, 3D mesh?)
+DEADLOCK_CASES = {
+    "xy": (ns.XY, None, False),
+    "west_first": (ns.WEST_FIRST, None, False),
+    "north_last": (ns.NORTH_LAST, None, False),
+    "negative_first": (ns.NEGATIVE_FIRST, None, False),
+    "all_turns": (ALL_TURNS, None, False),
+    "regions_xy_west_first": (ns.XY, (ns.XY, ns.WEST_FIRST), False),
+    "regions_xy_all_turns": (ns.XY, (ns.XY, ALL_TURNS), False),
+    "xyz": (ns.XYZ, None, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEADLOCK_CASES))
+@given(data=st.data())
+def test_deadlock_free_matches_cycle_oracle(case, data):
+    """is_deadlock_free, read off the Tarjan pass, agrees with an
+    independent three-colour DFS on random faulted graphs."""
+    model, halves, is_3d = DEADLOCK_CASES[case]
+    if is_3d:
+        ag = ns.build_mesh(data.draw(st.integers(1, 3), label="w"),
+                           data.draw(st.integers(1, 3), label="h"), 2)
+    else:
+        ag = ns.build_mesh(data.draw(st.integers(1, 5), label="w"),
+                           data.draw(st.integers(1, 5), label="h"))
+    regions = two_regions(ag, *halves) if halves else None
+    shm = random_shm(ag, data.draw(st.integers(0, 10**6), label="seed"),
+                     max_links=4 if ag.links else 0, max_turns=12, max_pes=2)
+    rg = ns.build_routing_graph(ag, model, shm, regions)
+    assert ns.is_deadlock_free(rg) == (not oracles.has_cycle_dfs(rg))
 
 
 @given(st.integers(0, 10**6))

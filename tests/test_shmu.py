@@ -95,8 +95,7 @@ def busy_cmm(mesh22):
     tg = chain_tg([5, 5], [2])
     mapping = [0, 1]
     sched = ns.asap_schedule(tg, mapping, shm, rg)
-    return ns.CurrentMappingMemory(mapping=mapping, schedule=sched,
-                                   shm_tag=ns.shm_tag(shm))
+    return ns.CurrentMappingMemory(mapping=mapping, schedule=sched)
 
 
 def test_severity_transient_ignored(mesh22):
@@ -139,8 +138,7 @@ def test_severity_permanent_on_used_turn(mesh22):
     rg = ns.build_routing_graph(mesh22, ns.XY, shm)
     tg = chain_tg([5, 5], [2])
     sched = ns.asap_schedule(tg, [0, 3], shm, rg)
-    cmm2 = ns.CurrentMappingMemory(mapping=[0, 3], schedule=sched,
-                                   shm_tag=ns.shm_tag(shm))
+    cmm2 = ns.CurrentMappingMemory(mapping=[0, 3], schedule=sched)
     assert ns.severity(("turn", 1, ns.turn_index(("W", "N"), False)),
                        ns.PERMANENT, cmm2, mesh22) == ns.REMAP
 
