@@ -156,7 +156,12 @@ def shm_tag(shm):
     """64-bit tag of the canonical serialization.  Collisions are
     possible in principle, so cache consumers must verify against the
     stored full configuration."""
-    digest = hashlib.blake2b(shm.serialize().encode(), digest_size=8).digest()
+    return config_tag(shm.serialize())
+
+
+def config_tag(full_config):
+    """shm_tag of the health map whose serialization is `full_config`."""
+    digest = hashlib.blake2b(full_config.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

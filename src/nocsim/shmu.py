@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
-from .health import shm_tag
+from .health import config_tag, shm_tag
 from .mapsched import CommModel, SaParams, asap_schedule, run_heuristic
 from .rng import derive_seed
 from .routing import build_routing_graph, turn_slots
@@ -357,8 +357,8 @@ def map_and_store(shm, location, msu, mpm, rg=None):
         targets = degrade_targets(location, shm.ag)
         for fault in targets:
             shm.apply_fault(fault)
-        tag = shm_tag(shm)
         full_config = shm.serialize()
+        tag = config_tag(full_config)
         entry = mpm.lookup(tag, full_config)
         if entry is None:
             try:
@@ -379,8 +379,8 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
 
     Updates the current-mapping memory.  Raises InfeasibilityError
     when no feasible mapping exists (caller decides the policy)."""
-    tag = shm_tag(shm)
     full_config = shm.serialize()
+    tag = config_tag(full_config)
     rg = rg or msu.build_rg(shm)
     cm = msu.cost_model
     m = len(msu.tg)

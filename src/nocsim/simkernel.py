@@ -14,10 +14,19 @@ their host PE broke), everything else restarts on the new mapping once
 reconfiguration has taken its virtual t_rl cycles.  In-flight transfers
 crossing the broken element are dropped or requeued per policy; other
 halted transfers are re-sent by the new plan.
+
+Every planned transfer ends with exactly one outcome, set and counted
+by Kernel._settle: delivered (flows_delivered); dropped at the filter,
+or severed under the drop policy (flows_dropped); requeued under the
+requeue policy, or halted in flight by a remap (flows_requeued);
+cancelled with its source task, or superseded unsent by a new plan
+(not counted).  An injected transfer adds the cycles it held each link
+to link_busy: its whole interval when delivered, the part before its
+outcome's time otherwise.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibilityError, SemanticError
 from .health import SystemHealthMap
@@ -109,18 +118,9 @@ class Metrics:
     link_busy: dict = field(default_factory=dict)
 
     def to_text(self):
-        lines = [
-            f"makespan {self.makespan}",
-            f"tasks_completed {self.tasks_completed}",
-            f"tasks_unfinished {self.tasks_unfinished}",
-            f"flows_delivered {self.flows_delivered}",
-            f"flows_dropped {self.flows_dropped}",
-            f"flows_requeued {self.flows_requeued}",
-            f"remaps {self.remaps}",
-            f"stores {self.stores}",
-            f"mpm_hits {self.mpm_hits}",
-            f"mpm_misses {self.mpm_misses}",
-        ]
+        # The int counters in field order, then the per-item lines.
+        lines = [f"{f.name} {getattr(self, f.name)}"
+                 for f in fields(self) if f.type is int]
         for i, wall in enumerate(self.recovery_walls):
             lines.append(f"recovery_wall {i} {wall}")
         for i, r in enumerate(self.latency_reports):
@@ -146,15 +146,19 @@ class RunResult:
     initial_report: object
 
 
-class _FlowState:
-    __slots__ = ("plan", "gen", "injected_at", "outcome", "cut_at")
+# Flow outcome -> the Metrics counter it bumps (None: not counted).
+_COUNTER = dict(delivered="flows_delivered", dropped="flows_dropped",
+                severed="flows_dropped", requeued="flows_requeued",
+                halted="flows_requeued", cancelled=None, superseded=None)
 
-    def __init__(self, plan, gen):
+
+class _FlowState:
+    __slots__ = ("plan", "injected", "outcome")
+
+    def __init__(self, plan):
         self.plan = plan
-        self.gen = gen
-        self.injected_at = None
-        self.outcome = None                 # delivered|dropped|severed|requeued|halted
-        self.cut_at = None
+        self.injected = False
+        self.outcome = None                 # set once, by Kernel._settle
 
 
 def expand_injection(injection):
@@ -198,7 +202,7 @@ class Kernel:
         self._seq = 0
         self._gen = 0
         self._initial_report = None
-        self._flows = []
+        self._flows = []                    # _FlowState of the running plan
         self._completed = {}                # task -> finish time
         self._cancelled = set()
         self._plan_tasks = {}               # task -> (tile, start, finish) current plan
@@ -206,23 +210,32 @@ class Kernel:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _push(self, time, prio, payload):
-        heapq.heappush(self._heap, (time, prio, self._seq, payload))
+    def _push(self, time, prio, handler, *args):
+        """Queue handler(time, *args); seq breaks ties, so handlers are
+        never compared."""
+        heapq.heappush(self._heap, (time, prio, self._seq, handler, args))
         self._seq += 1
 
     def _log(self, time, line):
         self.trace.append(f"{time} {line}")
 
-    def _decide(self, time, line):
-        self.decisions.append(f"{time} {line}")
+    def _settle(self, state, outcome, now):
+        """End one flow: record its outcome, bump the outcome's counter,
+        and charge the link cycles an injected flow held, all of them
+        when delivered, those before `now` otherwise."""
+        state.outcome = outcome
+        counter = _COUNTER[outcome]
+        if counter is not None:
+            setattr(self.metrics, counter, getattr(self.metrics, counter) + 1)
+        if not state.injected:
+            return
+        busy = self.metrics.link_busy
+        for link, s, e in state.plan.intervals:
+            end = e if outcome == "delivered" else min(e, now)
+            if end > s:
+                busy[link] = busy.get(link, 0) + (end - s)
 
     # -- setup ---------------------------------------------------------------
-
-    def inject(self, injection):
-        """Queue the checker events of one scripted fault."""
-        for event in expand_injection(injection):
-            report_at = event.time + self.script.cost_model.detection_latency
-            self._push(report_at, _FAULT, ("fault", event))
 
     def _rebuild_tables(self, faults=()):
         """Routing graph and region tables for the current health state.
@@ -235,14 +248,13 @@ class Kernel:
         self.tables = build_region_tables(self.rg, self.script.budget,
                                           prev=self.tables)
 
-    def drop_check_at_injection(self, src_tile, dst_tile):
-        """Injection-time firewall: drop when no output of the source
-        can reach the destination under the current tables."""
-        return should_drop(self.tables, src_tile, dst_tile)
-
     def _deploy_plan(self, base_time, finished):
         """Replace the executing plan: schedule the not-yet-finished
-        tasks on the current mapping from base_time on."""
+        tasks on the current mapping from base_time on.  The replaced
+        plan's flows that were never sent are superseded."""
+        for state in self._flows:
+            if state.outcome is None:
+                self._settle(state, "superseded", base_time)
         self._gen += 1
         plan = asap_schedule(
             self.tg,
@@ -259,15 +271,16 @@ class Kernel:
             if tid in finished or tid in self._cancelled:
                 continue
             self._plan_tasks[tid] = (tile, start, finish)
-            self._push(finish, _TASK, ("task", self._gen, tid, tile, start, finish))
+            self._push(finish, _TASK, self._on_task, self._gen, tid, tile,
+                       start, finish)
+        self._flows = []
         for fp in plan.flows:
             if fp.dst_task in self._cancelled or fp.dst_task in finished:
                 continue
-            state = _FlowState(fp, self._gen)
+            state = _FlowState(fp)
             self._flows.append(state)
-            self._push(fp.injection, _FLOW, ("flow_inject", self._gen, state))
-            self._push(fp.delivery, _FLOW, ("flow_deliver", self._gen, state))
-        return plan
+            self._push(fp.injection, _FLOW, self._on_flow_inject, state)
+            self._push(fp.delivery, _FLOW, self._on_flow_deliver, state)
 
     # -- fault pipeline --------------------------------------------------------
 
@@ -275,20 +288,22 @@ class Kernel:
         history = self.histories.setdefault(event.location, [])
         history.append(event)
         fclass = classify(history, self.classifier)
+        sev, action = self._respond(now, event.location, fclass)
+        self.decisions.append(f"{now} event {_loc(event.location)} "
+                              f"class={fclass} severity={sev} action={action}")
 
-        targets = degrade_targets(event.location, self.ag)
-        if fclass == PERMANENT and all(
-            not self._element_healthy(f) for f in targets
+    def _respond(self, now, location, fclass):
+        """Act on one classified fault report; returns the decision's
+        (severity, action)."""
+        targets = degrade_targets(location, self.ag)
+        if fclass == PERMANENT and not any(
+            self._element_healthy(f) for f in targets
         ):
-            self._decide(now, f"event {_loc(event.location)} class={fclass} "
-                              f"severity=ignore action=already-recorded")
-            return
+            return "ignore", "already-recorded"
 
-        sev = severity(event.location, fclass, self.cmm, self.ag)
+        sev = severity(location, fclass, self.cmm, self.ag)
         if fclass == TRANSIENT:
-            self._decide(now, f"event {_loc(event.location)} class={fclass} "
-                              f"severity={sev} action=none")
-            return
+            return sev, "none"
 
         if fclass == INTERMITTENT:
             stored = 0
@@ -302,21 +317,17 @@ class Kernel:
                 else:
                     self._log(now, f"store {_loc(loc)} infeasible")
             self.metrics.stores += stored
-            self._decide(now, f"event {_loc(event.location)} class={fclass} "
-                              f"severity={sev} action=stored:{stored}")
-            return
+            return sev, f"stored:{stored}"
 
         # Permanent: record, rebuild routing state, then maybe remap.
         for fault in targets:
             self.shm.apply_fault(fault)
         self._rebuild_tables(targets)
-        self._log(now, f"shm_update {_loc(event.location)}")
+        self._log(now, f"shm_update {_loc(location)}")
         self._sever_in_flight(now, targets)
 
         if sev != REMAP:
-            self._decide(now, f"event {_loc(event.location)} class={fclass} "
-                              f"severity={sev} action=tables-rebuilt")
-            return
+            return sev, "tables-rebuilt"
 
         finished = set(self._halt_plan(now))
         try:
@@ -329,21 +340,15 @@ class Kernel:
                       if t not in self._completed
                       and not self.shm.pe_usable(tile)]
             self._cancel(now, pinned)
-            self._decide(now, f"event {_loc(event.location)} class={fclass} "
-                              f"severity={sev} action=infeasible ({exc})")
-            return
+            return sev, f"infeasible ({exc})"
 
         self._reports.append(report)
         deploy_at = now + report.t_rl
         self._deploy_plan(deploy_at, finished)
-        self._decide(
-            now,
-            f"event {_loc(event.location)} class={fclass} severity={sev} "
-            f"action=remap hit={int(report.hit)} t_rl={report.t_rl} "
-            f"deploy_at={deploy_at}",
-        )
         self._log(now, f"remap hit={int(report.hit)} t_rl={report.t_rl}")
         self._log(deploy_at, f"deploy gen={self._gen}")
+        return sev, (f"remap hit={int(report.hit)} t_rl={report.t_rl} "
+                     f"deploy_at={deploy_at}")
 
     def _element_healthy(self, fault):
         if fault[0] == "pe":
@@ -363,12 +368,8 @@ class Kernel:
                 del self._completed[t]
                 self._log(now, f"results_lost task={t} tile={tile}")
         for state in self._flows:
-            if state.gen != self._gen or state.outcome is not None:
-                continue
-            if state.injected_at is not None:
-                state.outcome = "halted"
-                state.cut_at = now
-                self.metrics.flows_requeued += 1
+            if state.injected and state.outcome is None:
+                self._settle(state, "halted", now)
         return finished
 
     def _sever_in_flight(self, now, faults):
@@ -376,35 +377,29 @@ class Kernel:
         dropped (counted) or requeued, per policy."""
         broken_links = {f[1] for f in faults if f[0] == "link"}
         broken_pes = {f[1] for f in faults if f[0] == "pe"}
+        outcome = ("requeued" if self.script.severed_policy == REQUEUE
+                   else "severed")
         for state in self._flows:
-            if state.gen != self._gen or state.outcome is not None:
-                continue
-            if state.injected_at is None:
+            if not state.injected or state.outcome is not None:
                 continue
             fp = state.plan
-            crosses = bool(broken_links.intersection(fp.links)) or (
-                fp.dst_tile in broken_pes or fp.src_tile in broken_pes
-            )
-            if not crosses:
+            if (broken_links.isdisjoint(fp.links)
+                    and fp.dst_tile not in broken_pes
+                    and fp.src_tile not in broken_pes):
                 continue
-            state.cut_at = now
-            if self.script.severed_policy == REQUEUE:
-                state.outcome = "requeued"
-                self.metrics.flows_requeued += 1
-            else:
-                state.outcome = "severed"
-                self.metrics.flows_dropped += 1
+            self._settle(state, outcome, now)
             self._log(now, f"flow_severed {fp.src_task}->{fp.dst_task}")
 
     def _cancel(self, now, tasks):
         """Abandon `tasks` and every successor that has not completed;
-        the rest keeps running."""
-        lost = set(tasks)
+        the rest keeps running.  Tasks already abandoned are skipped."""
+        lost = set(tasks) - self._cancelled
         frontier = list(lost)
         while frontier:
             t = frontier.pop()
             for s in self.tg.successors(t):
-                if s not in lost and s not in self._completed:
+                if (s not in lost and s not in self._completed
+                        and s not in self._cancelled):
                     lost.add(s)
                     frontier.append(s)
         self._cancelled |= lost
@@ -416,10 +411,9 @@ class Kernel:
     def run(self):
         for update in sorted(self.script.aging, key=lambda u: (u.time, u.tile)):
             if update.time <= 0:
-                self.shm.set_aging(update.tile, update.percent)
-                self._log(0, f"aging tile={update.tile} percent={update.percent}")
+                self._on_aging(0, update)
             else:
-                self._push(update.time, _AGING, ("aging", update))
+                self._push(update.time, _AGING, self._on_aging, update)
 
         self._rebuild_tables()
         mapping, schedule, initial_report = map_and_deploy(
@@ -427,62 +421,50 @@ class Kernel:
         )
         self._initial_report = initial_report
         self._log(0, f"deploy gen=1 initial t_rl={initial_report.t_rl}")
-        self._decide(0, f"initial deploy t_rl={initial_report.t_rl}")
+        self.decisions.append(f"0 initial deploy t_rl={initial_report.t_rl}")
         self._deploy_plan(0, frozenset())
 
+        latency = self.script.cost_model.detection_latency
         for injection in self.script.injections:
-            self.inject(injection)
+            for event in expand_injection(injection):
+                self._push(event.time + latency, _FAULT, self._on_fault, event)
 
         while self._heap:
-            time, prio, _, payload = heapq.heappop(self._heap)
-            kind = payload[0]
-            if kind == "fault":
-                self._on_fault(time, payload[1])
-            elif kind == "aging":
-                update = payload[1]
-                self.shm.set_aging(update.tile, update.percent)
-                self._log(time, f"aging tile={update.tile} percent={update.percent}")
-            elif kind == "flow_inject":
-                self._on_flow_inject(time, payload)
-            elif kind == "flow_deliver":
-                self._on_flow_deliver(time, payload)
-            elif kind == "task":
-                self._on_task(time, payload)
+            time, _, _, handler, args = heapq.heappop(self._heap)
+            handler(time, *args)
 
         return self._finish()
 
-    def _on_flow_inject(self, time, payload):
-        _, gen, state = payload
-        if gen != self._gen or state.outcome is not None:
+    def _on_aging(self, time, update):
+        self.shm.set_aging(update.tile, update.percent)
+        self._log(time, f"aging tile={update.tile} percent={update.percent}")
+
+    def _on_flow_inject(self, time, state):
+        if state.outcome is not None:
             return
         fp = state.plan
         if fp.src_task in self._cancelled:
-            state.outcome = "cancelled"
+            self._settle(state, "cancelled", time)
             return
-        if self.drop_check_at_injection(fp.src_tile, fp.dst_tile):
-            state.outcome = "dropped"
-            self.metrics.flows_dropped += 1
+        if should_drop(self.tables, fp.src_tile, fp.dst_tile):
+            self._settle(state, "dropped", time)
             self._log(time, f"flow_drop {fp.src_task}->{fp.dst_task} "
                             f"src_tile={fp.src_tile} dst_tile={fp.dst_tile}")
             self._cancel(time, [fp.dst_task])
             return
-        state.injected_at = time
+        state.injected = True
         self._log(time, f"flow_inject {fp.src_task}->{fp.dst_task} "
                         f"links={','.join(map(str, fp.links))}")
 
-    def _on_flow_deliver(self, time, payload):
-        _, gen, state = payload
-        if gen != self._gen or state.outcome is not None:
+    def _on_flow_deliver(self, time, state):
+        # Still open means injected: the inject event always comes first.
+        if state.outcome is not None:
             return
-        if state.injected_at is None:
-            return
-        state.outcome = "delivered"
-        self.metrics.flows_delivered += 1
+        self._settle(state, "delivered", time)
         fp = state.plan
         self._log(time, f"flow_deliver {fp.src_task}->{fp.dst_task}")
 
-    def _on_task(self, time, payload):
-        _, gen, tid, tile, start, finish = payload
+    def _on_task(self, time, gen, tid, tile, start, finish):
         if gen != self._gen or tid in self._cancelled or tid in self._completed:
             return
         self._completed[tid] = finish
@@ -490,19 +472,6 @@ class Kernel:
                         f"start={start} finish={finish}")
 
     def _finish(self):
-        busy = {}
-        for state in self._flows:
-            if state.outcome == "delivered":
-                cut = None
-            elif state.outcome in ("severed", "requeued", "halted"):
-                cut = state.cut_at
-            else:
-                continue
-            for (link, s, e) in state.plan.intervals:
-                end = e if cut is None else min(e, cut)
-                if end > s:
-                    busy[link] = busy.get(link, 0) + (end - s)
-        self.metrics.link_busy = busy
         self.metrics.makespan = max(self._completed.values(), default=0)
         self.metrics.tasks_completed = len(self._completed)
         self.metrics.tasks_unfinished = len(self.tg) - len(self._completed)

@@ -186,6 +186,26 @@ def test_generous_budget_delivers_same_column_flow(mesh33):
     assert res.metrics.tasks_completed == 3
 
 
+def test_drop_into_cancelled_task_cancels_nothing_twice(mesh33):
+    # Both flows into task 2 leave tile 1 for tile 7, which budget 1
+    # filters.  Dropping 0->1 at t=5 already cancels tasks 1, 2 and 3;
+    # dropping 0->2 at t=6 is still counted but cancels nothing new.
+    tasks = [ns.Task(i, 5) for i in range(4)]
+    tg = ns.build_task_graph(tasks, {(0, 1): 1, (0, 2): 2, (1, 2): 1,
+                                     (2, 3): 1})
+    aging = tuple(ns.AgingUpdate(time=0, tile=t, percent=100)
+                  for t in range(9) if t not in (1, 4, 7))
+    res = ns.run(script(tg, mesh33, seed=2, cost="utilization_balance",
+                        budget=1, aging=aging))
+    assert res.cmm.mapping == [1, 7, 7, 1]
+    assert "6 flow_drop 0->2 src_tile=1 dst_tile=7" in res.trace
+    assert res.metrics.flows_dropped == 2
+    cancelled = [l for l in res.trace if " task_cancelled " in l]
+    assert cancelled == ["5 task_cancelled task=1", "5 task_cancelled task=2",
+                         "5 task_cancelled task=3"]
+    assert res.metrics.tasks_completed == 1
+
+
 # -- infeasible remap -----------------------------------------------------------------
 
 
@@ -244,6 +264,29 @@ def test_severed_flow_requeue_policy(mesh22):
     assert req.metrics.flows_requeued == 1
     # The policy names the bookkeeping, not the recovery path.
     assert req.metrics.makespan == drop.metrics.makespan == 136
+
+
+@pytest.mark.parametrize("policy", [ns.DROP, ns.REQUEUE])
+def test_severed_flow_holds_its_link_until_the_cut(mesh22, policy):
+    # Flow 0->1 enters link 1 at t=6 and is cut at t=7, so it holds the
+    # link for one cycle whether it is dropped or requeued.
+    res = severed_run(mesh22, policy)
+    assert res.metrics.link_busy == {1: 1}
+
+
+def test_halted_flow_holds_its_link_until_the_halt(mesh33):
+    # Flow 0->1 is injected at t=5 and would enter link 1 over [6, 14).
+    # Tile 2's fault is reported at t=6 and halts the plan, so the halted
+    # flow holds no cycle; the re-sent flow holds link 1 for all 8.
+    tasks = [ns.Task(0, 5), ns.Task(1, 5), ns.Task(2, 30)]
+    tg = ns.build_task_graph(tasks, {(0, 1): 8})
+    inj = ns.Injection(time=5, location=("pe", 2), persistence="permanent")
+    res = ns.run(script(tg, mesh33, injections=(inj,)))
+    assert "5 flow_inject 0->1 links=1" in res.trace
+    assert "233 flow_inject 0->1 links=1" in res.trace
+    assert res.metrics.flows_requeued == 1
+    assert res.metrics.flows_delivered == 1
+    assert res.metrics.link_busy == {1: 8}
 
 
 # -- aging ------------------------------------------------------------------------------
