@@ -12,9 +12,10 @@ serialized too.
 
 Routes are read from the route provider's rows, rows[src][dst], which
 every search and asap_schedule call given that provider shares: each
-tile pair is routed once per provider, and a row entry holds the
-route's links and hop count, so placement reads no Route attributes and
-hashes no (src, dst) key.
+tile pair is routed once per provider, and placement unpacks a row
+entry, the pair's Route, without hashing a (src, dst) key.  A FlowPlan
+keeps a transfer's tasks, tiles, link ids and times, not its ports: the
+links tell which turns it takes (shmu.flow_elements).
 
 Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
@@ -59,9 +60,7 @@ class FlowPlan:
     dst_task: int
     src_tile: int
     dst_tile: int
-    weight: int
-    links: tuple
-    ports: tuple
+    links: tuple                            # link ids, source to destination
     injection: int
     delivery: int
     intervals: tuple                        # ((link, start, end), ...)
@@ -134,14 +133,14 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
 
     r = comm.router_delay
     flows = []
-    for a, b, tile_a, tile_b, weight, (links, hops, route), t in records:
+    for a, b, tile_a, tile_b, weight, (links, hops, _), t in records:
         hold = weight * comm.unit_link_cycles
         intervals = tuple(
             (link, t + i * r, t + i * r + hold)
             for i, link in enumerate(links, start=1)
         ) if hold > 0 else ()
-        flows.append(FlowPlan(a, b, tile_a, tile_b, weight, links,
-                              route.ports, t, t + hops * r + hold, intervals))
+        flows.append(FlowPlan(a, b, tile_a, tile_b, links, t,
+                              t + hops * r + hold, intervals))
     executed = [finish[t] for t in range(len(tg)) if t not in finished]
     return Schedule(
         task_times=tuple(zip(mapping, start, finish)),
@@ -182,8 +181,8 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
     Returns the per-task start and finish lists and busy: per link id,
     None if unused, else the link's busy intervals in time order as
     [start, end, start, end, ...].  When `records` is a list, appends
-    (src task, dst task, src tile, dst tile, weight, route row entry,
-    injection) to it per transfer.
+    (src task, dst task, src tile, dst tile, weight, Route, injection)
+    to it per transfer.
 
     A transfer's head needs router_delay per router; its body holds
     link i for weight x unit_link_cycles from i router delays after

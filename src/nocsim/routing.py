@@ -24,18 +24,19 @@ Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
 PortNode order, and the graph is a tuple of sorted successor-id tuples.
 The reachability index, the route search and the region tables run on
 the ids; PortNode objects appear only in the views tests and the CLI
-read (nodes, adj, port, find_paths) and in Route.ports.  Each question
-about a graph has one structure: one Tarjan pass answers reachability
-and deadlock freedom (reach_by_id, is_deadlock_free), and the graph's
-RouteProvider keeps every route it computed in its rows, which the
-scheduler reads directly.  Every edge is gated by at most one health
-element, so a permanent fault only deletes edges: RoutingGraph.without
-derives the graph of the faulted state from the one before instead of
-building it again.
+read (nodes, adj, port, find_paths).  Each question about a graph has
+one structure: one Tarjan pass answers reachability and deadlock
+freedom (reach_by_id, is_deadlock_free), and the graph's RouteProvider
+keeps every route it computed in its rows, which the scheduler reads
+directly.  A row entry is the Route itself: its links, its hop count
+and its path as port ids from local-in to local-out (rg.nodes[i]
+decodes one).  Every edge is gated by at most one health element, so a
+permanent fault only deletes edges: RoutingGraph.without derives the
+graph of the faulted state from the one before instead of building it
+again.
 """
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RangeError, UnknownTarget, UnknownTile
@@ -145,9 +146,6 @@ class PortNode(NamedTuple):
 _SLOTS_2D = {d: 2 * i for i, d in enumerate(DIRS_2D + ("L",))}
 _SLOTS_3D = {d: 2 * i for i, d in enumerate(DIRS_3D + ("L",))}
 _KINDS = ("in", "out")
-# _new(PortNode, fields) is PortNode(*fields) without the Python-level
-# __new__ call; Route.ports are built with it.
-_new = tuple.__new__
 
 
 class RoutingGraph:
@@ -433,9 +431,9 @@ class RouteProvider:
     that has none never draws.
 
     Routes are kept in rows: rows[src][dst] is None until the pair is
-    first routed, then () when it has no route, else (links, hops,
-    Route).  A source's row is made on its first use, so a large mesh
-    allocates only the rows its callers touch.  The scheduler reads the
+    first routed, then () when it has no route, else its Route.  A
+    source's row is made on its first use, so a large mesh allocates
+    only the rows its callers touch.  The scheduler reads the
     rows directly and calls route() only for an entry that is still
     None, so each pair is computed once per provider.  Holds the graph's
     platform and adjacency, not the graph: graphs memoise their
@@ -448,8 +446,8 @@ class RouteProvider:
         self.seed = seed
         self._P = rg.ports_per_tile
         self._local = rg.slots["L"]
-        # (direction, kind) of each port of a tile, by id % P
-        self._names = tuple((d, k) for d in rg.slots for k in _KINDS)
+        # direction of each port of a tile, by id % P
+        self._dirs = tuple(d for d in rg.slots for _ in _KINDS)
         self._rev = [[] for _ in rg.succ]
         for node, succs in enumerate(rg.succ):
             for nxt in succs:
@@ -480,8 +478,8 @@ class RouteProvider:
         return dist
 
     def route(self, src, dst):
-        """Route(ports, links, hops) or None when unroutable, from the
-        pair's row entry; the entry is computed on the first request."""
+        """The pair's Route, or None when unroutable, from its row
+        entry; the entry is computed on the first request."""
         self.ag.check_tile(src)
         self.ag.check_tile(dst)
         row = self.rows[src]
@@ -490,10 +488,10 @@ class RouteProvider:
         entry = row[dst]
         if entry is None:
             entry = row[dst] = self._walk(src, dst)
-        return entry[2] if entry else None
+        return entry or None
 
     def _walk(self, src, dst):
-        """The pair's row entry: () or (links, hops, Route)."""
+        """The pair's row entry: () or its Route."""
         dist = self._dist_to(dst)
         P = self._P
         node = src * P + self._local
@@ -501,7 +499,7 @@ class RouteProvider:
         if left < 0:
             return ()
         succ = self.succ
-        names = self._names
+        dirs = self._dirs
         rng = None
         path = [node]
         links = []
@@ -515,16 +513,13 @@ class RouteProvider:
                     rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
                 nxt = rng.choice(step)
             if nxt // P != node // P:
-                links.append(self.ag.link(node // P, names[node % P][0]).id)
+                links.append(self.ag.link(node // P, dirs[node % P]).id)
             path.append(nxt)
             node = nxt
-        ports = tuple([_new(PortNode, (i // P,) + names[i % P]) for i in path])
-        route = Route(ports, tuple(links), len(links) + 1)
-        return (route.links, route.hops, route)
+        return Route(tuple(links), len(links) + 1, tuple(path))
 
 
-@dataclass(frozen=True)
-class Route:
-    ports: tuple
-    links: tuple
+class Route(NamedTuple):
+    links: tuple                            # link ids, source to destination
     hops: int                               # routers on the route
+    path: tuple                             # port ids, local-in to local-out

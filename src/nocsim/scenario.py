@@ -4,11 +4,17 @@ A scenario bundles the application, the platform, the algorithm knobs,
 and the scripted fault/aging timeline.  Parsing is strict: malformed
 JSON raises ParseError with the line/column, a well-formed document
 with a bad field raises SemanticError naming the offending path.
+
+An omitted field takes the default of the dataclass field it sets
+(ScenarioScript, Task, SaParams, ClassifierConfig, CommModel, CostModel),
+and a section that configures such a dataclass accepts its field names.
 """
 
 import json
+import math
+from dataclasses import fields
 
-from .errors import ParseError, SemanticError
+from .errors import ParseError, RangeError, SemanticError
 from .graphs import (
     Task,
     build_mesh,
@@ -78,41 +84,52 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
 
     heur_cfg = data.get("heuristic", {})
     _known(heur_cfg, "heuristic", ("name", "cost", "initial", "iterations", "sa"))
-    heur_name = heuristic if heuristic is not None else heur_cfg.get("name", "greedy")
+    heur_name = (heuristic if heuristic is not None
+                 else heur_cfg.get("name", ScenarioScript.heuristic))
     if heur_name not in HEURISTICS:
         raise SemanticError(
             f"heuristic.name: {heur_name!r} not one of {HEURISTICS}")
-    cost_name = cost if cost is not None else heur_cfg.get("cost", SCHEDULE_LENGTH)
-    cost_kind = COST_ALIASES.get(cost_name, cost_name)
+    cost_name = cost if cost is not None else heur_cfg.get("cost", ScenarioScript.cost)
+    cost_kind = (COST_ALIASES.get(cost_name, cost_name)
+                 if isinstance(cost_name, str) else cost_name)
     if cost_kind not in COST_KINDS:
         raise SemanticError(
             f"heuristic.cost: {cost_name!r} not one of "
             f"{COST_KINDS + tuple(COST_ALIASES)}")
-    initial_policy = heur_cfg.get("initial", "first_fit")
+    initial_policy = heur_cfg.get("initial", ScenarioScript.initial_policy)
     if initial_policy not in ("first_fit", "random"):
         raise SemanticError(
             f"heuristic.initial: {initial_policy!r} not one of "
             "('first_fit', 'random')")
-    iterations = _int(heur_cfg.get("iterations", 10), "heuristic.iterations", lo=1)
+    iterations = _int(heur_cfg.get("iterations", ScenarioScript.iterations),
+                      "heuristic.iterations", lo=1)
     sa_params = _parse_sa(heur_cfg.get("sa", {}))
 
-    classifier = _parse_classifier(data.get("classifier", {}))
-    comm, cost_model = _parse_cost_model(data.get("cost_model", {}))
+    classifier, = _int_sections(data.get("classifier", {}), "classifier",
+                                ClassifierConfig)
+    try:
+        classifier.validate()
+    except RangeError as exc:
+        raise SemanticError(f"classifier: {exc}") from None
+    comm, cost_model = _int_sections(data.get("cost_model", {}), "cost_model",
+                                     CommModel, CostModel)
 
     reach_cfg = data.get("reachability", {})
     _known(reach_cfg, "reachability", ("budget",))
-    budget_val = budget if budget is not None else reach_cfg.get("budget", 4)
+    budget_val = (budget if budget is not None
+                  else reach_cfg.get("budget", ScenarioScript.budget))
     budget_val = _int(budget_val, "reachability.budget", lo=1)
 
     pred_cfg = data.get("prediction", {})
     _known(pred_cfg, "prediction", ("k", "mpm_capacity"))
-    prediction_k = _int(pred_cfg.get("k", 2), "prediction.k", lo=0)
-    mpm_capacity = _int(pred_cfg.get("mpm_capacity", 16),
+    prediction_k = _int(pred_cfg.get("k", ScenarioScript.prediction_k),
+                        "prediction.k", lo=0)
+    mpm_capacity = _int(pred_cfg.get("mpm_capacity", ScenarioScript.mpm_capacity),
                         "prediction.mpm_capacity", lo=1)
 
     policies = data.get("policies", {})
     _known(policies, "policies", ("severed_flows",))
-    severed = policies.get("severed_flows", DROP)
+    severed = policies.get("severed_flows", ScenarioScript.severed_policy)
     if severed not in (DROP, REQUEUE):
         raise SemanticError(
             f"policies.severed_flows: {severed!r} not one of "
@@ -165,7 +182,7 @@ def _parse_platform(cfg):
 
     name = cfg.get("turn_model", "xyz" if is_3d else "xy")
     if name == "custom":
-        raw = _req(cfg, "custom_turns", "platform")
+        raw = _list(_req(cfg, "custom_turns", "platform"), "platform.custom_turns")
         pairs = []
         valid = {d for pair in turn_slots(is_3d) for d in pair}
         for i, item in enumerate(raw):
@@ -189,7 +206,7 @@ def _parse_platform(cfg):
     if "regions" in cfg:
         rcfg = cfg["regions"]
         _known(rcfg, "platform.regions", ("labels", "turn_models"))
-        raw_labels = rcfg.get("labels", {})
+        raw_labels = _obj(rcfg.get("labels", {}), "platform.regions.labels")
         labels = {}
         for key, label in raw_labels.items():
             try:
@@ -206,7 +223,9 @@ def _parse_platform(cfg):
                     f"platform.regions.labels.{key}: label must be a string")
             labels[tile] = label
         models = {}
-        for label, mname in rcfg.get("turn_models", {}).items():
+        raw_models = _obj(rcfg.get("turn_models", {}),
+                          "platform.regions.turn_models")
+        for label, mname in raw_models.items():
             try:
                 models[label] = turn_model_by_name(mname, is_3d=is_3d)
             except Exception as exc:
@@ -229,7 +248,7 @@ def _parse_application(cfg, master_seed):
     if kind == "random":
         n = _int(_req(cfg, "tasks", "application"), "application.tasks", lo=1)
         density = cfg.get("density", 0.3)
-        if not isinstance(density, (int, float)) or not 0 <= density <= 1:
+        if not _real(density) or not 0 <= density <= 1:
             raise SemanticError("application.density: expected a number in [0, 1]")
         wcet_range = _range_pair(cfg.get("wcet_range", [1, 20]),
                                  "application.wcet_range")
@@ -246,24 +265,24 @@ def _parse_application(cfg, master_seed):
         tasks = []
         for i, item in enumerate(raw_tasks):
             path = f"application.tasks[{i}]"
-            _known(item, path, ("id", "wcet", "release", "criticality", "slack"))
-            crit = item.get("criticality", NON_CRITICAL)
+            _known(item, path, [f.name for f in fields(Task)])
+            crit = item.get("criticality", Task.criticality)
             if crit not in (CRITICAL, NON_CRITICAL):
                 raise SemanticError(
                     f"{path}.criticality: {crit!r} not one of "
                     f"({CRITICAL!r}, {NON_CRITICAL!r})")
-            slack = item.get("slack")
+            slack = item.get("slack", Task.slack)
             if slack is not None:
                 slack = _int(slack, f"{path}.slack", lo=0)
             tasks.append(Task(
                 id=_int(_req(item, "id", path), f"{path}.id", lo=0),
                 wcet=_int(_req(item, "wcet", path), f"{path}.wcet", lo=1),
-                release=_int(item.get("release", 0), f"{path}.release", lo=0),
+                release=_int(item.get("release", Task.release), f"{path}.release", lo=0),
                 criticality=crit,
                 slack=slack,
             ))
         edges = {}
-        for i, item in enumerate(cfg.get("edges", [])):
+        for i, item in enumerate(_list(cfg.get("edges", []), "application.edges")):
             path = f"application.edges[{i}]"
             if not isinstance(item, list) or len(item) != 3:
                 raise SemanticError(f"{path}: expected [src, dst, weight]")
@@ -295,72 +314,42 @@ def _parse_application(cfg, master_seed):
 
 
 def _parse_sa(cfg):
-    _known(cfg, "heuristic.sa", ("t0", "alpha", "moves_per_temp", "tmin_ratio"))
-    t0 = cfg.get("t0")
-    if t0 is not None and (not isinstance(t0, (int, float)) or t0 <= 0):
+    _known(cfg, "heuristic.sa", [f.name for f in fields(SaParams)])
+    t0 = cfg.get("t0", SaParams.t0)
+    if t0 is not None and (not _real(t0) or t0 <= 0):
         raise SemanticError("heuristic.sa.t0: expected a positive number")
-    alpha = cfg.get("alpha", 0.97)
-    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+    alpha = cfg.get("alpha", SaParams.alpha)
+    if not _real(alpha) or not 0 < alpha < 1:
         raise SemanticError("heuristic.sa.alpha: expected a number in (0, 1)")
-    moves = _int(cfg.get("moves_per_temp", 100), "heuristic.sa.moves_per_temp",
-                 lo=1)
-    tmin_ratio = cfg.get("tmin_ratio", 1e-3)
-    if not isinstance(tmin_ratio, (int, float)) or not 0 < tmin_ratio < 1:
+    moves = _int(cfg.get("moves_per_temp", SaParams.moves_per_temp),
+                 "heuristic.sa.moves_per_temp", lo=1)
+    tmin_ratio = cfg.get("tmin_ratio", SaParams.tmin_ratio)
+    if not _real(tmin_ratio) or not 0 < tmin_ratio < 1:
         raise SemanticError("heuristic.sa.tmin_ratio: expected a number in (0, 1)")
     return SaParams(t0=t0, alpha=alpha, moves_per_temp=moves,
                     tmin_ratio=tmin_ratio)
 
 
-def _parse_classifier(cfg):
-    _known(cfg, "classifier",
-           ("window", "intermittent_threshold", "permanent_threshold"))
-    config = ClassifierConfig(
-        window=_int(cfg.get("window", 10000), "classifier.window", lo=1),
-        intermittent_threshold=_int(cfg.get("intermittent_threshold", 3),
-                                    "classifier.intermittent_threshold", lo=2),
-        permanent_threshold=_int(cfg.get("permanent_threshold", 8),
-                                 "classifier.permanent_threshold", lo=2),
-    )
-    try:
-        config.validate()
-    except Exception as exc:
-        raise SemanticError(f"classifier: {exc}") from None
-    return config
+# Lower bound of each int field the int sections set; 0 when not listed.
+_INT_LO = dict(window=1, intermittent_threshold=2, permanent_threshold=2,
+               unit_link_cycles=1, cycles_per_eval=1, cycles_per_task=1)
 
 
-def _parse_cost_model(cfg):
-    _known(cfg, "cost_model", (
-        "unit_link_cycles", "router_delay", "cycles_per_eval",
-        "cycles_per_task", "t_fetch", "t_par_ext", "par_map_per_move",
-        "detection_latency",
-    ))
-    comm = CommModel(
-        unit_link_cycles=_int(cfg.get("unit_link_cycles", 1),
-                              "cost_model.unit_link_cycles", lo=1),
-        router_delay=_int(cfg.get("router_delay", 1),
-                          "cost_model.router_delay", lo=0),
-    )
-    cm = CostModel(
-        cycles_per_eval=_int(cfg.get("cycles_per_eval", 10),
-                             "cost_model.cycles_per_eval", lo=1),
-        cycles_per_task=_int(cfg.get("cycles_per_task", 1),
-                             "cost_model.cycles_per_task", lo=1),
-        t_fetch=_int(cfg.get("t_fetch", 2), "cost_model.t_fetch", lo=0),
-        t_par_ext=_int(cfg.get("t_par_ext", 5), "cost_model.t_par_ext", lo=0),
-        par_map_per_move=_int(cfg.get("par_map_per_move", 2),
-                              "cost_model.par_map_per_move", lo=0),
-        detection_latency=_int(cfg.get("detection_latency", 1),
-                               "cost_model.detection_latency", lo=0),
-    )
-    return comm, cm
+def _int_sections(cfg, path, *classes):
+    """One instance per dataclass in `classes`, all of whose fields are
+    ints, read from the one section `cfg`; an omitted field takes its
+    dataclass default."""
+    _known(cfg, path, [f.name for cls in classes for f in fields(cls)])
+    return [cls(**{f.name: _int(cfg.get(f.name, f.default), f"{path}.{f.name}",
+                                lo=_INT_LO.get(f.name, 0))
+                   for f in fields(cls)})
+            for cls in classes]
 
 
 def _parse_injections(raw, ag):
-    if not isinstance(raw, list):
-        raise SemanticError("injections: expected a list")
     out = []
     last_time = 0
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(raw, "injections")):
         path = f"injections[{i}]"
         _known(item, path, ("time", "target", "persistence"))
         time = _int(_req(item, "time", path), f"{path}.time", lo=0)
@@ -441,10 +430,8 @@ def _parse_persistence(cfg, path):
 
 
 def _parse_aging(raw, ag):
-    if not isinstance(raw, list):
-        raise SemanticError("aging: expected a list")
     out = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(raw, "aging")):
         path = f"aging[{i}]"
         _known(item, path, ("time", "tile", "percent"))
         tile = _int(_req(item, "tile", path), f"{path}.tile", lo=0)
@@ -479,10 +466,20 @@ def _req(obj, key, path=None):
     return obj[key]
 
 
-def _known(obj, path, allowed):
-    if not isinstance(obj, dict):
+def _list(value, path):
+    if not isinstance(value, list):
+        raise SemanticError(f"{path}: expected a list")
+    return value
+
+
+def _obj(value, path):
+    if not isinstance(value, dict):
         raise SemanticError(f"{path}: expected an object")
-    for key in obj:
+    return value
+
+
+def _known(obj, path, allowed):
+    for key in _obj(obj, path):
         if key not in allowed:
             raise SemanticError(f"{path}.{key}: unknown field")
 
@@ -495,6 +492,15 @@ def _int(value, path, lo=None, hi=None):
     if hi is not None and value > hi:
         raise SemanticError(f"{path}: must be <= {hi}, got {value}")
     return value
+
+
+def _real(value):
+    """Is `value` a number that fits a finite float?  JSON's true and
+    false are not numbers, and json.loads lets NaN and Infinity through."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):      # not a number; an int too big
+        return False
 
 
 def _range_pair(value, path):

@@ -16,18 +16,25 @@ Reconfiguration latency is accounted in virtual cycles:
   miss: t_rl = t_map_alg + t_par_ext + t_par_map
   hit:  t_rl = t_fetch + t_schd + t_par_ext + t_par_map
 with t_map_alg = candidate evaluations x cycles_per_eval and
-t_schd = task count x cycles_per_task.
+t_schd = task count x cycles_per_task; a report holds 0 for the terms
+its case lacks.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
+from .graphs import OPPOSITE
 from .health import config_tag, shm_tag
 from .mapsched import CommModel, SaParams, asap_schedule, run_heuristic
 from .rng import derive_seed
-from .routing import build_routing_graph, turn_slots
+from .routing import (
+    TURN_INDEX_2D,
+    TURN_INDEX_3D,
+    build_routing_graph,
+    turn_slots,
+)
 
 TRANSIENT = "transient"
 INTERMITTENT = "intermittent"
@@ -118,34 +125,29 @@ def degrade_targets(location, ag):
     raise UnknownTarget(f"not a fault location: {location!r}")
 
 
+def flow_elements(flow, ag):
+    """The health-map elements `flow` (a FlowPlan) needs: the PEs at its
+    ends, the links of its route and the turns it takes.  A link l1
+    enters router l1.dst on port opposite(l1.direction) and the next
+    link l2 leaves through port l2.direction; two ports at a right angle
+    are a turn of that router, two opposite ones a straight pass."""
+    index = TURN_INDEX_3D if ag.is_3d else TURN_INDEX_2D
+    steps = [ag.links[l] for l in flow.links]
+    turns = [(l1.dst, index.get((OPPOSITE[l1.direction], l2.direction)))
+             for l1, l2 in zip(steps, steps[1:])]
+    return ({("pe", flow.src_tile), ("pe", flow.dst_tile)}
+            | {("link", l) for l in flow.links}
+            | {("turn", t, slot) for t, slot in turns if slot is not None})
+
+
 def location_used(location, cmm, ag):
     """Does the current deployment run anything over this location?"""
     if cmm.mapping is None:
         return False
-    for fault in degrade_targets(location, ag):
-        kind = fault[0]
-        if kind == "pe":
-            if fault[1] in cmm.mapping:
-                return True
-        elif kind == "link":
-            if any(fault[1] in f.links for f in cmm.schedule.flows):
-                return True
-        else:
-            tile, slot = fault[1], fault[2]
-            a, b = turn_slots(ag.is_3d)[slot]
-            for f in cmm.schedule.flows:
-                ports = f.ports
-                for i in range(len(ports) - 1):
-                    if (
-                        ports[i].tile == tile
-                        and ports[i].direction == a
-                        and ports[i].kind == "in"
-                        and ports[i + 1].tile == tile
-                        and ports[i + 1].direction == b
-                        and ports[i + 1].kind == "out"
-                    ):
-                        return True
-    return False
+    faults = degrade_targets(location, ag)
+    return (any(f[0] == "pe" and f[1] in cmm.mapping for f in faults)
+            or any(not flow_elements(f, ag).isdisjoint(faults)
+                   for f in cmm.schedule.flows))
 
 
 def severity(location, fault_class, cmm, ag):
@@ -291,21 +293,9 @@ class Msu:
 
     @classmethod
     def from_script(cls, script):
-        """The context a scenario script configures."""
-        return cls(
-            tg=script.tg,
-            turn_model=script.turn_model,
-            ctg=script.ctg,
-            regions=script.regions,
-            heuristic=script.heuristic,
-            cost=script.cost,
-            comm=script.comm,
-            cost_model=script.cost_model,
-            iterations=script.iterations,
-            sa_params=script.sa_params,
-            initial_policy=script.initial_policy,
-            seed=script.seed,
-        )
+        """The context a scenario script configures: each field is the
+        script's field of the same name."""
+        return cls(**{f.name: getattr(script, f.name) for f in fields(cls)})
 
     def build_rg(self, shm):
         return build_routing_graph(shm.ag, self.turn_model, shm, self.regions)
@@ -405,11 +395,6 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
     moves = extract_partial_mapping(old, mapping)
     t_par_ext = cm.t_par_ext
     t_par_map = cm.par_map_per_move * len(moves)
-    if entry is not None:
-        t_rl = t_fetch + t_schd + t_par_ext + t_par_map
-    else:
-        t_rl = t_map_alg + t_par_ext + t_par_map
-
     report = LatencyReport(
         hit=entry is not None,
         t_map_alg=t_map_alg,
@@ -417,7 +402,7 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
         t_schd=t_schd,
         t_par_ext=t_par_ext,
         t_par_map=t_par_map,
-        t_rl=t_rl,
+        t_rl=t_map_alg + t_fetch + t_schd + t_par_ext + t_par_map,
     )
     cmm.mapping = list(mapping)
     cmm.schedule = schedule

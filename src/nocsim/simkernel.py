@@ -43,6 +43,7 @@ from .shmu import (
     FaultEvent,
     classify,
     degrade_targets,
+    flow_elements,
     map_and_deploy,
     map_and_store,
     Msu,
@@ -191,7 +192,6 @@ class Kernel:
         self.msu = Msu.from_script(script)
         self.mpm = MpmMemory(script.mpm_capacity)
         self.cmm = CurrentMappingMemory()
-        self.classifier = script.classifier
         self.rg = None
         self.tables = None
         self.histories = {}
@@ -275,7 +275,7 @@ class Kernel:
                        start, finish)
         self._flows = []
         for fp in plan.flows:
-            if fp.dst_task in self._cancelled or fp.dst_task in finished:
+            if fp.dst_task in self._cancelled:
                 continue
             state = _FlowState(fp)
             self._flows.append(state)
@@ -287,7 +287,7 @@ class Kernel:
     def _on_fault(self, now, event):
         history = self.histories.setdefault(event.location, [])
         history.append(event)
-        fclass = classify(history, self.classifier)
+        fclass = classify(history, self.script.classifier)
         sev, action = self._respond(now, event.location, fclass)
         self.decisions.append(f"{now} event {_loc(event.location)} "
                               f"class={fclass} severity={sev} action={action}")
@@ -308,7 +308,7 @@ class Kernel:
         if fclass == INTERMITTENT:
             stored = 0
             for loc in predict_mpfs(self.histories, self.script.prediction_k,
-                                    self.classifier):
+                                    self.script.classifier):
                 entry = map_and_store(self.shm, loc, self.msu, self.mpm,
                                       rg=self.rg)
                 if entry is not None:
@@ -373,22 +373,17 @@ class Kernel:
         return finished
 
     def _sever_in_flight(self, now, faults):
-        """Transfers crossing a newly broken element while in flight are
+        """Transfers crossing a newly broken element (a link or turn on
+        their route, or the PE at either end) while in flight are
         dropped (counted) or requeued, per policy."""
-        broken_links = {f[1] for f in faults if f[0] == "link"}
-        broken_pes = {f[1] for f in faults if f[0] == "pe"}
         outcome = ("requeued" if self.script.severed_policy == REQUEUE
                    else "severed")
         for state in self._flows:
-            if not state.injected or state.outcome is not None:
-                continue
             fp = state.plan
-            if (broken_links.isdisjoint(fp.links)
-                    and fp.dst_tile not in broken_pes
-                    and fp.src_tile not in broken_pes):
-                continue
-            self._settle(state, outcome, now)
-            self._log(now, f"flow_severed {fp.src_task}->{fp.dst_task}")
+            if (state.injected and state.outcome is None
+                    and not flow_elements(fp, self.ag).isdisjoint(faults)):
+                self._settle(state, outcome, now)
+                self._log(now, f"flow_severed {fp.src_task}->{fp.dst_task}")
 
     def _cancel(self, now, tasks):
         """Abandon `tasks` and every successor that has not completed;

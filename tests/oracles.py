@@ -363,8 +363,8 @@ def _place_flow(a, b, tile_a, tile_b, weight, route, injection, comm, link_busy)
             link_busy.setdefault(link, []).append((s, s + hold))
             intervals.append((link, s, s + hold))
     delivery = t + route.hops * r + hold
-    return FlowPlan(a, b, tile_a, tile_b, weight, route.links, route.ports,
-                    t, delivery, tuple(intervals))
+    return FlowPlan(a, b, tile_a, tile_b, route.links, t, delivery,
+                    tuple(intervals))
 
 
 def evaluate_candidate(tg, mapping, shm, rg, comm, routes, cost):

@@ -55,6 +55,14 @@ def test_validate_semantic_error_exits_1(scenario, capsys):
     assert "error: platform.mesh" in capsys.readouterr().err
 
 
+def test_validate_nan_exits_1(scenario, capsys):
+    # json.loads reads NaN; it is no annealing start temperature.
+    doc = dict(BASIC, heuristic={"name": "sa", "sa": {"t0": float("nan")}})
+    assert main(["validate", "--scenario", scenario(doc)]) == 1
+    assert "error: heuristic.sa.t0: expected a positive number" in \
+        capsys.readouterr().err
+
+
 def test_infeasible_exits_2(scenario, capsys):
     doc = dict(BASIC, platform={"mesh": [2, 2]},
                aging=[{"time": 0, "tile": t, "percent": 100}

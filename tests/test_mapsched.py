@@ -41,7 +41,8 @@ def test_route_provider_shortest_paths(mesh44):
         assert route.hops == abs(sx - dx) + abs(sy - dy) + 1
         assert len(route.links) == route.hops - 1
         # Every step exists in the routing graph.
-        for a, b in zip(route.ports, route.ports[1:]):
+        ports = [rg.nodes[i] for i in route.path]
+        for a, b in zip(ports, ports[1:]):
             assert b in rg.adj[a]
 
 
@@ -546,7 +547,7 @@ def test_route_rows_ask_each_pair_once(mesh44, monkeypatch):
         if want is None:
             assert rows[src][dst] == ()
         else:
-            assert rows[src][dst] == (want.links, want.hops, want)
+            assert rows[src][dst] == want
     assert any(fresh.route(*pair) is None for pair in asked)
 
 

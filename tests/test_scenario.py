@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,83 @@ def test_classifier_threshold_order():
     with pytest.raises(SemanticError, match="classifier"):
         ns.parse_scenario(doc(classifier={"intermittent_threshold": 9,
                                           "permanent_threshold": 3}))
+
+
+COST_MODEL = {"unit_link_cycles": 3, "router_delay": 0, "cycles_per_eval": 7,
+              "cycles_per_task": 2, "t_fetch": 0, "t_par_ext": 9,
+              "par_map_per_move": 4, "detection_latency": 0}
+SA = {"t0": 12.5, "alpha": 0.5, "moves_per_temp": 3, "tmin_ratio": 0.25}
+
+
+def test_cost_model_and_sa_sections_given():
+    s = ns.parse_scenario(doc(cost_model=COST_MODEL,
+                              heuristic={"name": "sa", "sa": SA}))
+    assert s.comm == ns.CommModel(unit_link_cycles=3, router_delay=0)
+    assert s.cost_model == ns.CostModel(
+        cycles_per_eval=7, cycles_per_task=2, t_fetch=0, t_par_ext=9,
+        par_map_per_move=4, detection_latency=0)
+    assert s.sa_params == ns.SaParams(**SA)
+
+
+def test_omitted_cost_model_and_sa_fields_take_dataclass_defaults():
+    s = ns.parse_scenario(doc(cost_model={"router_delay": 6, "t_par_ext": 6},
+                              heuristic={"sa": {"moves_per_temp": 3}}))
+    assert s.comm == ns.CommModel(router_delay=6)
+    assert s.cost_model == ns.CostModel(t_par_ext=6)
+    assert s.sa_params == ns.SaParams(moves_per_temp=3)
+    bare = ns.parse_scenario(doc())
+    assert (bare.comm, bare.cost_model, bare.sa_params) == (
+        ns.CommModel(), ns.CostModel(), ns.SaParams())
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("unit_link_cycles", 0, "cost_model.unit_link_cycles: must be >= 1, got 0"),
+    ("router_delay", -1, "cost_model.router_delay: must be >= 0, got -1"),
+    ("cycles_per_eval", 0, "cost_model.cycles_per_eval: must be >= 1, got 0"),
+    ("cycles_per_task", 0, "cost_model.cycles_per_task: must be >= 1, got 0"),
+    ("t_fetch", -1, "cost_model.t_fetch: must be >= 0, got -1"),
+    ("detection_latency", 1.5,
+     "cost_model.detection_latency: expected an integer, got 1.5"),
+    ("latency", 1, "cost_model.latency: unknown field"),
+])
+def test_cost_model_field_errors(field, value, message):
+    with pytest.raises(SemanticError) as exc:
+        ns.parse_scenario(doc(cost_model={field: value}))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t0", 0, "heuristic.sa.t0: expected a positive number"),
+    ("alpha", 1, "heuristic.sa.alpha: expected a number in (0, 1)"),
+    ("moves_per_temp", 0, "heuristic.sa.moves_per_temp: must be >= 1, got 0"),
+    ("tmin_ratio", 0.0, "heuristic.sa.tmin_ratio: expected a number in (0, 1)"),
+    ("cooling", 0.9, "heuristic.sa.cooling: unknown field"),
+])
+def test_sa_field_errors(field, value, message):
+    with pytest.raises(SemanticError) as exc:
+        ns.parse_scenario(doc(heuristic={"sa": {field: value}}))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("section, path", [
+    ({"platform": {"mesh": [3, 3], "regions": {"labels": [[0, "a"]]}}},
+     "platform.regions.labels"),
+    ({"platform": {"mesh": [3, 3], "regions": {"turn_models": ["xy"]}}},
+     "platform.regions.turn_models"),
+    ({"platform": {"mesh": [3, 3], "turn_model": "custom",
+                   "custom_turns": 5}}, "platform.custom_turns"),
+    ({"application": dict(EXPLICIT["application"], edges=5)},
+     "application.edges"),
+    ({"application": {"tasks": 5, "density": True}}, "application.density"),
+    ({"heuristic": {"cost": ["makespan"]}}, "heuristic.cost"),
+    ({"heuristic": {"sa": {"t0": float("nan")}}}, "heuristic.sa.t0"),
+    ({"heuristic": {"sa": {"t0": float("inf")}}}, "heuristic.sa.t0"),
+    ({"heuristic": {"sa": {"t0": True}}}, "heuristic.sa.t0"),
+    ({"heuristic": {"sa": {"t0": 10 ** 400}}}, "heuristic.sa.t0"),
+])
+def test_malformed_value_is_a_semantic_error_naming_its_path(section, path):
+    with pytest.raises(SemanticError, match=re.escape(path) + ": "):
+        ns.parse_scenario(doc(**section))
 
 
 # -- injection targets -------------------------------------------------------

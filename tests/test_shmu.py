@@ -1,8 +1,11 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
+from nocsim.shmu import flow_elements
 
 from conftest import chain_tg
 
@@ -141,6 +144,63 @@ def test_severity_permanent_on_used_turn(mesh22):
     cmm2 = ns.CurrentMappingMemory(mapping=[0, 3], schedule=sched)
     assert ns.severity(("turn", 1, ns.turn_index(("W", "N"), False)),
                        ns.PERMANENT, cmm2, mesh22) == ns.REMAP
+
+
+@pytest.mark.parametrize("tile", range(4))
+def test_severity_permanent_turn_remaps_only_where_a_flow_turns(mesh22, tile):
+    # On 2x2 XY the one flow 0 -> 3 goes east to tile 1 and turns north
+    # there, arriving on W and leaving on N: turn slot 6 of tile 1.
+    shm = ns.SystemHealthMap(mesh22)
+    rg = ns.build_routing_graph(mesh22, ns.XY, shm)
+    sched = ns.asap_schedule(chain_tg([5, 5], [2]), [0, 3], shm, rg)
+    cmm = ns.CurrentMappingMemory(mapping=[0, 3], schedule=sched)
+    for slot in range(8):
+        want = ns.REMAP if (tile, slot) == (1, 6) else ns.IGNORE
+        assert ns.severity(("turn", tile, slot), ns.PERMANENT, cmm,
+                           mesh22) == want
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6))
+def test_flow_turns_read_off_links_match_the_port_path(seed):
+    # The turns taken per the route's links equal the turns on its port
+    # path: an (a-in, b-out) step inside one router with (a, b) a slot.
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        ag = ns.build_mesh(rng.randint(2, 3), rng.randint(2, 3),
+                           rng.randint(2, 3))
+        model = ns.XYZ
+    else:
+        ag = ns.build_mesh(rng.randint(2, 5), rng.randint(2, 5))
+        model = rng.choice([ns.XY, ns.WEST_FIRST, ns.NORTH_LAST,
+                            ns.NEGATIVE_FIRST])
+    slots = ns.turn_slots(ag.is_3d)
+    shm = ns.SystemHealthMap(ag)
+    for link in rng.sample(range(len(ag.links)), len(ag.links) // 5):
+        shm.apply_fault(("link", link))
+    rg = ns.build_routing_graph(ag, model, shm)
+    routes = rg.route_provider(seed)
+    tg = chain_tg([1, 1])
+    for _ in range(4):
+        src, dst = rng.sample(range(len(ag)), 2)
+        route = routes.route(src, dst)
+        if route is None:
+            continue
+        ports = [rg.nodes[i] for i in route.path]
+        taken = {(a.tile, slots.index((a.direction, b.direction)))
+                 for a, b in zip(ports, ports[1:])
+                 if a.kind == "in" and b.kind == "out"
+                 and (a.direction, b.direction) in slots}
+        sched = ns.asap_schedule(tg, [src, dst], shm, rg, routes=routes)
+        flow, = sched.flows
+        assert flow.links == route.links
+        elements = flow_elements(flow, ag)
+        assert {(e[1], e[2]) for e in elements if e[0] == "turn"} == taken
+        cmm = ns.CurrentMappingMemory(mapping=[src, dst], schedule=sched)
+        for tile in range(len(ag)):
+            for slot in range(len(slots)):
+                assert ns.location_used(("turn", tile, slot), cmm, ag) == (
+                    (tile, slot) in taken)
 
 
 def test_severity_checker_units_follow_degradation(mesh22):

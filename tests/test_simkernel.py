@@ -274,6 +274,28 @@ def test_severed_flow_holds_its_link_until_the_cut(mesh22, policy):
     assert res.metrics.link_busy == {1: 1}
 
 
+@pytest.mark.parametrize("policy", [ns.DROP, ns.REQUEUE])
+def test_turn_fault_severs_the_flow_taking_it(mesh33, policy):
+    # Only tiles 0 and 4 are usable: tasks 0 and 2 run on tile 0, task 1
+    # on tile 4.  Flow 1->2 leaves tile 4 at t=50 over links 12 (west)
+    # and 9 (south), turning (E, S) at tile 3, which breaks at t=60.
+    tasks = [ns.Task(0, 50), ns.Task(1, 50), ns.Task(2, 1)]
+    tg = ns.build_task_graph(tasks, {(0, 2): 30, (1, 2): 30})
+    aging = tuple(ns.AgingUpdate(time=0, tile=t, percent=100)
+                  for t in range(9) if t not in (0, 4))
+    slot = ns.turn_index(("E", "S"), False)
+    inj = ns.Injection(time=60, location=("turn", 3, slot),
+                       persistence="permanent")
+    res = ns.run(script(tg, mesh33, aging=aging, injections=(inj,),
+                        severed_policy=policy))
+    assert "50 flow_inject 1->2 links=12,9" in res.trace
+    assert "61 flow_severed 1->2" in res.trace
+    m = res.metrics
+    assert (m.flows_dropped, m.flows_requeued) == (
+        (1, 0) if policy == ns.DROP else (0, 1))
+    assert m.remaps == 1
+
+
 def test_halted_flow_holds_its_link_until_the_halt(mesh33):
     # Flow 0->1 is injected at t=5 and would enter link 1 over [6, 14).
     # Tile 2's fault is reported at t=6 and halts the plan, so the halted
