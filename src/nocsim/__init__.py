@@ -64,8 +64,6 @@ from .routing import (
     turn_slots,
 )
 from .health import (
-    BROKEN,
-    HEALTHY,
     LbdrConfig,
     ShmSnapshot,
     SystemHealthMap,

@@ -65,7 +65,8 @@ def build_parser():
     sweep.add_argument("--seeds", type=int, default=8,
                        help="number of consecutive seeds to run")
     sweep.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = one per cpu)")
+                       help="worker processes (0 = one per cpu); "
+                            "at most one per seed")
     return parser
 
 
@@ -180,11 +181,15 @@ def _sweep_one(task):
 def cmd_sweep(args):
     if args.seeds < 1:
         raise RangeError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.jobs < 0:
+        raise RangeError(f"--jobs must be >= 0, got {args.jobs}")
     base = _load(args)                       # validate once, fail fast
     start = args.seed if args.seed is not None else base.seed
     tasks = [(args.scenario, start + i, args.heuristic, args.cost, args.budget)
              for i in range(args.seeds)]
-    jobs = args.jobs or min(len(tasks), os.cpu_count() or 1)
+    # A pool starts all its workers at the first task: never more than
+    # there are seeds to run.
+    jobs = min(len(tasks), args.jobs or os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))

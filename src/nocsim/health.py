@@ -1,12 +1,17 @@
-"""System health map: one binary health value per processing element,
-per router turn, and per directed link, plus a per-PE aging byte.
+"""System health map: the set of broken health elements, plus a per-PE
+aging byte.
 
+A health element is ("pe", tile), ("turn", tile, slot) or ("link",
+link_id), the one vocabulary that degrade_targets, apply_fault,
+RoutingGraph.without and flow_elements share.  The map holds `broken`,
+the set of elements that have failed; every other element is healthy.
 The map has a single writer (the fault-management unit); the
-mapping/scheduling side reads the SystemHealthMap directly and calls
-only its reader operations.  The canonical text serialization fixes the
-element order (tiles ascending, turn slots in canonical order, links
-ascending, aging bytes) and is the preimage of the 64-bit configuration
-tag.
+mapping/scheduling side reads `broken` and the reader operations and
+never writes.  A snapshot is exactly that state (the mesh dimensions,
+the broken set frozen, the aging bytes), so equal states give equal,
+hashable snapshots.  The canonical text serialization fixes the element
+order (tiles ascending, turn slots in canonical order, links ascending,
+aging bytes) and is the preimage of the 64-bit configuration tag.
 """
 
 import hashlib
@@ -15,18 +20,13 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, RangeError, UnknownTarget
 from .routing import turn_slots
 
-HEALTHY = True
-BROKEN = False
-
 
 @dataclass(frozen=True)
 class ShmSnapshot:
     """Frozen copy of a health map's full state."""
 
     dims: tuple
-    pe: tuple
-    turns: tuple
-    links: tuple
+    broken: frozenset
     aging: tuple
 
 
@@ -35,28 +35,38 @@ class SystemHealthMap:
 
     def __init__(self, ag):
         self.ag = ag
-        n = len(ag)
         self._slots = turn_slots(ag.is_3d)
-        self._pe = [HEALTHY] * n
-        self._turns = [[HEALTHY] * len(self._slots) for _ in range(n)]
-        self._links = [HEALTHY] * len(ag.links)
-        self._aging = [0] * n
+        self.broken = set()                 # broken health elements
+        self._aging = [0] * len(ag)
+
+    def _element(self, fault):
+        """`fault`, checked to be a health element of this platform."""
+        kind = fault[0] if isinstance(fault, tuple) and fault else None
+        if kind == "pe" and len(fault) == 2:
+            self.ag.check_tile(fault[1])
+        elif kind == "turn" and len(fault) == 3:
+            self.ag.check_tile(fault[1])
+            if not 0 <= fault[2] < len(self._slots):
+                raise UnknownTarget(
+                    f"turn slot {fault[2]} outside 0..{len(self._slots) - 1}")
+        elif kind == "link" and len(fault) == 2:
+            n = len(self.ag.links)
+            if not isinstance(fault[1], int) or not 0 <= fault[1] < n:
+                raise UnknownTarget(f"link {fault[1]!r} outside 0..{n - 1}")
+        else:
+            raise UnknownTarget(f"not a health-map element: {fault!r}")
+        return fault
 
     # -- readers -----------------------------------------------------------
 
     def pe_healthy(self, tile):
-        self.ag.check_tile(tile)
-        return self._pe[tile]
+        return self._element(("pe", tile)) not in self.broken
 
     def turn_healthy(self, tile, slot):
-        self.ag.check_tile(tile)
-        if not 0 <= slot < len(self._slots):
-            raise UnknownTarget(f"turn slot {slot} outside 0..{len(self._slots) - 1}")
-        return self._turns[tile][slot]
+        return self._element(("turn", tile, slot)) not in self.broken
 
     def link_healthy(self, link_id):
-        self._check_link(link_id)
-        return self._links[link_id]
+        return self._element(("link", link_id)) not in self.broken
 
     def aging(self, tile):
         self.ag.check_tile(tile)
@@ -64,7 +74,7 @@ class SystemHealthMap:
 
     def pe_usable(self, tile):
         """Usable for mapping work: healthy and not fully aged out."""
-        return self._pe[tile] and self._aging[tile] < 100
+        return ("pe", tile) not in self.broken and self._aging[tile] < 100
 
     def effective_wcet(self, tile, wcet):
         """Worst-case cycles of a task on this tile after the aging
@@ -76,49 +86,27 @@ class SystemHealthMap:
 
     def serialize(self):
         """Canonical text form; identical states serialize identically."""
-        lines = []
-        for t in range(len(self.ag)):
-            lines.append(f"pe {t} {'H' if self._pe[t] else 'B'}")
-        for t in range(len(self.ag)):
-            for s in range(len(self._slots)):
-                lines.append(f"turn {t} {s} {'H' if self._turns[t][s] else 'B'}")
-        for l in range(len(self._links)):
-            lines.append(f"link {l} {'H' if self._links[l] else 'B'}")
-        for t in range(len(self.ag)):
-            lines.append(f"aging {t} {self._aging[t]}")
+        b = self.broken
+        tiles = range(len(self.ag))
+        slots = range(len(self._slots))
+        lines = [f"pe {t} {'B' if ('pe', t) in b else 'H'}" for t in tiles]
+        lines += [f"turn {t} {s} {'B' if ('turn', t, s) in b else 'H'}"
+                  for t in tiles for s in slots]
+        lines += [f"link {l} {'B' if ('link', l) in b else 'H'}"
+                  for l in range(len(self.ag.links))]
+        lines += [f"aging {t} {a}" for t, a in enumerate(self._aging)]
         return "\n".join(lines) + "\n"
 
     def snapshot(self):
-        return ShmSnapshot(
-            dims=self.ag.dims,
-            pe=tuple(self._pe),
-            turns=tuple(tuple(row) for row in self._turns),
-            links=tuple(self._links),
-            aging=tuple(self._aging),
-        )
+        return ShmSnapshot(self.ag.dims, frozenset(self.broken),
+                           tuple(self._aging))
 
     # -- writer operations -------------------------------------------------
 
     def apply_fault(self, fault):
         """Mark one element Broken.  Idempotent.  fault is one of
         ("pe", tile), ("turn", tile, slot), ("link", link_id)."""
-        kind = fault[0] if isinstance(fault, tuple) and fault else None
-        if kind == "pe" and len(fault) == 2:
-            self.ag.check_tile(fault[1])
-            self._pe[fault[1]] = BROKEN
-        elif kind == "turn" and len(fault) == 3:
-            tile, slot = fault[1], fault[2]
-            self.ag.check_tile(tile)
-            if not 0 <= slot < len(self._slots):
-                raise UnknownTarget(
-                    f"turn slot {slot} outside 0..{len(self._slots) - 1}"
-                )
-            self._turns[tile][slot] = BROKEN
-        elif kind == "link" and len(fault) == 2:
-            self._check_link(fault[1])
-            self._links[fault[1]] = BROKEN
-        else:
-            raise UnknownTarget(f"not a health-map element: {fault!r}")
+        self.broken.add(self._element(fault))
 
     def set_aging(self, tile, percent):
         """Record the frequency decrement (0..100) of a tile's PE."""
@@ -129,27 +117,12 @@ class SystemHealthMap:
 
     def restore(self, snap):
         """Reset the state to a snapshot taken from the same platform."""
-        n = len(self.ag)
-        ok = (
-            snap.dims == self.ag.dims
-            and len(snap.pe) == n
-            and len(snap.turns) == n
-            and all(len(row) == len(self._slots) for row in snap.turns)
-            and len(snap.links) == len(self._links)
-            and len(snap.aging) == n
-        )
-        if not ok:
+        if snap.dims != self.ag.dims:
             raise DimensionMismatch(
                 f"snapshot for mesh {snap.dims} does not fit mesh {self.ag.dims}"
             )
-        self._pe = list(snap.pe)
-        self._turns = [list(row) for row in snap.turns]
-        self._links = list(snap.links)
+        self.broken = set(snap.broken)
         self._aging = list(snap.aging)
-
-    def _check_link(self, link_id):
-        if not isinstance(link_id, int) or not 0 <= link_id < len(self._links):
-            raise UnknownTarget(f"link {link_id!r} outside 0..{len(self._links) - 1}")
 
 
 def shm_tag(shm):

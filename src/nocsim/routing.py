@@ -31,9 +31,11 @@ keeps every route it computed in its rows, which the scheduler reads
 directly.  A row entry is the Route itself: its links, its hop count
 and its path as port ids from local-in to local-out (rg.nodes[i]
 decodes one).  Every edge is gated by at most one health element, so a
-permanent fault only deletes edges: RoutingGraph.without derives the
-graph of the faulted state from the one before instead of building it
-again.
+broken element only deletes edges, and RoutingGraph.without is the only
+code that knows which edges each element gates.  A cold build is the
+structural graph (mesh, turn model, regions) minus the health map's
+broken set through without; a permanent fault derives the graph of the
+faulted state from the one before the same way.
 """
 
 import random
@@ -225,15 +227,18 @@ class RoutingGraph:
 
     def without(self, faults):
         """This graph minus the edges that `faults` (health-map elements,
-        as SystemHealthMap.apply_fault takes them) remove.
-
-        If this graph is the cold build of a health state, the result is
-        the cold build of that state with `faults` applied: a PE fault
+        as SystemHealthMap.apply_fault takes them) remove: a PE fault
         removes its tile's local edges, a turn fault its turn edge, a
-        link fault its link edge, and no edge depends on anything else
-        of the health state.  An edge that is already absent (a broken
-        element, a turn the model forbids, a link across regions) stays
-        absent.  Deleting entries keeps every list sorted."""
+        link fault its link edge.
+
+        This is the only code that maps an element to the edges it
+        gates.  build_routing_graph takes its structural graph through
+        it, so on the cold build of a health state the result is the
+        cold build of that state with `faults` applied.  An edge that is
+        already absent (a broken element, a turn the model forbids, a
+        link across regions) stays absent, so deletions commute and the
+        order of `faults` does not matter.  Deleting entries keeps every
+        list sorted."""
         port = self.port_id
         succ = list(self.succ)
 
@@ -322,11 +327,11 @@ def _reach_bits(succ, P):
 
 def build_routing_graph(ag, turn_model, shm, regions=None):
     """Port graph induced by the platform, the turn model(s) and the
-    current health state.
+    current health state: the structural graph, built without reading
+    health, minus the elements in `shm.broken` (RoutingGraph.without).
 
     `regions`, when given, supplies a per-tile turn model and suppresses
     external edges between tiles of different regions.
-    `shm` is read through pe_healthy / turn_healthy / link_healthy.
     """
     dirs = ag.directions()
     slots = _SLOTS_3D if ag.is_3d else _SLOTS_2D
@@ -342,28 +347,26 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
         if regions is not None:
             model = regions.turn_model_for(t) or turn_model
 
-        if shm.pe_healthy(t):
-            lo = base + local + 1
-            succ[base + local] = [base + slots[d] + 1 for d in dirs] + [lo]
-            for d in dirs:
-                succ[base + slots[d]].append(lo)
+        lo = base + local + 1
+        succ[base + local] = [base + slots[d] + 1 for d in dirs] + [lo]
+        for d in dirs:
+            succ[base + slots[d]].append(lo)
 
         for i, o in straight:
             succ[base + i].append(base + o)
 
-        for slot, (a, b, i, o) in enumerate(turns):
-            if model.allows(a, b) and shm.turn_healthy(t, slot):
+        for a, b, i, o in turns:
+            if model.allows(a, b):
                 succ[base + i].append(base + o)
 
     for link in ag.links:
-        if not shm.link_healthy(link.id):
-            continue
         if regions is not None and regions.crosses(link.src, link.dst):
             continue
         succ[link.src * P + slots[link.direction] + 1].append(
             link.dst * P + slots[OPPOSITE[link.direction]])
 
-    return RoutingGraph(ag, tuple(tuple(sorted(s)) for s in succ))
+    return RoutingGraph(ag, tuple(tuple(sorted(s)) for s in succ)).without(
+        shm.broken)
 
 
 def is_deadlock_free(rg):

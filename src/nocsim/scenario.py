@@ -78,7 +78,8 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
         "injections", "aging",
     ))
 
-    master_seed = seed if seed is not None else _int(data.get("seed", 0), "seed", lo=0)
+    master_seed = _int(seed if seed is not None else data.get("seed", 0),
+                       "seed", lo=0)
     ag, turn_model, regions = _parse_platform(_req(data, "platform"))
     tg, ctg = _parse_application(_req(data, "application"), master_seed)
 

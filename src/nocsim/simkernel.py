@@ -296,9 +296,7 @@ class Kernel:
         """Act on one classified fault report; returns the decision's
         (severity, action)."""
         targets = degrade_targets(location, self.ag)
-        if fclass == PERMANENT and not any(
-            self._element_healthy(f) for f in targets
-        ):
+        if fclass == PERMANENT and self.shm.broken.issuperset(targets):
             return "ignore", "already-recorded"
 
         sev = severity(location, fclass, self.cmm, self.ag)
@@ -349,13 +347,6 @@ class Kernel:
         self._log(deploy_at, f"deploy gen={self._gen}")
         return sev, (f"remap hit={int(report.hit)} t_rl={report.t_rl} "
                      f"deploy_at={deploy_at}")
-
-    def _element_healthy(self, fault):
-        if fault[0] == "pe":
-            return self.shm.pe_healthy(fault[1])
-        if fault[0] == "turn":
-            return self.shm.turn_healthy(fault[1], fault[2])
-        return self.shm.link_healthy(fault[1])
 
     def _halt_plan(self, now):
         """Stop the executing plan; tasks finished by `now` on a still

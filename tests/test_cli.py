@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nocsim import cli
 from nocsim.cli import main
 
 SMOKE = str(pathlib.Path(__file__).resolve().parent.parent
@@ -193,6 +194,49 @@ def test_sweep_without_seeds_exits_1(scenario, capsys, seeds):
     assert main(["sweep", "--scenario", scenario(BASIC),
                  "--seeds", seeds]) == 1
     assert f"error: --seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", SMOKE, "--seed", "-5"],
+    ["sweep", "--scenario", SMOKE, "--seed", "-3", "--seeds", "2",
+     "--jobs", "1"],
+])
+def test_negative_seed_override_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error: seed: must be >= 0" in capsys.readouterr().err
+
+
+def test_sweep_pool_has_at_most_one_worker_per_seed(scenario, capsys,
+                                                    monkeypatch):
+    workers = []
+
+    class InlinePool:
+        """Records its size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    assert main(["sweep", "--scenario", scenario(BASIC), "--seeds", "2",
+                 "--jobs", "64"]) == 0
+    assert workers == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_sweep_negative_jobs_exits_1(scenario, capsys):
+    assert main(["sweep", "--scenario", scenario(BASIC), "--seeds", "2",
+                 "--jobs", "-1"]) == 1
+    assert "error: --jobs must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

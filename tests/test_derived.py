@@ -1,6 +1,7 @@
-"""Derived routing graphs: RoutingGraph.without against cold builds, the
-derived graphs the kernel and the mapping store use, and the bit-row
-rectangle cover on meshes larger than the oracle differential draws."""
+"""Derived routing graphs: RoutingGraph.without against cold builds, cold
+builds against the edge gating table, the derived graphs the kernel and
+the mapping store use, and the bit-row rectangle cover on meshes larger
+than the oracle differential draws."""
 
 import itertools
 import pathlib
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import UnknownTarget
+from nocsim.graphs import OPPOSITE
 
 import oracles
 from conftest import two_regions
@@ -87,6 +89,56 @@ def test_without_equals_cold_build(case, data):
         rg = rg.without(targets)
         cold = ns.build_routing_graph(ag, model, shm, regions)
         _assert_same_graph(rg, cold, budget, rng.randrange(4))
+
+
+def _gate(ag, a, b):
+    """The health element gating edge a -> b (PortNodes), or None for a
+    straight pass, per the table in the routing module's docstring."""
+    if a.tile != b.tile:                    # d-out -> neighbour's opposite-in
+        link = ag.link(a.tile, a.direction)
+        assert (a.kind, b.kind) == ("out", "in")
+        assert (link.dst, b.direction) == (b.tile, OPPOSITE[a.direction])
+        return ("link", link.id)
+    assert (a.kind, b.kind) == ("in", "out")
+    if "L" in (a.direction, b.direction):   # injection, ejection, self
+        return ("pe", a.tile)
+    if b.direction == OPPOSITE[a.direction]:
+        return None
+    return ("turn", a.tile, ns.turn_index((a.direction, b.direction),
+                                          ag.is_3d))
+
+
+def _edges(rg):
+    return {(a, b) for a, succs in rg.adj.items() for b in succs}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_cold_build_follows_the_gating_table(case, data):
+    """A cold build of a faulted state keeps exactly the healthy build's
+    edges whose gating element is not broken, and adds none."""
+    model, is_3d, regions_of = MODEL_CASES[case]
+    if is_3d:
+        ag = ns.build_mesh(3, 3, 2)
+    else:
+        ag = ns.build_mesh(data.draw(st.integers(1, 5), label="w"),
+                           data.draw(st.integers(1, 5), label="h"))
+    regions = regions_of(ag) if regions_of else None
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    healthy = _edges(ns.build_routing_graph(ag, model, ns.SystemHealthMap(ag),
+                                            regions))
+    shm = ns.SystemHealthMap(ag)
+    broken = set()
+    for _ in range(rng.randint(0, 8)):
+        for fault in ns.degrade_targets(_random_location(ag, rng), ag):
+            shm.apply_fault(fault)
+            broken.add(fault)
+    faulted = _edges(ns.build_routing_graph(ag, model, shm, regions))
+    assert faulted <= healthy
+    for a, b in healthy:
+        gate = _gate(ag, a, b)
+        assert ((a, b) in faulted) == (gate not in broken), (a, b, gate)
 
 
 def test_without_shares_nodes_and_leaves_the_source_graph():

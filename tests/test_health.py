@@ -116,6 +116,47 @@ def test_restore_rejects_other_mesh(mesh22):
         shm.restore(other.snapshot())
 
 
+@given(st.data())
+def test_snapshot_is_the_health_state(data):
+    """Maps reaching one state by different fault orders, repeats and
+    aging histories have equal (and equally hashed) snapshots and equal
+    text; one more broken element or aging step makes both differ."""
+    ag = ns.build_mesh(3, 3)
+    element = st.one_of(
+        st.tuples(st.just("pe"), st.integers(0, 8)),
+        st.tuples(st.just("turn"), st.integers(0, 8), st.integers(0, 7)),
+        st.tuples(st.just("link"), st.integers(0, len(ag.links) - 1)),
+    )
+    faults = data.draw(st.lists(element, max_size=10), label="faults")
+    aging = data.draw(st.dictionaries(st.integers(0, 8), st.integers(0, 99),
+                                      max_size=3), label="aging")
+    a, b = ns.SystemHealthMap(ag), ns.SystemHealthMap(ag)
+    for fault in faults:
+        a.apply_fault(fault)
+    for tile, percent in aging.items():
+        a.set_aging(tile, percent)
+        b.set_aging(tile, percent + 1)
+    for fault in data.draw(st.permutations(faults + faults[:3]),
+                           label="order"):
+        b.apply_fault(fault)
+    for tile, percent in aging.items():
+        b.set_aging(tile, percent)
+    assert a.snapshot() == b.snapshot()
+    assert hash(a.snapshot()) == hash(b.snapshot())
+    assert a.serialize() == b.serialize()
+
+    extra = data.draw(element.filter(lambda e: e not in set(faults)),
+                      label="extra")
+    b.apply_fault(extra)
+    assert a.snapshot() != b.snapshot()
+    assert a.serialize() != b.serialize()
+    b.restore(a.snapshot())
+    assert a.snapshot() == b.snapshot()
+    b.set_aging(4, a.aging(4) + 1)
+    assert a.snapshot() != b.snapshot()
+    assert a.serialize() != b.serialize()
+
+
 def test_serialize_is_canonical_text(mesh22):
     text = ns.SystemHealthMap(mesh22).serialize()
     lines = text.splitlines()

@@ -89,6 +89,11 @@ def test_negative_seed_rejected():
         ns.parse_scenario(doc(seed=-1))
 
 
+def test_negative_seed_override_rejected():
+    with pytest.raises(SemanticError, match="seed: must be >= 0, got -5"):
+        ns.parse_scenario(doc(), seed=-5)
+
+
 def test_bool_is_not_an_integer():
     with pytest.raises(SemanticError, match="seed"):
         ns.parse_scenario(doc(seed=True))
