@@ -18,7 +18,13 @@ import sys
 
 from .errors import InfeasibilityError, RangeError, ValidationError
 from .health import SystemHealthMap
-from .mapsched import dump_mapping, evaluate_cost
+from .mapsched import (
+    COST_ALIASES,
+    COST_KINDS,
+    dump_mapping,
+    evaluate_cost,
+    HEURISTICS,
+)
 from .reachability import build_region_tables
 from .scenario import load_scenario
 from .shmu import (
@@ -30,22 +36,20 @@ from .shmu import (
 )
 from .simkernel import Kernel
 
-COST_CHOICES = ("makespan", "traffic", "util", "schedule_length",
-                "traffic_balance", "utilization_balance")
 
-
-def _add_common(sub, out=True):
+def _add_common(sub, out=True, verbose=False):
     sub.add_argument("--scenario", required=True, help="scenario JSON file")
     if out:
         sub.add_argument("--out", help="directory for output files")
     sub.add_argument("--seed", type=int, help="override the scenario seed")
-    sub.add_argument("--heuristic", choices=("greedy", "ils", "sa"),
+    sub.add_argument("--heuristic", choices=tuple(HEURISTICS),
                      help="override the mapping heuristic")
-    sub.add_argument("--cost", choices=COST_CHOICES,
+    sub.add_argument("--cost", choices=tuple(COST_ALIASES) + COST_KINDS,
                      help="override the cost function")
     sub.add_argument("--regions-budget", type=int, dest="budget",
                      help="override the rectangle budget per port")
-    sub.add_argument("--verbose", "-v", action="store_true")
+    if verbose:
+        sub.add_argument("--verbose", "-v", action="store_true")
 
 
 def build_parser():
@@ -55,9 +59,10 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     _add_common(subs.add_parser("validate", help="check a scenario file"),
-                out=False)
+                out=False, verbose=True)
     _add_common(subs.add_parser("map", help="compute the initial deployment"))
-    _add_common(subs.add_parser("simulate", help="run the fault timeline"))
+    _add_common(subs.add_parser("simulate", help="run the fault timeline"),
+                verbose=True)
     _add_common(subs.add_parser("regions",
                                 help="dump unreachable-region tables"))
     sweep = subs.add_parser("sweep", help="run seed variants concurrently")

@@ -19,6 +19,7 @@ from .errors import (
 
 CRITICAL = "critical"
 NON_CRITICAL = "non-critical"
+CRITICALITIES = (CRITICAL, NON_CRITICAL)
 
 # Direction names shared with the routing layer.  Order matters: it is the
 # canonical order for connectivity bits and link enumeration.
@@ -98,7 +99,7 @@ def build_task_graph(tasks, edges):
             raise RangeError(f"task {t.id}: wcet must be positive, got {t.wcet}")
         if t.release < 0:
             raise RangeError(f"task {t.id}: release must be >= 0, got {t.release}")
-        if t.criticality not in (CRITICAL, NON_CRITICAL):
+        if t.criticality not in CRITICALITIES:
             raise RangeError(f"task {t.id}: unknown criticality {t.criticality!r}")
         if t.slack is not None and t.slack < 0:
             raise RangeError(f"task {t.id}: slack must be >= 0, got {t.slack}")

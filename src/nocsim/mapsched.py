@@ -272,6 +272,12 @@ SCHEDULE_LENGTH = "schedule_length"
 TRAFFIC_BALANCE = "traffic_balance"
 UTILIZATION_BALANCE = "utilization_balance"
 COST_KINDS = (SCHEDULE_LENGTH, TRAFFIC_BALANCE, UTILIZATION_BALANCE)
+# Short names a scenario or the command line may give for a cost kind.
+COST_ALIASES = {
+    "makespan": SCHEDULE_LENGTH,
+    "traffic": TRAFFIC_BALANCE,
+    "util": UTILIZATION_BALANCE,
+}
 
 
 def _pstdev(values):
@@ -327,6 +333,9 @@ def usable_tiles(shm):
     if not tiles:
         raise NoHealthyPE("no usable processing element")
     return tiles
+
+
+INITIAL_POLICIES = ("first_fit", "random")
 
 
 def initial_mapping(tg, shm, policy="first_fit", seed=0, ctg=None):
@@ -477,14 +486,11 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
             f"initial mapping {list(initial)} splits clusters {split}")
     validate_mapping(tg, mapping, shm)
 
-    if name == "greedy":
-        assign, _ = search.descend(*search.feasible_start(start))
-    elif name == "ils":
-        assign = _run_ils(search, start, seed, iterations)
-    elif name == "sa":
-        assign = _run_sa(search, start, seed, sa_params or SaParams())
-    else:
-        raise RangeError(f"unknown heuristic {name!r}; choices: greedy, ils, sa")
+    run = HEURISTICS.get(name)
+    if run is None:
+        raise RangeError(f"unknown heuristic {name!r}; "
+                         f"choices: {', '.join(HEURISTICS)}")
+    assign = run(search, start, seed, iterations, sa_params or SaParams())
 
     mapping = _expand(search.units, assign, len(tg))
     schedule = asap_schedule(tg, mapping, shm, rg, comm=comm,
@@ -512,7 +518,11 @@ def map_sa(tg, shm, rg, cost=SCHEDULE_LENGTH, sa_params=None, seed=0, **kw):
     return r.mapping, r.schedule
 
 
-def _run_ils(search, start, seed, iterations):
+def _run_greedy(search, start, seed, iterations, sa_params):
+    return search.descend(*search.feasible_start(start))[0]
+
+
+def _run_ils(search, start, seed, iterations, sa_params):
     rng = random.Random(derive_seed(seed, "ils"))
     best_assign, best_cost = search.descend(*search.feasible_start(start))
     strength = -(-len(search.units) // 4)   # ceil(units / 4)
@@ -529,7 +539,7 @@ def _run_ils(search, start, seed, iterations):
     return best_assign
 
 
-def _run_sa(search, start, seed, params):
+def _run_sa(search, start, seed, iterations, params):
     rng = random.Random(derive_seed(seed, "sa"))
     assign, cost = search.feasible_start(start)
     best_assign, best_cost = list(assign), cost
@@ -557,6 +567,13 @@ def _run_sa(search, start, seed, params):
                     best_assign, best_cost = list(cand), c
         temp *= params.alpha
     return best_assign
+
+
+# The heuristic names run_heuristic dispatches on, each to a search
+# taking (search, start, seed, iterations, sa_params) and returning the
+# best unit assignment it found.  The scenario parser and the command
+# line take their choices from here.
+HEURISTICS = {"greedy": _run_greedy, "ils": _run_ils, "sa": _run_sa}
 
 
 def dump_mapping(mapping):

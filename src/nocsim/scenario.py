@@ -8,10 +8,16 @@ with a bad field raises SemanticError naming the offending path.
 An omitted field takes the default of the dataclass field it sets
 (ScenarioScript, Task, SaParams, ClassifierConfig, CommModel, CostModel),
 and a section that configures such a dataclass accepts its field names.
+The flat sections (heuristic, reachability, prediction, policies) are
+read through one table, _FLAT.  Each set of allowed names is defined
+once, next to the code that dispatches on it: heuristic names, cost
+kinds with their aliases and initial policies in mapsched, severed-flow
+policies in simkernel, criticalities in graphs, checker units in shmu.
 """
 
 import json
 import math
+import re
 from dataclasses import fields
 
 from .errors import ParseError, RangeError, SemanticError
@@ -21,17 +27,16 @@ from .graphs import (
     build_task_graph,
     cluster_tasks,
     random_task_graph,
-    CRITICAL,
-    NON_CRITICAL,
+    CRITICALITIES,
 )
 from .health import SystemHealthMap
 from .mapsched import (
     CommModel,
     SaParams,
+    COST_ALIASES,
     COST_KINDS,
-    SCHEDULE_LENGTH,
-    TRAFFIC_BALANCE,
-    UTILIZATION_BALANCE,
+    HEURISTICS,
+    INITIAL_POLICIES,
 )
 from .reachability import partition
 from .rng import derive_seed
@@ -46,13 +51,19 @@ from .routing import (
 from .shmu import ClassifierConfig, CostModel, degrade_targets, CHECKER_UNITS
 from .simkernel import AgingUpdate, DROP, Injection, REQUEUE, ScenarioScript
 
-COST_ALIASES = {
-    "makespan": SCHEDULE_LENGTH,
-    "traffic": TRAFFIC_BALANCE,
-    "util": UTILIZATION_BALANCE,
+# The flat sections: document key -> (ScenarioScript field, int lower
+# bound or tuple of allowed values).  heuristic.sa is read by _parse_sa.
+_FLAT = {
+    "heuristic": {
+        "name": ("heuristic", tuple(HEURISTICS)),
+        "cost": ("cost", COST_KINDS + tuple(COST_ALIASES)),
+        "initial": ("initial_policy", INITIAL_POLICIES),
+        "iterations": ("iterations", 1),
+    },
+    "reachability": {"budget": ("budget", 1)},
+    "prediction": {"k": ("prediction_k", 0), "mpm_capacity": ("mpm_capacity", 1)},
+    "policies": {"severed_flows": ("severed_policy", (DROP, REQUEUE))},
 }
-
-HEURISTICS = ("greedy", "ils", "sa")
 
 
 def load_scenario(path, seed=None, heuristic=None, cost=None, budget=None):
@@ -78,91 +89,40 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
         "injections", "aging",
     ))
 
-    master_seed = _int(seed if seed is not None else data.get("seed", 0),
-                       "seed", lo=0)
-    ag, turn_model, regions = _parse_platform(_req(data, "platform"))
-    tg, ctg = _parse_application(_req(data, "application"), master_seed)
+    # Keyword overrides, keyed by the ScenarioScript field they replace.
+    overrides = {name: value for name, value in (
+        ("seed", seed), ("heuristic", heuristic), ("cost", cost),
+        ("budget", budget)) if value is not None}
+    values = {"seed": _int(overrides.get("seed", data.get("seed", 0)),
+                           "seed", lo=0)}
+    values["ag"], values["turn_model"], values["regions"] = _parse_platform(
+        _req(data, "platform"))
+    values["tg"], values["ctg"] = _parse_application(
+        _req(data, "application"), values["seed"])
 
     heur_cfg = data.get("heuristic", {})
-    _known(heur_cfg, "heuristic", ("name", "cost", "initial", "iterations", "sa"))
-    heur_name = (heuristic if heuristic is not None
-                 else heur_cfg.get("name", ScenarioScript.heuristic))
-    if heur_name not in HEURISTICS:
-        raise SemanticError(
-            f"heuristic.name: {heur_name!r} not one of {HEURISTICS}")
-    cost_name = cost if cost is not None else heur_cfg.get("cost", ScenarioScript.cost)
-    cost_kind = (COST_ALIASES.get(cost_name, cost_name)
-                 if isinstance(cost_name, str) else cost_name)
-    if cost_kind not in COST_KINDS:
-        raise SemanticError(
-            f"heuristic.cost: {cost_name!r} not one of "
-            f"{COST_KINDS + tuple(COST_ALIASES)}")
-    initial_policy = heur_cfg.get("initial", ScenarioScript.initial_policy)
-    if initial_policy not in ("first_fit", "random"):
-        raise SemanticError(
-            f"heuristic.initial: {initial_policy!r} not one of "
-            "('first_fit', 'random')")
-    iterations = _int(heur_cfg.get("iterations", ScenarioScript.iterations),
-                      "heuristic.iterations", lo=1)
-    sa_params = _parse_sa(heur_cfg.get("sa", {}))
+    values.update(_flat(heur_cfg, "heuristic", overrides, extra=("sa",)))
+    values["cost"] = COST_ALIASES.get(values["cost"], values["cost"])
+    values["sa_params"] = _parse_sa(heur_cfg.get("sa", {}))
 
-    classifier, = _int_sections(data.get("classifier", {}), "classifier",
-                                ClassifierConfig)
+    values["classifier"], = _int_sections(data.get("classifier", {}),
+                                          "classifier", ClassifierConfig)
     try:
-        classifier.validate()
+        values["classifier"].validate()
     except RangeError as exc:
         raise SemanticError(f"classifier: {exc}") from None
-    comm, cost_model = _int_sections(data.get("cost_model", {}), "cost_model",
-                                     CommModel, CostModel)
+    values["comm"], values["cost_model"] = _int_sections(
+        data.get("cost_model", {}), "cost_model", CommModel, CostModel)
 
-    reach_cfg = data.get("reachability", {})
-    _known(reach_cfg, "reachability", ("budget",))
-    budget_val = (budget if budget is not None
-                  else reach_cfg.get("budget", ScenarioScript.budget))
-    budget_val = _int(budget_val, "reachability.budget", lo=1)
+    for section in ("reachability", "prediction", "policies"):
+        values.update(_flat(data.get(section, {}), section, overrides))
 
-    pred_cfg = data.get("prediction", {})
-    _known(pred_cfg, "prediction", ("k", "mpm_capacity"))
-    prediction_k = _int(pred_cfg.get("k", ScenarioScript.prediction_k),
-                        "prediction.k", lo=0)
-    mpm_capacity = _int(pred_cfg.get("mpm_capacity", ScenarioScript.mpm_capacity),
-                        "prediction.mpm_capacity", lo=1)
+    values["injections"] = _parse_injections(data.get("injections", []),
+                                             values["ag"])
+    values["aging"] = _parse_aging(data.get("aging", []), values["ag"])
 
-    policies = data.get("policies", {})
-    _known(policies, "policies", ("severed_flows",))
-    severed = policies.get("severed_flows", ScenarioScript.severed_policy)
-    if severed not in (DROP, REQUEUE):
-        raise SemanticError(
-            f"policies.severed_flows: {severed!r} not one of "
-            f"({DROP!r}, {REQUEUE!r})")
-
-    injections = _parse_injections(data.get("injections", []), ag)
-    aging = _parse_aging(data.get("aging", []), ag)
-
-    _check_deadlock_free(ag, turn_model, regions)
-
-    return ScenarioScript(
-        seed=master_seed,
-        tg=tg,
-        ag=ag,
-        turn_model=turn_model,
-        ctg=ctg,
-        regions=regions,
-        heuristic=heur_name,
-        cost=cost_kind,
-        initial_policy=initial_policy,
-        iterations=iterations,
-        sa_params=sa_params,
-        classifier=classifier,
-        comm=comm,
-        cost_model=cost_model,
-        budget=budget_val,
-        prediction_k=prediction_k,
-        mpm_capacity=mpm_capacity,
-        severed_policy=severed,
-        injections=injections,
-        aging=aging,
-    )
+    _check_deadlock_free(values["ag"], values["turn_model"], values["regions"])
+    return ScenarioScript(**values)
 
 
 # -- sections ------------------------------------------------------------
@@ -175,9 +135,10 @@ def _parse_platform(cfg):
             or not all(isinstance(v, int) for v in mesh)):
         raise SemanticError(
             "platform.mesh: expected [width, height] or [width, height, depth]")
-    for v in mesh:
-        if v < 1:
-            raise SemanticError("platform.mesh: dimensions must be >= 1")
+    if min(mesh) < 1:
+        raise SemanticError("platform.mesh: dimensions must be >= 1")
+    for i, v in enumerate(mesh):
+        _int(v, f"platform.mesh[{i}]")
     ag = build_mesh(*mesh)
     is_3d = len(mesh) == 3
 
@@ -210,12 +171,11 @@ def _parse_platform(cfg):
         raw_labels = _obj(rcfg.get("labels", {}), "platform.regions.labels")
         labels = {}
         for key, label in raw_labels.items():
-            try:
-                tile = int(key)
-            except ValueError:
+            # Canonical decimal keys only, so "01" or "1_0" alias no tile.
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
                 raise SemanticError(
-                    f"platform.regions.labels: key {key!r} is not a tile id"
-                ) from None
+                    f"platform.regions.labels: key {key!r} is not a tile id")
+            tile = int(key)
             if not 0 <= tile < len(ag.tiles):
                 raise SemanticError(
                     f"platform.regions.labels: tile {tile} out of range")
@@ -245,7 +205,8 @@ def _parse_application(cfg, master_seed):
         "type", "tasks", "density", "wcet_range", "weight_range",
         "edges", "cluster",
     ))
-    kind = cfg.get("type", "random")
+    kind = _choice(cfg.get("type", "random"), "application.type",
+                   ("random", "explicit"))
     if kind == "random":
         n = _int(_req(cfg, "tasks", "application"), "application.tasks", lo=1)
         density = cfg.get("density", 0.3)
@@ -259,7 +220,7 @@ def _parse_application(cfg, master_seed):
             n, density, derive_seed(master_seed, "taskgen"),
             wcet_range=wcet_range, weight_range=weight_range,
         )
-    elif kind == "explicit":
+    else:
         raw_tasks = _req(cfg, "tasks", "application")
         if not isinstance(raw_tasks, list) or not raw_tasks:
             raise SemanticError("application.tasks: expected a non-empty list")
@@ -267,11 +228,8 @@ def _parse_application(cfg, master_seed):
         for i, item in enumerate(raw_tasks):
             path = f"application.tasks[{i}]"
             _known(item, path, [f.name for f in fields(Task)])
-            crit = item.get("criticality", Task.criticality)
-            if crit not in (CRITICAL, NON_CRITICAL):
-                raise SemanticError(
-                    f"{path}.criticality: {crit!r} not one of "
-                    f"({CRITICAL!r}, {NON_CRITICAL!r})")
+            crit = _choice(item.get("criticality", Task.criticality),
+                           f"{path}.criticality", CRITICALITIES)
             slack = item.get("slack", Task.slack)
             if slack is not None:
                 slack = _int(slack, f"{path}.slack", lo=0)
@@ -294,9 +252,6 @@ def _parse_application(cfg, master_seed):
                 raise SemanticError(f"{path}: duplicate edge ({src}, {dst})")
             edges[(src, dst)] = weight
         tg = build_task_graph(tasks, edges)
-    else:
-        raise SemanticError(
-            f"application.type: {kind!r} not one of ('random', 'explicit')")
 
     ctg = None
     if "cluster" in cfg:
@@ -316,19 +271,31 @@ def _parse_application(cfg, master_seed):
 
 def _parse_sa(cfg):
     _known(cfg, "heuristic.sa", [f.name for f in fields(SaParams)])
-    t0 = cfg.get("t0", SaParams.t0)
-    if t0 is not None and (not _real(t0) or t0 <= 0):
+    sa = {f.name: cfg.get(f.name, f.default) for f in fields(SaParams)}
+    if sa["t0"] is not None and (not _real(sa["t0"]) or sa["t0"] <= 0):
         raise SemanticError("heuristic.sa.t0: expected a positive number")
-    alpha = cfg.get("alpha", SaParams.alpha)
-    if not _real(alpha) or not 0 < alpha < 1:
+    if not _real(sa["alpha"]) or not 0 < sa["alpha"] < 1:
         raise SemanticError("heuristic.sa.alpha: expected a number in (0, 1)")
-    moves = _int(cfg.get("moves_per_temp", SaParams.moves_per_temp),
-                 "heuristic.sa.moves_per_temp", lo=1)
-    tmin_ratio = cfg.get("tmin_ratio", SaParams.tmin_ratio)
-    if not _real(tmin_ratio) or not 0 < tmin_ratio < 1:
+    _int(sa["moves_per_temp"], "heuristic.sa.moves_per_temp", lo=1)
+    if not _real(sa["tmin_ratio"]) or not 0 < sa["tmin_ratio"] < 1:
         raise SemanticError("heuristic.sa.tmin_ratio: expected a number in (0, 1)")
-    return SaParams(t0=t0, alpha=alpha, moves_per_temp=moves,
-                    tmin_ratio=tmin_ratio)
+    return SaParams(**sa)
+
+
+def _flat(cfg, section, overrides, extra=()):
+    """The ScenarioScript fields one flat section sets, read through
+    _FLAT in table order; an override beats the document, and an
+    omitted key takes the field's default.  `extra` names the section's
+    keys read elsewhere."""
+    table = _FLAT[section]
+    _known(cfg, section, (*table, *extra))
+    values = {}
+    for key, (name, rule) in table.items():
+        value = overrides.get(name, cfg.get(key, getattr(ScenarioScript, name)))
+        path = f"{section}.{key}"
+        values[name] = (_choice(value, path, rule) if isinstance(rule, tuple)
+                        else _int(value, path, lo=rule))
+    return values
 
 
 # Lower bound of each int field the int sections set; 0 when not listed.
@@ -367,7 +334,8 @@ def _parse_injections(raw, ag):
 
 def _parse_target(cfg, ag, path):
     _known(cfg, path, ("kind", "tile", "slot", "link", "direction", "unit"))
-    kind = _req(cfg, "kind", path)
+    kind = _choice(_req(cfg, "kind", path), f"{path}.kind",
+                   ("pe", "turn", "link", "checker"))
     if kind == "pe":
         tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
         location = ("pe", tile)
@@ -399,16 +367,10 @@ def _parse_target(cfg, ag, path):
                 raise SemanticError(
                     f"{path}: tile {tile} has no {direction!r} link")
             location = ("link", link.id)
-    elif kind == "checker":
-        tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
-        unit = _req(cfg, "unit", path)
-        if unit not in CHECKER_UNITS:
-            raise SemanticError(
-                f"{path}.unit: {unit!r} not one of {CHECKER_UNITS}")
-        location = ("checker", tile, unit)
     else:
-        raise SemanticError(
-            f"{path}.kind: {kind!r} not one of ('pe', 'turn', 'link', 'checker')")
+        tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
+        unit = _choice(_req(cfg, "unit", path), f"{path}.unit", CHECKER_UNITS)
+        location = ("checker", tile, unit)
     try:
         degrade_targets(location, ag)
     except Exception as exc:
@@ -485,6 +447,12 @@ def _known(obj, path, allowed):
             raise SemanticError(f"{path}.{key}: unknown field")
 
 
+def _choice(value, path, allowed):
+    if value not in allowed:
+        raise SemanticError(f"{path}: {value!r} not one of {allowed}")
+    return value
+
+
 def _int(value, path, lo=None, hi=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise SemanticError(f"{path}: expected an integer, got {value!r}")
@@ -509,4 +477,4 @@ def _range_pair(value, path):
             or not all(isinstance(v, int) for v in value)
             or not 1 <= value[0] <= value[1]):
         raise SemanticError(f"{path}: expected [lo, hi] with 1 <= lo <= hi")
-    return (value[0], value[1])
+    return (_int(value[0], f"{path}[0]"), _int(value[1], f"{path}[1]"))

@@ -97,6 +97,13 @@ def test_negative_seed_override_rejected():
 def test_bool_is_not_an_integer():
     with pytest.raises(SemanticError, match="seed"):
         ns.parse_scenario(doc(seed=True))
+    with pytest.raises(SemanticError,
+                       match=re.escape("platform.mesh[0]: expected an integer")):
+        ns.parse_scenario(doc(platform={"mesh": [True, 3]}))
+    for key in ("wcet_range", "weight_range"):
+        with pytest.raises(SemanticError, match=re.escape(
+                f"application.{key}[0]: expected an integer, got True")):
+            ns.parse_scenario(doc(application={"tasks": 3, key: [True, 4]}))
 
 
 def test_heuristic_validation():
@@ -381,6 +388,13 @@ def test_regions_bad_tile_key():
             "mesh": [3, 3],
             "regions": {"labels": {"north-west": "a"}},
         }))
+    # Only canonical decimal keys name a tile: "01" must not relabel tile 1.
+    for labels, key in (({"1_0": "a"}, "1_0"), ({" 2": "a"}, " 2"),
+                        ({"01": "a"}, "01"), ({"1": "a", "01": "b"}, "01")):
+        with pytest.raises(SemanticError,
+                           match=f"key '{key}' is not a tile id"):
+            ns.parse_scenario(doc(platform={
+                "mesh": [3, 3], "regions": {"labels": labels}}))
 
 
 def test_3d_mesh_parses():

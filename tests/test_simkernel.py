@@ -154,6 +154,19 @@ def test_intermittent_burst_then_permanent_hits_mpm(mesh33):
     assert hit_run.cmm.mapping == miss_run.cmm.mapping
 
 
+def test_prediction_with_no_spare_tile_stores_nothing():
+    # On a 1x1 mesh the predicted failure of pe:0 leaves no usable PE,
+    # so the store is logged as infeasible and not counted.
+    tg = chain_tg([5, 5], [1])
+    burst = ns.Injection(time=2, location=("pe", 0),
+                         persistence=("intermittent", 3, 2))
+    res = ns.run(script(tg, ns.build_mesh(1, 1), injections=(burst,)))
+    assert "7 store pe:0 infeasible" in res.trace
+    assert "7 event pe:0 class=intermittent severity=remap_and_store " \
+           "action=stored:0" in res.decisions
+    assert res.metrics.stores == 0
+
+
 # -- injection-time drop and starvation -----------------------------------------------
 
 
