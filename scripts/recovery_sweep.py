@@ -9,18 +9,19 @@ resulting makespans.
 """
 
 import argparse
+import dataclasses
 import statistics
 
 import nocsim as ns
 
 
-def build_script(seed, tg, ag, victim, k):
+def with_faults(script, victim, k):
     burst = ns.Injection(time=20, location=("pe", victim),
                          persistence=("intermittent", 3, 5))
     perm = ns.Injection(time=120, location=("pe", victim),
                         persistence="permanent")
-    return ns.ScenarioScript(seed=seed, tg=tg, ag=ag, turn_model=ns.XY,
-                             injections=(burst, perm), prediction_k=k)
+    return dataclasses.replace(script, injections=(burst, perm),
+                               prediction_k=k)
 
 
 def main():
@@ -40,14 +41,14 @@ def main():
     for i in range(args.trials):
         seed = args.seed + i
         tg = ns.random_task_graph(args.tasks, 0.3, seed=seed)
-        msu = ns.Msu(tg=tg, turn_model=ns.XY, seed=seed)
+        script = ns.ScenarioScript(seed=seed, tg=tg, ag=ag, turn_model=ns.XY)
         shm = ns.SystemHealthMap(ag)
         mapping, _, _ = ns.map_and_deploy(
-            shm, msu, ns.MpmMemory(16), ns.CurrentMappingMemory())
+            shm, script, ns.MpmMemory(16), ns.CurrentMappingMemory())
         victim = max(set(mapping), key=mapping.count)
 
-        pred = ns.run(build_script(seed, tg, ag, victim, k=2))
-        cold = ns.run(build_script(seed, tg, ag, victim, k=0))
+        pred = ns.run(with_faults(script, victim, k=2))
+        cold = ns.run(with_faults(script, victim, k=0))
         assert pred.metrics.mpm_hits == 1
         assert cold.metrics.mpm_misses == 1
 

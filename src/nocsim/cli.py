@@ -32,7 +32,6 @@ from .shmu import (
     degrade_targets,
     map_and_deploy,
     MpmMemory,
-    Msu,
 )
 from .simkernel import Kernel
 
@@ -110,9 +109,8 @@ def cmd_map(args):
     for update in script.aging:
         if update.time <= 0:
             shm.set_aging(update.tile, update.percent)
-    msu = Msu.from_script(script)
     mapping, schedule, report = map_and_deploy(
-        shm, msu, MpmMemory(script.mpm_capacity), CurrentMappingMemory())
+        shm, script, MpmMemory(script.mpm_capacity), CurrentMappingMemory())
     cost = evaluate_cost(schedule, script.cost)
     text = (dump_mapping(mapping) + "\n" + schedule.dump()
             + f"cost {script.cost} {cost}\n"
@@ -161,8 +159,7 @@ def cmd_regions(args):
         if inj.persistence == "permanent":
             for fault in degrade_targets(inj.location, script.ag):
                 shm.apply_fault(fault)
-    msu = Msu.from_script(script)
-    rg = msu.build_rg(shm)
+    rg = script.build_rg(shm)
     tables = build_region_tables(rg, script.budget)
     text = tables.dump()
     if args.out:

@@ -1,13 +1,16 @@
 """Scenario files: JSON in, validated ScenarioScript out.
 
 A scenario bundles the application, the platform, the algorithm knobs,
-and the scripted fault/aging timeline.  Parsing is strict: malformed
-JSON raises ParseError with the line/column, a well-formed document
-with a bad field raises SemanticError naming the offending path.
+and the scripted fault/aging timeline.  Parsing is strict: an unreadable,
+non-UTF-8 or malformed JSON file raises ParseError (with the line/column
+if malformed), a well-formed document with a bad field or a size past
+its cap (MAX_TILES, MAX_RANDOM_TASKS, MAX_BURST) raises SemanticError
+naming the offending path.
 
 An omitted field takes the default of the dataclass field it sets
-(ScenarioScript, Task, SaParams, ClassifierConfig, CommModel, CostModel),
-and a section that configures such a dataclass accepts its field names.
+(ScenarioScript, whose MSU settings are shmu.Msu's, Task, SaParams,
+ClassifierConfig, CommModel, CostModel), and a section that configures
+such a dataclass accepts its field names.
 The flat sections (heuristic, reachability, prediction, policies) are
 read through one table, _FLAT.  Each set of allowed names is defined
 once, next to the code that dispatches on it: heuristic names, cost
@@ -65,16 +68,25 @@ _FLAT = {
     "policies": {"severed_flows": ("severed_policy", (DROP, REQUEUE))},
 }
 
+# Size caps, checked before anything is built: JSON must not exhaust memory.
+MAX_TILES = 4096                # platform.mesh, tiles in all
+MAX_RANDOM_TASKS = 2000         # application.tasks of a random application
+MAX_BURST = 1000                # events of one intermittent burst
+
 
 def load_scenario(path, seed=None, heuristic=None, cost=None, budget=None):
     """Read, parse, and validate a scenario file.  The keyword
     arguments override the corresponding document fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, nested too deep, or an integer literal too long.
+        raise ParseError(f"{path}: {exc}") from None
     return parse_scenario(data, seed=seed, heuristic=heuristic, cost=cost,
                           budget=budget)
 
@@ -139,6 +151,8 @@ def _parse_platform(cfg):
         raise SemanticError("platform.mesh: dimensions must be >= 1")
     for i, v in enumerate(mesh):
         _int(v, f"platform.mesh[{i}]")
+    if math.prod(mesh) > MAX_TILES:
+        raise SemanticError(f"platform.mesh: more than {MAX_TILES} tiles")
     ag = build_mesh(*mesh)
     is_3d = len(mesh) == 3
 
@@ -208,7 +222,8 @@ def _parse_application(cfg, master_seed):
     kind = _choice(cfg.get("type", "random"), "application.type",
                    ("random", "explicit"))
     if kind == "random":
-        n = _int(_req(cfg, "tasks", "application"), "application.tasks", lo=1)
+        n = _int(_req(cfg, "tasks", "application"), "application.tasks",
+                 lo=1, hi=MAX_RANDOM_TASKS)
         density = cfg.get("density", 0.3)
         if not _real(density) or not 0 <= density <= 1:
             raise SemanticError("application.density: expected a number in [0, 1]")
@@ -385,7 +400,8 @@ def _parse_persistence(cfg, path):
         _known(cfg, path, ("kind", "count", "spacing"))
         if cfg.get("kind") != "intermittent":
             raise SemanticError(f"{path}.kind: expected 'intermittent'")
-        count = _int(_req(cfg, "count", path), f"{path}.count", lo=1)
+        count = _int(_req(cfg, "count", path), f"{path}.count", lo=1,
+                     hi=MAX_BURST)
         spacing = _int(_req(cfg, "spacing", path), f"{path}.spacing", lo=1)
         return ("intermittent", count, spacing)
     raise SemanticError(

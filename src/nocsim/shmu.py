@@ -10,7 +10,8 @@ the health-map serialization (verified against the stored full
 configuration on lookup, so hash collisions cannot deploy a wrong
 mapping).  When the predicted fault later turns permanent the stored
 assignment is fetched and only rescheduled, which is much cheaper than
-running the mapping heuristic again.
+running the mapping heuristic again.  Msu holds the mapper's settings;
+a simkernel.ScenarioScript extends it and is accepted wherever it is.
 
 Reconfiguration latency is accounted in virtual cycles:
   miss: t_rl = t_map_alg + t_par_ext + t_par_map
@@ -21,7 +22,7 @@ its case lacks.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
@@ -290,12 +291,6 @@ class Msu:
     sa_params: SaParams = field(default_factory=SaParams)
     initial_policy: str = "first_fit"
     seed: int = 0
-
-    @classmethod
-    def from_script(cls, script):
-        """The context a scenario script configures: each field is the
-        script's field of the same name."""
-        return cls(**{f.name: getattr(script, f.name) for f in fields(cls)})
 
     def build_rg(self, shm):
         return build_routing_graph(shm.ag, self.turn_model, shm, self.regions)

@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulation of the full fault loop:
 checker events feed the health map, classification picks a severity,
 permanent faults rebuild the routing graph and the per-port
-unreachability tables, and remaps redeploy the application.
+unreachability tables, and remaps redeploy the application.  A
+ScenarioScript extends shmu.Msu, so the script itself is the mapper's Msu.
 
 Event ordering is total: (time, kind priority, insertion order) with
 fault events before aging before flow events before task completions at
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibilityError, SemanticError
 from .health import SystemHealthMap
-from .mapsched import CommModel, SaParams, asap_schedule
+from .mapsched import asap_schedule
 from .reachability import build_region_tables, should_drop
 from .shmu import (
     INTERMITTENT,
@@ -38,7 +39,6 @@ from .shmu import (
     REMAP,
     TRANSIENT,
     ClassifierConfig,
-    CostModel,
     CurrentMappingMemory,
     FaultEvent,
     classify,
@@ -76,24 +76,13 @@ class AgingUpdate:
     percent: int
 
 
-@dataclass
-class ScenarioScript:
-    """Everything one simulation run needs, already validated."""
+@dataclass(kw_only=True)
+class ScenarioScript(Msu):
+    """Everything one simulation run needs, already validated: the MSU
+    settings it inherits from Msu, and here the ones the MSU does not read."""
 
-    seed: int
-    tg: object
     ag: object
-    turn_model: object
-    ctg: object = None
-    regions: object = None
-    heuristic: str = "greedy"
-    cost: str = "schedule_length"
-    initial_policy: str = "first_fit"
-    iterations: int = 10
-    sa_params: SaParams = field(default_factory=SaParams)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-    comm: CommModel = field(default_factory=CommModel)
-    cost_model: CostModel = field(default_factory=CostModel)
     budget: int = 4
     prediction_k: int = 2
     mpm_capacity: int = 16
@@ -189,7 +178,6 @@ class Kernel:
         self.tg = script.tg
         self.ag = script.ag
         self.shm = SystemHealthMap(self.ag)
-        self.msu = Msu.from_script(script)
         self.mpm = MpmMemory(script.mpm_capacity)
         self.cmm = CurrentMappingMemory()
         self.rg = None
@@ -242,7 +230,7 @@ class Kernel:
         The first graph is built cold; each later one is the previous
         graph minus the edges of the newly applied `faults`."""
         if self.rg is None:
-            self.rg = self.msu.build_rg(self.shm)
+            self.rg = self.script.build_rg(self.shm)
         else:
             self.rg = self.rg.without(faults)
         self.tables = build_region_tables(self.rg, self.script.budget,
@@ -262,7 +250,7 @@ class Kernel:
             self.shm,
             self.rg,
             comm=self.script.comm,
-            routes=self.msu.routes_for(self.rg),
+            routes=self.script.routes_for(self.rg),
             base_time=base_time,
             finished=finished,
         )
@@ -307,7 +295,7 @@ class Kernel:
             stored = 0
             for loc in predict_mpfs(self.histories, self.script.prediction_k,
                                     self.script.classifier):
-                entry = map_and_store(self.shm, loc, self.msu, self.mpm,
+                entry = map_and_store(self.shm, loc, self.script, self.mpm,
                                       rg=self.rg)
                 if entry is not None:
                     stored += 1
@@ -330,7 +318,7 @@ class Kernel:
         finished = set(self._halt_plan(now))
         try:
             mapping, schedule, report = map_and_deploy(
-                self.shm, self.msu, self.mpm, self.cmm, rg=self.rg
+                self.shm, self.script, self.mpm, self.cmm, rg=self.rg
             )
         except InfeasibilityError as exc:
             # No feasible remap: abandon the tasks pinned to broken PEs.
@@ -403,7 +391,7 @@ class Kernel:
 
         self._rebuild_tables()
         mapping, schedule, initial_report = map_and_deploy(
-            self.shm, self.msu, self.mpm, self.cmm, rg=self.rg
+            self.shm, self.script, self.mpm, self.cmm, rg=self.rg
         )
         self._initial_report = initial_report
         self._log(0, f"deploy gen=1 initial t_rl={initial_report.t_rl}")

@@ -50,6 +50,28 @@ def test_validate_bad_json_exits_1(tmp_path, capsys):
     assert ":1:" in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param('{"seed": "caf\xe9"}'.encode("latin-1"), id="not-utf8"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep"),
+    pytest.param(None, id="missing"),
+])
+def test_validate_unreadable_file_exits_1(tmp_path, capsys, content):
+    p = tmp_path / "scn.json"
+    if content is not None:
+        p.write_bytes(content)
+    assert main(["validate", "--scenario", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
+def test_validate_huge_mesh_exits_1(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text('{"platform": {"mesh": [1%s, 3]}, '
+                 '"application": {"tasks": 3}}' % ("0" * 400))
+    assert main(["validate", "--scenario", str(p)]) == 1
+    assert "error: platform.mesh: more than 4096 tiles" in \
+        capsys.readouterr().err
+
+
 def test_validate_semantic_error_exits_1(scenario, capsys):
     doc = dict(BASIC, platform={"mesh": [0, 3]})
     assert main(["validate", "--scenario", scenario(doc)]) == 1

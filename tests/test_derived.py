@@ -58,12 +58,11 @@ def _assert_same_graph(derived, cold, budget, seed):
         assert mine.route(src, dst) == theirs.route(src, dst), (src, dst)
 
 
-@pytest.mark.parametrize("case", sorted(MODEL_CASES))
-@settings(max_examples=20)
-@given(data=st.data())
-def test_without_equals_cold_build(case, data):
-    """A graph derived fault by fault equals a cold build of the same
-    health state: adjacency, views, reach bits, tables and routes."""
+def _check_fault_sequence(case, data, locate):
+    """Derive a graph fault by fault, each new location drawn by
+    locate(ag, rng), and check every graph of the sequence, the healthy
+    one first, against a cold build under one routing seed: each parent
+    has then routed every pair with the seed its child is checked under."""
     model, is_3d, regions_of = MODEL_CASES[case]
     if is_3d:
         ag = ns.build_mesh(3, 3, 2)
@@ -73,22 +72,44 @@ def test_without_equals_cold_build(case, data):
     regions = regions_of(ag) if regions_of else None
     rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
     budget = data.draw(st.integers(1, 4), label="budget")
+    seed = data.draw(st.integers(0, 3), label="routing seed")
     shm = ns.SystemHealthMap(ag)
     rg = ns.build_routing_graph(ag, model, shm, regions)
+    _assert_same_graph(rg, ns.build_routing_graph(ag, model, shm, regions),
+                       budget, seed)
     broken = []
     for _ in range(rng.randint(1, 5)):
         # Now and then break an element again.
         if broken and rng.random() < 0.25:
             location = rng.choice(broken)
         else:
-            location = _random_location(ag, rng)
+            location = locate(ag, rng)
         broken.append(location)
         targets = ns.degrade_targets(location, ag)
         for fault in targets:
             shm.apply_fault(fault)
         rg = rg.without(targets)
         cold = ns.build_routing_graph(ag, model, shm, regions)
-        _assert_same_graph(rg, cold, budget, rng.randrange(4))
+        _assert_same_graph(rg, cold, budget, seed)
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_without_equals_cold_build(case, data):
+    """A graph derived fault by fault equals a cold build of the same
+    health state: adjacency, views, reach bits, tables and routes."""
+    _check_fault_sequence(case, data, _random_location)
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_without_equals_cold_build_on_pe_faults(case, data):
+    """The same for sequences of PE faults alone, which delete only the
+    faulted tiles' local-port edges."""
+    _check_fault_sequence(case, data,
+                          lambda ag, rng: ("pe", rng.randrange(len(ag))))
 
 
 def _gate(ag, a, b):
@@ -180,7 +201,7 @@ def test_kernel_graph_equals_cold_build_after_faults():
     for name in ("smoke.json", "regions.json", "burst_recovery.json"):
         kernel = ns.Kernel(ns.load_scenario(str(path / name)))
         result = kernel.run()
-        cold = kernel.msu.build_rg(kernel.shm)
+        cold = kernel.script.build_rg(kernel.shm)
         assert kernel.rg.succ == cold.succ, name
         assert result.tables.dump() == \
             ns.build_region_tables(cold, kernel.script.budget).dump(), name

@@ -1,12 +1,14 @@
 import copy
 import json
 import re
+import sys
 
 import pytest
 
 import nocsim as ns
 from nocsim.cli import main
 from nocsim.errors import CycleError, ParseError, SemanticError
+from nocsim.scenario import MAX_BURST, MAX_RANDOM_TASKS, MAX_TILES
 
 
 MINIMAL = {
@@ -43,6 +45,28 @@ def test_load_bad_json_reports_position(tmp_path):
     msg = str(exc.value)
     assert str(p) in msg
     assert ":1:" in msg
+
+
+# Files load_scenario cannot read as UTF-8 JSON.
+UNREADABLE = [
+    pytest.param("latin1.json", '{"seed": "caf\xe9"}'.encode("latin-1"),
+                 id="not-utf8"),
+    pytest.param("deep.json", b"[" * 200_000 + b"]" * 200_000, id="deep"),
+    pytest.param("digits.json", b'{"seed": ' + b"1" * 5000 + b"}",
+                 id="digits", marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no limit on int digits")),
+    pytest.param("missing.json", None, id="missing"),
+]
+
+
+@pytest.mark.parametrize("name, content", UNREADABLE)
+def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name, content):
+    p = tmp_path / name
+    if content is not None:
+        p.write_bytes(content)
+    with pytest.raises(ParseError, match=re.escape(f"{p}: ")):
+        ns.load_scenario(str(p))
 
 
 def test_load_roundtrip(tmp_path):
@@ -320,6 +344,36 @@ def test_stuck_at_polarity_is_an_unknown_field(tmp_path, capsys):
     p.write_text(json.dumps(bad))
     assert main(["validate", "--scenario", str(p)]) == 1
     assert "error: injections[0].stuck: unknown field" in capsys.readouterr().err
+
+
+def burst(count):
+    return {"kind": "intermittent", "count": count, "spacing": 1}
+
+
+@pytest.mark.parametrize("patch, path", [
+    pytest.param(dict(platform={"mesh": [MAX_TILES + 1, 1]}), "platform.mesh",
+                 id="tiles"),
+    pytest.param(dict(platform={"mesh": [16, 16, 17]}), "platform.mesh",
+                 id="tiles-3d"),
+    pytest.param(dict(platform={"mesh": [10**400, 3]}), "platform.mesh",
+                 id="tiles-10**400"),
+    pytest.param(dict(application={"tasks": MAX_RANDOM_TASKS + 1}),
+                 "application.tasks", id="random-tasks"),
+    pytest.param(inj_doc({"kind": "pe", "tile": 0},
+                         persistence=burst(MAX_BURST + 1)),
+                 "injections[0].persistence.count", id="burst"),
+])
+def test_size_past_its_cap_is_rejected(patch, path):
+    with pytest.raises(SemanticError, match=re.escape(f"{path}: ")):
+        ns.parse_scenario(doc(**patch))
+
+
+def test_sizes_at_their_caps_parse():
+    s = ns.parse_scenario(doc(platform={"mesh": [64, 64]}))
+    assert len(s.ag) == MAX_TILES == 64 * 64
+    s = ns.parse_scenario(inj_doc({"kind": "pe", "tile": 0},
+                                  persistence=burst(MAX_BURST)))
+    assert s.injections[0].persistence == ("intermittent", MAX_BURST, 1)
 
 
 def test_injection_times_must_be_non_decreasing():
