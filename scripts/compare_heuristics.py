@@ -15,12 +15,7 @@ import nocsim as ns
 
 def run_one(tg, shm, rg, heuristic, seed):
     t0 = time.perf_counter()
-    if heuristic == "greedy":
-        _, sched = ns.map_greedy(tg, shm, rg)
-    elif heuristic == "ils":
-        _, sched = ns.map_ils(tg, shm, rg, iterations=10, seed=seed)
-    else:
-        _, sched = ns.map_sa(tg, shm, rg, seed=seed)
+    sched = ns.run_heuristic(heuristic, tg, shm, rg, seed=seed).schedule
     cost = ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH)
     return cost, time.perf_counter() - t0
 

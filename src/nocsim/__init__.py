@@ -93,9 +93,6 @@ from .mapsched import (
     dump_mapping,
     evaluate_cost,
     initial_mapping,
-    map_greedy,
-    map_ils,
-    map_sa,
     run_heuristic,
     usable_tiles,
     validate_mapping,

@@ -8,7 +8,8 @@ Subcommands:
              scripted permanent faults
   sweep      run several seed variants concurrently and aggregate
 
-Exit codes: 0 success, 1 validation error, 2 infeasible instance.
+Exit codes: 0 success, 1 validation error or an --out that cannot be
+written, 2 infeasible instance.
 """
 
 import argparse
@@ -70,7 +71,7 @@ def build_parser():
                        help="number of consecutive seeds to run")
     sweep.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0 = one per cpu); "
-                            "at most one per seed")
+                            "at most one per seed and one per cpu")
     return parser
 
 
@@ -81,10 +82,14 @@ def _load(args):
 
 
 def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{exc.filename or path}: "
+                              f"{exc.strerror or exc}") from None
     return path
 
 
@@ -189,9 +194,10 @@ def cmd_sweep(args):
     start = args.seed if args.seed is not None else base.seed
     tasks = [(args.scenario, start + i, args.heuristic, args.cost, args.budget)
              for i in range(args.seeds)]
-    # A pool starts all its workers at the first task: never more than
-    # there are seeds to run.
-    jobs = min(len(tasks), args.jobs or os.cpu_count() or 1)
+    # A pool starts all its workers at the first task, and each run is
+    # CPU-bound: never more workers than seeds to run or cpus to run them.
+    cpus = os.cpu_count() or 1
+    jobs = min(len(tasks), args.jobs or cpus, cpus)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))

@@ -498,26 +498,6 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
     return HeuristicResult(mapping, schedule, search.evaluations)
 
 
-def map_greedy(tg, shm, rg, cost=SCHEDULE_LENGTH, **kw):
-    """Steepest-descent mapping; returns (mapping, schedule)."""
-    r = run_heuristic("greedy", tg, shm, rg, cost=cost, **kw)
-    return r.mapping, r.schedule
-
-
-def map_ils(tg, shm, rg, cost=SCHEDULE_LENGTH, iterations=10, seed=0, **kw):
-    """Iterated local search; returns the best (mapping, schedule)."""
-    r = run_heuristic("ils", tg, shm, rg, cost=cost, iterations=iterations,
-                      seed=seed, **kw)
-    return r.mapping, r.schedule
-
-
-def map_sa(tg, shm, rg, cost=SCHEDULE_LENGTH, sa_params=None, seed=0, **kw):
-    """Simulated annealing; returns the best (mapping, schedule)."""
-    r = run_heuristic("sa", tg, shm, rg, cost=cost, sa_params=sa_params,
-                      seed=seed, **kw)
-    return r.mapping, r.schedule
-
-
 def _run_greedy(search, start, seed, iterations, sa_params):
     return search.descend(*search.feasible_start(start))[0]
 

@@ -240,7 +240,7 @@ class PortRegionTable:
         return "\n".join(lines) + "\n"
 
 
-def build_region_tables(rg, budget=4, prev=None):
+def build_region_tables(rg, budget, prev=None):
     """Tables for every tile and neighbor-backed output direction of the
     routing graph's platform.
 

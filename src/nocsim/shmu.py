@@ -28,7 +28,8 @@ from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
 from .graphs import OPPOSITE
 from .health import config_tag, shm_tag
-from .mapsched import CommModel, SaParams, asap_schedule, run_heuristic
+from .mapsched import (CommModel, SaParams, SCHEDULE_LENGTH, asap_schedule,
+                       run_heuristic)
 from .rng import derive_seed
 from .routing import (
     TURN_INDEX_2D,
@@ -199,7 +200,7 @@ class MpmMemory:
     """Fixed-capacity store of precomputed mappings, evicting the least
     recently stored entry; one entry per tag, newer overwrites."""
 
-    def __init__(self, capacity=16):
+    def __init__(self, capacity):
         if capacity < 1:
             raise RangeError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -284,7 +285,7 @@ class Msu:
     ctg: object = None
     regions: object = None
     heuristic: str = "greedy"
-    cost: str = "schedule_length"
+    cost: str = SCHEDULE_LENGTH
     comm: CommModel = field(default_factory=CommModel)
     cost_model: CostModel = field(default_factory=CostModel)
     iterations: int = 10

@@ -262,8 +262,8 @@ def test_criterion_08_heuristic_quality():
     for i in range(30):
         seed = 4000 + i
         tg = ns.random_task_graph(9, 0.35, seed=seed)
-        _, sg = ns.map_greedy(tg, shm, rg)
-        _, ss = ns.map_sa(tg, shm, rg, seed=seed)
+        sg = ns.run_heuristic("greedy", tg, shm, rg).schedule
+        ss = ns.run_heuristic("sa", tg, shm, rg, seed=seed).schedule
         g = ns.evaluate_cost(sg, ns.SCHEDULE_LENGTH)
         s = ns.evaluate_cost(ss, ns.SCHEDULE_LENGTH)
         ratios.append(g / s)
@@ -279,7 +279,8 @@ def test_criterion_08_heuristic_quality():
         tg = ns.random_task_graph(m, 0.5, seed=4100 + i)
         best = oracles.exhaustive_best_mapping(tg, shm2, rg2,
                                                ns.SCHEDULE_LENGTH)
-        _, sched = ns.map_sa(tg, shm2, rg2, sa_params=generous, seed=i)
+        sched = ns.run_heuristic("sa", tg, shm2, rg2, sa_params=generous,
+                                 seed=i).schedule
         assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) == best, i
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"took {elapsed:.1f}s"

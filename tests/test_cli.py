@@ -1,7 +1,9 @@
+import contextlib
 import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -249,10 +251,51 @@ def test_sweep_pool_has_at_most_one_worker_per_seed(scenario, capsys,
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert main(["sweep", "--scenario", scenario(BASIC), "--seeds", "2",
                  "--jobs", "64"]) == 0
     assert workers == [2]
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_sweep_pool_has_at_most_one_worker_per_cpu(scenario, capsys,
+                                                   monkeypatch):
+    workers = []
+
+    def inline_pool(max_workers):
+        """Records its size; its map runs the tasks in this process."""
+        workers.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        inline_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(["sweep", "--scenario", scenario(BASIC), "--seeds", "8",
+                 "--jobs", "64"]) == 0
+    assert workers == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["map"], "mapping.txt"),
+    (["simulate"], "metrics.txt"),
+    (["regions"], "regions.txt"),
+    (["sweep", "--seeds", "1", "--jobs", "1"], "sweep.txt"),
+], ids=["map", "simulate", "regions", "sweep"])
+@pytest.mark.parametrize("bad", ["file", "under-file", "output-is-dir"])
+def test_unwritable_out_exits_1(tmp_path, capsys, argv, name, bad):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if bad == "file":
+        out = failing = taken
+    elif bad == "under-file":
+        out = failing = taken / "sub"
+    else:
+        out = tmp_path / "run"
+        failing = out / name
+        failing.mkdir(parents=True)
+    assert main(argv + ["--scenario", SMOKE, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {failing}: ")
 
 
 def test_sweep_negative_jobs_exits_1(scenario, capsys):

@@ -283,7 +283,8 @@ def test_greedy_descends_from_initial():
     tg = ns.random_task_graph(9, 0.4, seed=7)
     start = ns.initial_mapping(tg, shm)
     s0 = ns.asap_schedule(tg, start, shm, rg)
-    mapping, sched = ns.map_greedy(tg, shm, rg)
+    r = ns.run_heuristic("greedy", tg, shm, rg)
+    mapping, sched = r.mapping, r.schedule
     assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) <= \
         ns.evaluate_cost(s0, ns.SCHEDULE_LENGTH)
     ns.validate_mapping(tg, mapping, shm)
@@ -292,7 +293,8 @@ def test_greedy_descends_from_initial():
 def test_greedy_single_pe_forced():
     ag, shm, rg = platform(1, 1)
     tg = chain_tg([4, 6, 2])
-    mapping, sched = ns.map_greedy(tg, shm, rg)
+    r = ns.run_heuristic("greedy", tg, shm, rg)
+    mapping, sched = r.mapping, r.schedule
     assert mapping == [0, 0, 0]
     assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) == 12
 
@@ -300,15 +302,16 @@ def test_greedy_single_pe_forced():
 def test_two_tasks_two_pes_utilization_zero():
     ag, shm, rg = platform(2, 1)
     tg = ns.build_task_graph([ns.Task(0, 10), ns.Task(1, 10)], {})
-    mapping, sched = ns.map_greedy(tg, shm, rg, cost=ns.UTILIZATION_BALANCE)
+    sched = ns.run_heuristic("greedy", tg, shm, rg,
+                             cost=ns.UTILIZATION_BALANCE).schedule
     assert ns.evaluate_cost(sched, ns.UTILIZATION_BALANCE) == 0.0
 
 
 def test_ils_beats_or_matches_greedy():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(9, 0.4, seed=7)
-    _, sg = ns.map_greedy(tg, shm, rg)
-    _, si = ns.map_ils(tg, shm, rg, iterations=5)
+    sg = ns.run_heuristic("greedy", tg, shm, rg).schedule
+    si = ns.run_heuristic("ils", tg, shm, rg, iterations=5).schedule
     assert ns.evaluate_cost(si, ns.SCHEDULE_LENGTH) <= \
         ns.evaluate_cost(sg, ns.SCHEDULE_LENGTH)
 
@@ -316,24 +319,24 @@ def test_ils_beats_or_matches_greedy():
 def test_ils_deterministic():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(8, 0.4, seed=13)
-    a = ns.map_ils(tg, shm, rg, iterations=4, seed=5)
-    b = ns.map_ils(tg, shm, rg, iterations=4, seed=5)
-    assert a[0] == b[0]
+    a = ns.run_heuristic("ils", tg, shm, rg, iterations=4, seed=5)
+    b = ns.run_heuristic("ils", tg, shm, rg, iterations=4, seed=5)
+    assert a.mapping == b.mapping
 
 
 def test_sa_deterministic():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(8, 0.4, seed=13)
-    a = ns.map_sa(tg, shm, rg, seed=5)
-    b = ns.map_sa(tg, shm, rg, seed=5)
-    assert a[0] == b[0]
+    a = ns.run_heuristic("sa", tg, shm, rg, seed=5)
+    b = ns.run_heuristic("sa", tg, shm, rg, seed=5)
+    assert a.mapping == b.mapping
 
 
 def test_sa_matches_exhaustive_optimum():
     ag, shm, rg = platform(2, 2)
     tg = chain_tg([5, 3, 7, 2], [2, 1, 3])
     best = oracles.exhaustive_best_mapping(tg, shm, rg, ns.SCHEDULE_LENGTH)
-    _, sched = ns.map_sa(tg, shm, rg, seed=3)
+    sched = ns.run_heuristic("sa", tg, shm, rg, seed=3).schedule
     assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) == best
 
 
@@ -343,7 +346,8 @@ def test_sa_tiny_t0_acts_as_descent():
     start = ns.initial_mapping(tg, shm)
     s0 = ns.asap_schedule(tg, start, shm, rg)
     params = ns.SaParams(t0=1e-9)
-    _, sched = ns.map_sa(tg, shm, rg, sa_params=params, seed=2)
+    sched = ns.run_heuristic("sa", tg, shm, rg, sa_params=params,
+                             seed=2).schedule
     assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) <= \
         ns.evaluate_cost(s0, ns.SCHEDULE_LENGTH)
 
@@ -352,7 +356,7 @@ def test_heuristic_avoids_broken_pe():
     ag, shm, rg = platform(2, 2)
     shm.apply_fault(("pe", 2))
     tg = ns.random_task_graph(6, 0.4, seed=4)
-    mapping, _ = ns.map_greedy(tg, shm, rg)
+    mapping = ns.run_heuristic("greedy", tg, shm, rg).mapping
     assert 2 not in mapping
 
 
@@ -362,7 +366,7 @@ def test_infeasible_instance_when_nothing_fits():
     tg = ns.build_task_graph(
         [ns.Task(0, 10, criticality=ns.CRITICAL, slack=5)], {})
     with pytest.raises(InfeasibleInstance):
-        ns.map_greedy(tg, shm, rg)
+        ns.run_heuristic("greedy", tg, shm, rg)
 
 
 def test_deadline_filters_slow_tiles():
@@ -372,7 +376,7 @@ def test_deadline_filters_slow_tiles():
     rg = ns.build_routing_graph(ag, ns.XY, shm)
     tg = ns.build_task_graph(
         [ns.Task(0, 10, criticality=ns.CRITICAL, slack=12)], {})
-    mapping, sched = ns.map_greedy(tg, shm, rg)
+    mapping = ns.run_heuristic("greedy", tg, shm, rg).mapping
     assert mapping == [1]
 
 
@@ -407,9 +411,10 @@ def test_greedy_valid_on_random_instances(seed):
     rg = ns.build_routing_graph(ag, ns.XY, shm)
     tg = ns.random_task_graph(6, 0.4, seed=seed)
     try:
-        mapping, sched = ns.map_greedy(tg, shm, rg)
+        r = ns.run_heuristic("greedy", tg, shm, rg)
     except (InfeasibleInstance, NoHealthyPE):
         return
+    mapping, sched = r.mapping, r.schedule
     ns.validate_mapping(tg, mapping, shm)
     for f in sched.flows:
         assert ns.RouteProvider(rg).route(f.src_tile, f.dst_tile) is not None

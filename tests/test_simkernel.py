@@ -219,6 +219,28 @@ def test_drop_into_cancelled_task_cancels_nothing_twice(mesh33):
     assert res.metrics.tasks_completed == 1
 
 
+def test_remap_sends_no_planned_flow_into_a_cancelled_task(mesh33):
+    # The setup above, plus tile 1's permanent fault at t=8: task 0's
+    # result is lost with the tile, and the remap re-runs it on tile 4.
+    # Its flows into the cancelled tasks 1 and 2 are never planned.
+    tasks = [ns.Task(i, 5) for i in range(4)]
+    tg = ns.build_task_graph(tasks, {(0, 1): 1, (0, 2): 2, (1, 2): 1,
+                                     (2, 3): 1})
+    aging = tuple(ns.AgingUpdate(time=0, tile=t, percent=100)
+                  for t in range(9) if t not in (1, 4, 7))
+    injections = (ns.Injection(time=8, location=("pe", 1),
+                               persistence="permanent"),)
+    res = ns.run(script(tg, mesh33, seed=2, cost="utilization_balance",
+                        budget=1, aging=aging, injections=injections))
+    assert res.trace[-3:] == ["9 remap hit=0 t_rl=61", "70 deploy gen=2",
+                              "75 task_finish task=0 tile=4 start=70 "
+                              "finish=75"]
+    assert not [l for l in res.trace
+                if " flow_" in l and int(l.split()[0]) > 9]
+    m = res.metrics
+    assert (m.flows_dropped, m.tasks_completed, m.remaps) == (2, 1, 1)
+
+
 # -- infeasible remap -----------------------------------------------------------------
 
 
