@@ -21,21 +21,27 @@ link faults (TABLE_BUDGET rectangles per port):
   tables_cold   build_region_tables on a graph not used before
   tables_warm   the same after the extra fault, with the two-fault
                 tables as `prev`
+  tables_fault  the kernel's step on the extra fault: graph_fault's
+                derivation from a two-fault graph that has its reach
+                bits, plus the derived graph's tables with that graph's
+                tables as `prev`
   routes        a new RouteProvider asked route() for every tile pair
 
 Each repeat of a table or route rung gets its own graph, built untimed
-beforehand, so no repeat reads another's memoised reach bits or routes.
+beforehand (tables_fault derives its own inside the timed step), so no
+repeat reads another's memoised reach bits or routes.
 
 The sizes are fixed; a rung whose first run takes longer than LIMIT_S
 (60) seconds is recorded as "skipped: exceeds 60 s" instead of repeated.
 
-    python3 scripts/bench.py --label change --out BENCH_6.json
+    python3 scripts/bench.py --label change --out BENCH_14.json
     python3 scripts/bench.py --label parent --src OTHER_CHECKOUT/src \\
-        --out BENCH_6.json
+        --out BENCH_14.json
 
 --src picks the nocsim source tree to import (default: this
 checkout's src), so one script times two checkouts.  Results go under
-runs[label] in the output file; other labels already in it are kept.
+runs[label] in the output file (--out, required, so no run overwrites
+an earlier record by default); other labels already in it are kept.
 """
 
 import argparse
@@ -88,7 +94,7 @@ def _rung(layer, size, fn, work):
         rung["runs_s"] = runs
         rung["work"] = work(result)
     shown = rung.get("status") or f"{rung['median_s']:.4f} s"
-    print(f"{layer:>9} {json.dumps(size)}: {shown}", flush=True)
+    print(f"{layer:>12} {json.dumps(size)}: {shown}", flush=True)
     return rung
 
 
@@ -180,6 +186,13 @@ def routing_rungs(ns):
         rungs.append(_rung("graph_fault", size, faulted,
                            lambda rg: {"method": method, "edges": _edges(rg)}))
 
+        base_tables = ns.build_region_tables(base, TABLE_BUDGET)
+        rungs.append(_rung(
+            "tables_fault", size,
+            lambda: ns.build_region_tables(faulted(), TABLE_BUDGET,
+                                           prev=base_tables),
+            lambda t: {"method": method, "rectangles": _rectangles(t, n)}))
+
         graphs = fresh(shm)
         rungs.append(_rung(
             "tables_cold", size,
@@ -245,7 +258,8 @@ def main():
                     help="nocsim source tree to import (default: ./src)")
     ap.add_argument("--label", default="change",
                     help="key of this run in the output's runs object")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_6.json"))
+    ap.add_argument("--out", required=True,
+                    help="JSON file to record the run in, e.g. BENCH_14.json")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))

@@ -13,10 +13,13 @@ is dropped at injection instead of wandering, and a false positive
 merely drops a packet conservatively, never forwards one into a dead
 end.
 
-A table keeps each port's exact set.  A rebuild after a fault is given
-the previous table and copies the rectangles of every port whose set
-did not change; the cover depends on the set, the mesh and the budget
-alone, so only the changed ports are covered again.
+A table keeps its port list and its graph's reach bits (the list, not
+the graph).  A rebuild after a fault is given the previous table,
+walks its port list and copies the rectangles of every port whose reach
+bits did not change; a port's set depends on its bits alone, and the
+cover on the set, the mesh and the budget alone, so only the changed
+ports are covered again.  Within one build, ports with equal sets share
+one cover.
 """
 
 from dataclasses import dataclass
@@ -59,13 +62,14 @@ def unreachable_set(rg, tile, direction):
     ag.check_tile(tile)
     if direction not in _PORT_DIRS or ag.neighbor(tile, direction) is None:
         raise UnknownPort(f"tile {tile} has no {direction} output port")
-    return set(_tiles_of(_unreachable_bits(rg, tile, direction)))
-
-
-def _unreachable_bits(rg, tile, direction):
-    everyone = (1 << len(rg.ag)) - 1
     reach = rg.reach_by_id()[rg.port_id(tile, direction, "out")]
-    return everyone & ~reach & ~(1 << tile)
+    return set(_tiles_of(_unreachable_bits(reach, tile, len(ag))))
+
+
+def _unreachable_bits(reach, tile, n):
+    """The tiles other than `tile`, of `n`, missing from a port's reach
+    bitset."""
+    return ((1 << n) - 1) & ~reach & ~(1 << tile)
 
 
 def _tiles_of(bits):
@@ -160,9 +164,14 @@ def _largest_box(rows, h, d):
     For each range of layers z1..z2 and rows y1..y2, the AND of its rows
     holds the x positions a box over that range may span.  At one range
     only the first longest run of ones can win: a shorter run has less
-    area, and a later run of equal length a larger x1.  Widening a range
-    only clears bits, so a range whose set bits, times the widest y span
-    still open, fall short of the best area ends its widening.
+    area, and a later run of equal length a larger x1.  Three cuts keep
+    every largest box:
+      - a row y1 whose row above holds all its bits starts none, since
+        the box one row taller has the same x span and more area;
+      - widening a range only clears bits and shortens runs, so a range
+        whose set bits, or whose longest run, times the widest y span
+        still open, fall short of the best area ends its widening;
+      - the run is found again only when the AND changed.
     """
     best_area = 0
     best = None
@@ -177,25 +186,34 @@ def _largest_box(rows, h, d):
             dz = z2 - z1 + 1
             for y1 in range(h):
                 m = layer[y1]
+                if not m or (y1 and layer[y1 - 1] & m == m):
+                    continue
+                span = (h - y1) * dz
+                last = 0
                 for y2 in range(y1, h):
                     if y2 > y1:
                         m &= layer[y2]
-                    if not m or m.bit_count() * (h - y1) * dz < best_area:
-                        break
-                    # After k - 1 steps, bit x of run is set iff x..x+k-1
-                    # are all set in m.
-                    run = m
-                    k = 1
-                    while True:
-                        longer = run & (run >> 1)
-                        if not longer:
+                        if not m:
                             break
-                        run = longer
-                        k += 1
+                    if m != last:
+                        if m.bit_count() * span < best_area:
+                            break
+                        # After k - 1 steps, bit x of run is set iff
+                        # x..x+k-1 are all set in m.
+                        last = run = m
+                        k = 1
+                        while True:
+                            longer = run & (run >> 1)
+                            if not longer:
+                                break
+                            run = longer
+                            k += 1
+                        if k * span < best_area:
+                            break
+                        x1 = (run & -run).bit_length() - 1
                     area = k * (y2 - y1 + 1) * dz
                     if area < best_area:
                         continue
-                    x1 = (run & -run).bit_length() - 1
                     box = ((x1, y1, z1), (x1 + k - 1, y2, z2))
                     if area > best_area or box < best:
                         best_area = area
@@ -207,12 +225,13 @@ class PortRegionTable:
     """Compressed unreachable-destination rectangles for every
     neighbor-backed output port, plus local deliverability per tile."""
 
-    def __init__(self, ag, budget, rects, local_ok, unreach=None):
+    def __init__(self, ag, budget, rects, local_ok, ports, reach):
         self.ag = ag
         self.budget = budget
         self._rects = rects                 # (tile, dir) -> tuple of Rectangle
         self._local_ok = local_ok           # tile -> bool
-        self._unreach = unreach or {}       # (tile, dir) -> exact tile bitset
+        self._ports = ports                 # out-port id per _rects key, in order
+        self._reach = reach                 # the graph's reach bits, by id
 
     def ports(self, tile):
         return sorted(d for (t, d) in self._rects if t == tile)
@@ -245,30 +264,39 @@ def build_region_tables(rg, budget, prev=None):
     routing graph's platform.
 
     `prev`, the tables of an earlier graph of the same platform and
-    budget, lends its rectangles to every port whose unreachable set is
-    unchanged; the cover depends on nothing else, so the result is the
-    same as a cold build.  Any other `prev` is ignored.
+    budget, lends its port list, and its rectangles to every port whose
+    reach bits are unchanged; a port's set depends on its reach bits
+    alone and the cover on the set, the mesh and the budget, so the
+    result is the same as a cold build.  Any other `prev` is ignored.
     """
     if budget < 1:
         raise RegionBudgetError(f"rectangle budget must be >= 1, got {budget}")
     ag = rg.ag
-    reuse = prev is not None and prev.ag is ag and prev.budget == budget
+    reach = rg.reach_by_id()
+    if prev is not None and prev.ag is ag and prev.budget == budget:
+        keys = old_rects = prev._rects
+        ports, old_reach = prev._ports, prev._reach
+    else:
+        keys = [(tile, d) for tile in range(len(ag)) for d in ag.directions()
+                if ag.neighbor(tile, d) is not None]
+        ports = tuple(rg.port_id(tile, d, "out") for tile, d in keys)
+        old_reach = None
     rects = {}
-    unreach = {}
-    local_ok = []
-    for tile in range(len(ag)):
-        for direction in ag.directions():
-            if ag.neighbor(tile, direction) is None:
-                continue
-            key = (tile, direction)
-            bits = unreach[key] = _unreachable_bits(rg, tile, direction)
-            if reuse and prev._unreach.get(key) == bits:
-                rects[key] = prev._rects[key]
-            else:
-                rects[key] = cover_rectangles(bits, ag.dims, budget)
-        local_ok.append(rg.port_id(tile, "L", "out")
-                        in rg.succ[rg.port_id(tile, "L", "in")])
-    return PortRegionTable(ag, budget, rects, local_ok, unreach)
+    covers = {}                             # unreachable set -> its cover
+    for key, port in zip(keys, ports):
+        bits = reach[port]
+        if old_reach is not None and old_reach[port] == bits:
+            rects[key] = old_rects[key]
+            continue
+        unreach = _unreachable_bits(bits, key[0], len(ag))
+        cover = covers.get(unreach)
+        if cover is None:
+            cover = covers[unreach] = cover_rectangles(unreach, ag.dims, budget)
+        rects[key] = cover
+    succ, P, local = rg.succ, rg.ports_per_tile, rg.slots["L"]
+    local_ok = [t * P + local + 1 in succ[t * P + local]
+                for t in range(len(ag))]
+    return PortRegionTable(ag, budget, rects, local_ok, ports, reach)
 
 
 def should_drop(tables, src, dst):

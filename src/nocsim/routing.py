@@ -36,6 +36,21 @@ code that knows which edges each element gates.  A cold build is the
 structural graph (mesh, turn model, regions) minus the health map's
 broken set through without; a permanent fault derives the graph of the
 faulted state from the one before the same way.
+
+A derived graph also derives its reach bits.  `without` records the
+tails of the edges it really deletes.  When the parent is acyclic and
+has its reach bits, the derived graph holds the parent's bits and
+Tarjan completion order (never the parent itself), and its first
+reach_by_id recomputes only the nodes from the earliest tail on in that
+order (_reach_bits_after).  That is exact: on an acyclic graph the
+completion order is reverse topological, so every ancestor of a tail
+completes after it, every node before the earliest tail reaches no
+deleted edge and keeps its bits, and every later node's successors are
+final when it is recomputed.  Deleting edges keeps a graph acyclic and
+the order reverse topological, so the rule chains over any sequence of
+PE, link and turn faults.  A graph derived from a cyclic parent (custom
+turn models), or from one without reach bits, takes the cold Tarjan
+pass: a deletion can break a cycle and so flip is_deadlock_free.
 """
 
 import random
@@ -165,6 +180,8 @@ class RoutingGraph:
         self._adj = None                    # memoised PortNode adjacency
         self._reach = None                  # memoised reach bitsets, by id
         self._acyclic = None                # memoised with _reach
+        self._order = None                  # completion order of the pass
+        self._inherit = None                # (parent reach, order, tails)
         self._providers = {}                # seed -> memoised RouteProvider
 
     def port_id(self, tile, direction, kind):
@@ -211,10 +228,22 @@ class RoutingGraph:
         is its own local-outs OR its successors' bitsets; that is exact
         on cyclic graphs as well as acyclic ones.  The same pass tells
         whether the graph is acyclic, which is_deadlock_free reads.
+
+        A graph that `without` derived from an acyclic parent with reach
+        bits runs no Tarjan pass: it recomputes only the nodes its
+        deleted edges can change, in the parent's completion order
+        (_reach_bits_after).
         """
         if self._reach is None:
-            self._reach, self._acyclic = _reach_bits(self.succ,
-                                                     self.ports_per_tile)
+            if self._inherit is not None:
+                reach, order, tails = self._inherit
+                self._inherit = None
+                self._reach = _reach_bits_after(self.succ, self.ports_per_tile,
+                                                reach, order, tails)
+                self._acyclic, self._order = True, order
+            else:
+                self._reach, self._acyclic, self._order = _reach_bits(
+                    self.succ, self.ports_per_tile)
         return self._reach
 
     def route_provider(self, seed=0):
@@ -238,19 +267,28 @@ class RoutingGraph:
         already absent (a broken element, a turn the model forbids, a
         link across regions) stays absent, so deletions commute and the
         order of `faults` does not matter.  Deleting entries keeps every
-        list sorted."""
+        list sorted.
+
+        When this graph is acyclic and has its reach bits, the result
+        holds them, their completion order and the deleted edges' tails
+        (never this graph), and derives its own from them on request."""
         port = self.port_id
         succ = list(self.succ)
+        tails = []
 
         def drop(i, j):
             if j in succ[i]:
                 succ[i] = tuple(k for k in succ[i] if k != j)
+                tails.append(i)
 
         for fault in faults:
             kind = fault[0]
             if kind == "pe":
                 tile = fault[1]
-                succ[port(tile, "L", "in")] = ()
+                local_in = port(tile, "L", "in")
+                if succ[local_in]:
+                    succ[local_in] = ()
+                    tails.append(local_in)
                 for d in self.ag.directions():
                     drop(port(tile, d, "in"), port(tile, "L", "out"))
             elif kind == "turn":
@@ -262,19 +300,25 @@ class RoutingGraph:
                      port(link.dst, OPPOSITE[link.direction], "in"))
             else:
                 raise UnknownTarget(f"not a health-map element: {fault!r}")
-        return RoutingGraph(self.ag, tuple(succ), self._nodes)
+        derived = RoutingGraph(self.ag, tuple(succ), self._nodes)
+        if self._reach is not None and self._acyclic:
+            derived._inherit = (self._reach, self._order, tails)
+        return derived
 
 
 def _reach_bits(succ, P):
     """(reach bitset per node id, whether every strongly connected
-    component is a single node).  Routing graphs have no self-loops by
+    component is a single node, the node ids in the order their
+    components completed).  Routing graphs have no self-loops by
     construction (every edge joins two different ports), so the second
-    value is true iff the graph is acyclic."""
+    value is true iff the graph is acyclic, and the order is then
+    reverse topological: every node comes after all its successors."""
     n = len(succ)
     index = [-1] * n                        # DFS visit number, -1 unvisited
     low = [0] * n
     on_stack = [False] * n
     bits = [0] * n
+    order = []
     scc_stack = []
     visits = 0
     acyclic = True
@@ -322,7 +366,27 @@ def _reach_bits(succ, P):
                     acyclic = False
                 for m in members:
                     bits[m] = acc
-    return bits, acyclic
+                order += members
+    return bits, acyclic, order
+
+
+def _reach_bits_after(succ, P, reach, order, tails):
+    """Reach bits of an acyclic parent minus some edges, from the
+    parent's bits and completion order and the deleted edges' tails:
+    the nodes from the earliest tail on in `order` are recomputed in
+    that order, the others keep their bits (the module docstring has
+    the proof)."""
+    bits = list(reach)
+    start = min(map(order.index, tails), default=len(order))
+    for k in range(start, len(order)):
+        node = order[k]
+        if node % P == P - 1:               # a local-out node keeps its bit
+            continue
+        acc = 0
+        for nxt in succ[node]:
+            acc |= bits[nxt]
+        bits[node] = acc
+    return bits
 
 
 def build_routing_graph(ag, turn_model, shm, regions=None):
@@ -439,9 +503,9 @@ class RouteProvider:
     only the rows its callers touch.  The scheduler reads the
     rows directly and calls route() only for an entry that is still
     None, so each pair is computed once per provider.  Holds the graph's
-    platform and adjacency, not the graph: graphs memoise their
-    providers, and a reference back would keep every replaced graph
-    alive until the cycle collector runs."""
+    platform, adjacency and link id per port, not the graph: graphs
+    memoise their providers, and a reference back would keep every
+    replaced graph alive until the cycle collector runs."""
 
     def __init__(self, rg, seed=0):
         self.ag = rg.ag
@@ -449,8 +513,10 @@ class RouteProvider:
         self.seed = seed
         self._P = rg.ports_per_tile
         self._local = rg.slots["L"]
-        # direction of each port of a tile, by id % P
-        self._dirs = tuple(d for d in rg.slots for _ in _KINDS)
+        # link id per d-out port id, None for every other port
+        self._links = links = [None] * len(rg.succ)
+        for link in rg.ag.links:
+            links[rg.port_id(link.src, link.direction, "out")] = link.id
         self._rev = [[] for _ in rg.succ]
         for node, succs in enumerate(rg.succ):
             for nxt in succs:
@@ -502,7 +568,7 @@ class RouteProvider:
         if left < 0:
             return ()
         succ = self.succ
-        dirs = self._dirs
+        link_of = self._links
         rng = None
         path = [node]
         links = []
@@ -516,7 +582,7 @@ class RouteProvider:
                     rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
                 nxt = rng.choice(step)
             if nxt // P != node // P:
-                links.append(self.ag.link(node // P, dirs[node % P]).id)
+                links.append(link_of[node])
             path.append(nxt)
             node = nxt
         return Route(tuple(links), len(links) + 1, tuple(path))

@@ -45,24 +45,48 @@ def _random_location(ag, rng):
     return ("checker", tile, rng.choice(ns.CHECKER_UNITS))
 
 
-def _assert_same_graph(derived, cold, budget, seed):
+def _assert_same_graph(derived, cold, budget, seed, tables):
+    """`derived` equals `cold`, and `tables`, built along the chain of
+    derived graphs with prev= as the kernel builds them, equal a cold
+    build's tables."""
     assert derived.succ == cold.succ
     assert derived.adj == cold.adj
     assert derived.nodes == cold.nodes
     assert derived.reach_by_id() == cold.reach_by_id()
     assert ns.is_deadlock_free(derived) == ns.is_deadlock_free(cold)
-    assert ns.build_region_tables(derived, budget).dump() == \
-        ns.build_region_tables(cold, budget).dump()
+    cold_dump = ns.build_region_tables(cold, budget).dump()
+    assert ns.build_region_tables(derived, budget).dump() == cold_dump
+    assert tables.dump() == cold_dump
+    if seed is None:
+        return
     mine, theirs = derived.route_provider(seed), cold.route_provider(seed)
     for src, dst in itertools.product(range(len(derived.ag)), repeat=2):
         assert mine.route(src, dst) == theirs.route(src, dst), (src, dst)
 
 
+def _check_chain(ag, model, regions, locations, budget, seed):
+    """Derive a graph location by location and check every graph of the
+    chain, the healthy one first, against a cold build, routes under
+    one routing seed (none when `seed` is None): each parent has then
+    routed every pair with the seed its child is checked under."""
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, model, shm, regions)
+    tables = ns.build_region_tables(rg, budget)
+    _assert_same_graph(rg, ns.build_routing_graph(ag, model, shm, regions),
+                       budget, seed, tables)
+    for location in locations:
+        targets = ns.degrade_targets(location, ag)
+        for fault in targets:
+            shm.apply_fault(fault)
+        rg = rg.without(targets)
+        tables = ns.build_region_tables(rg, budget, prev=tables)
+        cold = ns.build_routing_graph(ag, model, shm, regions)
+        _assert_same_graph(rg, cold, budget, seed, tables)
+
+
 def _check_fault_sequence(case, data, locate):
-    """Derive a graph fault by fault, each new location drawn by
-    locate(ag, rng), and check every graph of the sequence, the healthy
-    one first, against a cold build under one routing seed: each parent
-    has then routed every pair with the seed its child is checked under."""
+    """A chain of 1 to 5 faults on a drawn mesh, each new location drawn
+    by locate(ag, rng)."""
     model, is_3d, regions_of = MODEL_CASES[case]
     if is_3d:
         ag = ns.build_mesh(3, 3, 2)
@@ -73,24 +97,14 @@ def _check_fault_sequence(case, data, locate):
     rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
     budget = data.draw(st.integers(1, 4), label="budget")
     seed = data.draw(st.integers(0, 3), label="routing seed")
-    shm = ns.SystemHealthMap(ag)
-    rg = ns.build_routing_graph(ag, model, shm, regions)
-    _assert_same_graph(rg, ns.build_routing_graph(ag, model, shm, regions),
-                       budget, seed)
-    broken = []
+    locations = []
     for _ in range(rng.randint(1, 5)):
         # Now and then break an element again.
-        if broken and rng.random() < 0.25:
-            location = rng.choice(broken)
+        if locations and rng.random() < 0.25:
+            locations.append(rng.choice(locations))
         else:
-            location = locate(ag, rng)
-        broken.append(location)
-        targets = ns.degrade_targets(location, ag)
-        for fault in targets:
-            shm.apply_fault(fault)
-        rg = rg.without(targets)
-        cold = ns.build_routing_graph(ag, model, shm, regions)
-        _assert_same_graph(rg, cold, budget, seed)
+            locations.append(locate(ag, rng))
+    _check_chain(ag, model, regions, locations, budget, seed)
 
 
 @pytest.mark.parametrize("case", sorted(MODEL_CASES))
@@ -110,6 +124,24 @@ def test_without_equals_cold_build_on_pe_faults(case, data):
     faulted tiles' local-port edges."""
     _check_fault_sequence(case, data,
                           lambda ag, rng: ("pe", rng.randrange(len(ag))))
+
+
+@pytest.mark.parametrize("side", [8, 12])
+def test_without_equals_cold_build_on_large_west_first_meshes(side):
+    """Link, turn and PE faults, again and again on one chain, on meshes
+    larger than the drawn ones: reach bits, deadlock flag and the
+    tables built with prev= equal cold builds'."""
+    ag = ns.build_mesh(side, side)
+    rng = random.Random(f"large-west-first:{side}")
+    locations = []
+    for _ in range(8):
+        locations.append(("link", rng.randrange(len(ag.links))))
+        locations.append(("turn", rng.randrange(len(ag)),
+                          ns.turn_index(rng.choice(sorted(ns.WEST_FIRST.allowed)),
+                                        False)))
+    locations.insert(5, ("pe", rng.randrange(len(ag))))
+    locations.insert(11, ("pe", rng.randrange(len(ag))))
+    _check_chain(ag, ns.WEST_FIRST, None, locations, 4, seed=None)
 
 
 def _gate(ag, a, b):
@@ -232,6 +264,95 @@ def test_map_and_store_derives_from_the_given_graph(monkeypatch):
     assert entries == cold_entries
     assert mpm.dump() == cold.dump()
     assert shm.serialize() == before
+
+
+# -- the work a derived graph does ---------------------------------------------
+
+
+def _counted(monkeypatch, name):
+    """Call count of routing.<name>, patched for the test."""
+    calls = []
+    fn = getattr(ns.routing, name)
+    monkeypatch.setattr(ns.routing, name,
+                        lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_kernel_runs_one_tarjan_pass(monkeypatch):
+    """A west_first run with permanent link, turn and PE faults and an
+    intermittent burst runs the Tarjan pass once, on the cold graph;
+    each permanent fault's graph derives its reach bits from the one
+    before, and the prediction step's hypothetical graphs never ask."""
+    script = ns.parse_scenario({
+        "seed": 5,
+        "application": {"type": "random", "tasks": 6, "density": 0.3},
+        "platform": {"mesh": [4, 4], "turn_model": "west_first"},
+        "heuristic": {"name": "greedy", "cost": "makespan"},
+        "prediction": {"k": 2, "mpm_capacity": 8},
+        "injections": [
+            {"time": 20, "target": {"kind": "link", "link": 7},
+             "persistence": "permanent"},
+            {"time": 40, "target": {"kind": "pe", "tile": 9},
+             "persistence": {"kind": "intermittent", "count": 3,
+                             "spacing": 6}},
+            {"time": 90, "target": {"kind": "turn", "tile": 5,
+                                    "slot": ["E", "N"]},
+             "persistence": "permanent"},
+            {"time": 120, "target": {"kind": "pe", "tile": 10},
+             "persistence": "permanent"},
+        ],
+    })
+    cold = _counted(monkeypatch, "_reach_bits")
+    derived = _counted(monkeypatch, "_reach_bits_after")
+    stores = []
+    store = ns.simkernel.map_and_store
+    monkeypatch.setattr(ns.simkernel, "map_and_store",
+                        lambda *args, **kw: stores.append(1) or store(*args, **kw))
+    kernel = ns.Kernel(script)
+    result = kernel.run()
+    assert stores, "the burst should make the predictor store mappings"
+    assert result.metrics.stores > 0
+    assert len(cold) == 1
+    assert len(derived) == 3
+    assert result.tables.dump() == ns.build_region_tables(
+        script.build_rg(kernel.shm), script.budget).dump()
+
+
+def test_map_and_store_graphs_run_no_reach_pass(monkeypatch):
+    ag = ns.build_mesh(4, 4)
+    msu = ns.Msu(tg=ns.random_task_graph(6, 0.4, seed=2),
+                 turn_model=ns.WEST_FIRST, seed=4)
+    shm = ns.SystemHealthMap(ag)
+    rg = msu.build_rg(shm)
+    rg.reach_by_id()
+    cold = _counted(monkeypatch, "_reach_bits")
+    derived = _counted(monkeypatch, "_reach_bits_after")
+    mpm = ns.MpmMemory(8)
+    for location in [("pe", 5), ("link", 3), ("turn", 6, 4)]:
+        assert ns.map_and_store(shm, location, msu, mpm, rg=rg) is not None
+    assert cold == [] and derived == []
+
+
+def test_fault_that_breaks_the_only_cycle_flips_deadlock_freedom(monkeypatch):
+    """On a cyclic custom model the derived graph takes the cold pass:
+    breaking the one cycle (a ring over all four links turning the same
+    way) makes it acyclic, as a cold build of the same state is."""
+    ag = ns.build_mesh(2, 2)
+    model = ns.custom_turn_model([("N", "E"), ("S", "W"), ("E", "S"),
+                                  ("W", "N")])
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, model, shm)
+    assert not ns.is_deadlock_free(rg)
+    tables = ns.build_region_tables(rg, 2)
+    fault = ("link", ag.link(0, "E").id)
+    shm.apply_fault(fault)
+    cold = ns.build_routing_graph(ag, model, shm)
+    passes = _counted(monkeypatch, "_reach_bits")
+    derived = rg.without([fault])
+    tables = ns.build_region_tables(derived, 2, prev=tables)
+    assert len(passes) == 1
+    assert ns.is_deadlock_free(derived)
+    _assert_same_graph(derived, cold, 2, 0, tables)
 
 
 # -- bit-row cover on larger meshes ------------------------------------------------
