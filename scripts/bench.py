@@ -16,8 +16,6 @@ link faults (TABLE_BUDGET rectangles per port):
 
   graph         a cold build_routing_graph
   graph_fault   the graph after one more link fault: RoutingGraph.without
-                where the source tree has it, else a cold build (the
-                work counters record which)
   tables_cold   build_region_tables on a graph not used before
   tables_warm   the same after the extra fault, with the two-fault
                 tables as `prev`
@@ -34,9 +32,9 @@ repeat reads another's memoised reach bits or routes.
 The sizes are fixed; a rung whose first run takes longer than LIMIT_S
 (60) seconds is recorded as "skipped: exceeds 60 s" instead of repeated.
 
-    python3 scripts/bench.py --label change --out BENCH_14.json
+    python3 scripts/bench.py --label change --out BENCH_15.json
     python3 scripts/bench.py --label parent --src OTHER_CHECKOUT/src \\
-        --out BENCH_14.json
+        --out BENCH_15.json
 
 --src picks the nocsim source tree to import (default: this
 checkout's src), so one script times two checkouts.  Results go under
@@ -173,25 +171,19 @@ def routing_rungs(ns):
                            lambda rg: {"edges": _edges(rg)}))
 
         base = cold()
-        if hasattr(base, "without"):
-            method = "without"
 
-            def faulted():
-                return base.without([("link", extra)])
-        else:
-            method = "cold"
+        def faulted():
+            return base.without([("link", extra)])
 
-            def faulted():
-                return cold(after)
         rungs.append(_rung("graph_fault", size, faulted,
-                           lambda rg: {"method": method, "edges": _edges(rg)}))
+                           lambda rg: {"edges": _edges(rg)}))
 
         base_tables = ns.build_region_tables(base, TABLE_BUDGET)
         rungs.append(_rung(
             "tables_fault", size,
             lambda: ns.build_region_tables(faulted(), TABLE_BUDGET,
                                            prev=base_tables),
-            lambda t: {"method": method, "rectangles": _rectangles(t, n)}))
+            lambda t: {"rectangles": _rectangles(t, n)}))
 
         graphs = fresh(shm)
         rungs.append(_rung(
@@ -259,7 +251,7 @@ def main():
     ap.add_argument("--label", default="change",
                     help="key of this run in the output's runs object")
     ap.add_argument("--out", required=True,
-                    help="JSON file to record the run in, e.g. BENCH_14.json")
+                    help="JSON file to record the run in, e.g. BENCH_15.json")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))

@@ -5,6 +5,7 @@ into clusters before mapping); the platform side is a 2D or 3D mesh of
 tiles joined by directed links.
 """
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -209,19 +210,7 @@ def cluster_tasks(tg, k, heuristic="greedy-merge", seed=0):
     if not 1 <= k <= m:
         raise InfeasibleK(f"cluster count must be in 1..{m}, got {k}")
 
-    groups = [{i} for i in range(m)]
-    while len(groups) > k:
-        best = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                w = _inter_weight(tg, groups[i], groups[j])
-                key = (-w, min(groups[i]), min(groups[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
-        groups[i] |= groups[j]
-        del groups[j]
-
+    groups = _merge(tg, k)
     if heuristic == "local-search":
         groups = _local_search(tg, groups, seed)
     elif heuristic != "greedy-merge":
@@ -230,51 +219,80 @@ def cluster_tasks(tg, k, heuristic="greedy-merge", seed=0):
     return ClusteredTaskGraph(tg, _canonical_clusters(groups))
 
 
-def _inter_weight(tg, ga, gb):
-    w = 0
-    for (a, b), weight in tg.edges.items():
-        if (a in ga and b in gb) or (a in gb and b in ga):
-            w += weight
-    return w
+def _edge_weights(tg):
+    """Per task, dict neighbour task -> weight of the edge between
+    them, in either direction."""
+    adj = [{} for _ in range(len(tg))]
+    for (a, b), w in tg.edges.items():
+        adj[a][b] = adj[b][a] = w
+    return adj
 
 
-def _cut_of(tg, groups):
-    owner = {}
-    for gi, g in enumerate(groups):
-        for t in g:
-            owner[t] = gi
-    return sum(w for (a, b), w in tg.edges.items() if owner[a] != owner[b])
+def _merge(tg, k):
+    """Groups, by smallest task id, after merging singletons down to k.
+    Each merge joins the pair with the lowest key (-weight between
+    them, smaller smallest id, larger smallest id), so with no weight
+    left the two groups with the lowest smallest ids.  A group is named
+    by its smallest id, which a merge keeps; the weights between groups
+    are kept and updated on each merge, and a heap of keys skips those
+    a merge made stale."""
+    weight = _edge_weights(tg)              # group -> {group: weight}
+    members = {t: {t} for t in range(len(tg))}
+    alive = list(range(len(tg)))            # group names, ascending
+    heap = [(-w, a, b) for a, ws in enumerate(weight) for b, w in ws.items()
+            if a < b]
+    heapq.heapify(heap)
+    while len(alive) > k:
+        while heap:
+            w, a, b = heapq.heappop(heap)
+            if a in members and b in members and weight[a][b] == -w:
+                break
+        else:
+            a, b = alive[:2]
+        members[a] |= members.pop(b)
+        alive.remove(b)
+        into = weight[a]
+        into.pop(b, None)
+        for c, w in weight[b].items():
+            if c != a:
+                del weight[c][b]
+                into[c] = weight[c][a] = into.get(c, 0) + w
+                heapq.heappush(heap, (-into[c], min(a, c), max(a, c)))
+        weight[b] = None
+    return [members[a] for a in alive]
 
 
 def _local_search(tg, groups, seed, rounds=50):
     """Move single tasks between clusters while the cut improves.
 
-    Moves that would empty a cluster are skipped (k is fixed).
-    """
+    Moves that would empty a cluster are skipped (k is fixed).  Moving
+    t from S to D lowers the cut by w(t, D) - w(t, S - {t}), w being
+    the weight of t's edges into a group, so a move is taken iff t
+    weighs more towards D than towards the rest of its own group."""
     rng = random.Random(seed)
     groups = [set(g) for g in groups]
-    best_cut = _cut_of(tg, groups)
+    owner = [0] * len(tg)
+    for gi, g in enumerate(groups):
+        for t in g:
+            owner[t] = gi
+    adj = _edge_weights(tg)
     for _ in range(rounds):
         improved = False
         tasks = list(range(len(tg)))
         rng.shuffle(tasks)
         for t in tasks:
-            src = next(i for i, g in enumerate(groups) if t in g)
+            src = owner[t]
             if len(groups[src]) == 1:
                 continue
+            towards = [0] * len(groups)     # group -> w(t, group - {t})
+            for u, w in adj[t].items():
+                towards[owner[u]] += w
             for dst in range(len(groups)):
-                if dst == src:
-                    continue
-                groups[src].remove(t)
-                groups[dst].add(t)
-                cut = _cut_of(tg, groups)
-                if cut < best_cut:
-                    best_cut = cut
-                    src = dst
+                if dst != src and towards[dst] > towards[src]:
+                    groups[src].remove(t)
+                    groups[dst].add(t)
+                    owner[t] = src = dst
                     improved = True
-                else:
-                    groups[dst].remove(t)
-                    groups[src].add(t)
         if not improved:
             break
     return groups

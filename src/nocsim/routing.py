@@ -21,36 +21,35 @@ kinds and their gating:
                                        regions, both ends in one region)
 
 Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
-PortNode order, and the graph is a tuple of sorted successor-id tuples.
-The reachability index, the route search and the region tables run on
-the ids; PortNode objects appear only in the views tests and the CLI
-read (nodes, adj, port, find_paths).  Each question about a graph has
-one structure: one Tarjan pass answers reachability and deadlock
-freedom (reach_by_id, is_deadlock_free), and the graph's RouteProvider
+PortNode order, and the graph is a tuple of sorted successor-id
+tuples.  The reachability index, the route search and the region tables
+run on the ids; PortNode objects appear only in the views tests read
+(nodes, adj, port, find_paths).  Each question about a graph has one
+structure: one depth-first pass orders the nodes and tells whether the
+graph is acyclic (is_deadlock_free), one propagation loop along that
+order gives the reach index (reach_by_id), and the graph's RouteProvider
 keeps every route it computed in its rows, which the scheduler reads
-directly.  A row entry is the Route itself: its links, its hop count
-and its path as port ids from local-in to local-out (rg.nodes[i]
-decodes one).  Every edge is gated by at most one health element, so a
-broken element only deletes edges, and RoutingGraph.without is the only
-code that knows which edges each element gates.  A cold build is the
+directly.  A row entry is the Route itself: its links, its hop count and
+its path as port ids from local-in to local-out (rg.nodes[i] decodes
+one).  Every edge is gated by at most one health element, so a broken
+element only deletes edges, and RoutingGraph.without is the only code
+that knows which edges each element gates.  A cold build is the
 structural graph (mesh, turn model, regions) minus the health map's
 broken set through without; a permanent fault derives the graph of the
 faulted state from the one before the same way.
 
 A derived graph also derives its reach bits.  `without` records the
-tails of the edges it really deletes.  When the parent is acyclic and
-has its reach bits, the derived graph holds the parent's bits and
-Tarjan completion order (never the parent itself), and its first
-reach_by_id recomputes only the nodes from the earliest tail on in that
-order (_reach_bits_after).  That is exact: on an acyclic graph the
-completion order is reverse topological, so every ancestor of a tail
-completes after it, every node before the earliest tail reaches no
-deleted edge and keeps its bits, and every later node's successors are
-final when it is recomputed.  Deleting edges keeps a graph acyclic and
-the order reverse topological, so the rule chains over any sequence of
-PE, link and turn faults.  A graph derived from a cyclic parent (custom
-turn models), or from one without reach bits, takes the cold Tarjan
-pass: a deletion can break a cycle and so flip is_deadlock_free.
+tails of the edges it really deletes.  From an acyclic parent with
+reach bits, the derived graph takes those bits and the parent's order
+(never the parent), and its first reach_by_id runs the loop only from
+the earliest tail on.  In a reverse topological order every ancestor of
+a tail comes after it, so the nodes before the earliest tail reach no
+deleted edge and keep their bits.  Deleting edges keeps a graph acyclic
+and its order reverse topological, so the rule chains over any sequence
+of PE, link and turn faults.  A graph derived from a cyclic parent
+(custom turn models), or from one without reach bits, runs its own
+depth-first pass: a deletion can break a cycle and so flip
+is_deadlock_free.
 """
 
 import random
@@ -179,9 +178,8 @@ class RoutingGraph:
         self._nodes = nodes                 # memoised PortNode tuple, by id
         self._adj = None                    # memoised PortNode adjacency
         self._reach = None                  # memoised reach bitsets, by id
-        self._acyclic = None                # memoised with _reach
-        self._order = None                  # completion order of the pass
-        self._inherit = None                # (parent reach, order, tails)
+        self._postorder = None              # (DFS postorder, acyclic flag)
+        self._inherit = None                # (parent reach, deleted tails)
         self._providers = {}                # seed -> memoised RouteProvider
 
     def port_id(self, tile, direction, kind):
@@ -217,33 +215,43 @@ class RoutingGraph:
             raise UnknownTile(f"no port node {node}")
         return node
 
+    def _dfs(self):
+        """(depth-first postorder, acyclic flag), memoised or inherited."""
+        if self._postorder is None:
+            self._postorder = _dfs_postorder(self.succ)
+        return self._postorder
+
     def reach_by_id(self):
         """Reachability index: per node id, the bitset (int, bit d =
         tile d) of the tiles whose local-out the node reaches, itself
         included.
 
-        Computed once per graph by one pass over the strongly connected
-        components (iterative Tarjan).  Tarjan completes a component
-        only after every component it has an edge into, so its bitset
-        is its own local-outs OR its successors' bitsets; that is exact
-        on cyclic graphs as well as acyclic ones.  The same pass tells
-        whether the graph is acyclic, which is_deadlock_free reads.
-
-        A graph that `without` derived from an acyclic parent with reach
-        bits runs no Tarjan pass: it recomputes only the nodes its
-        deleted edges can change, in the parent's completion order
-        (_reach_bits_after).
+        The rule: a node reaches what its successors reach, and a
+        local-out also its own tile.  _propagate applies it along the
+        depth-first postorder, where a node's successors all come first
+        save the target of a back edge (an edge into a node on the DFS
+        stack, which closes a cycle), so on an acyclic graph one pass is
+        exact.  On a cyclic graph the loop starts from the local-out
+        bits and repeats until a pass changes nothing.  The bits never
+        exceed the reach sets, and after pass p they hold every tile
+        reached along a path with fewer than p back edges; a simple path
+        takes each of the b back edges once at most, so b + 1 passes
+        reach the least fixpoint, the reach sets, and one more confirms
+        it.  A derived graph starts from its acyclic parent's bits at
+        its earliest deleted edge's tail (module docstring).
         """
         if self._reach is None:
-            if self._inherit is not None:
-                reach, order, tails = self._inherit
-                self._inherit = None
-                self._reach = _reach_bits_after(self.succ, self.ports_per_tile,
-                                                reach, order, tails)
-                self._acyclic, self._order = True, order
+            order, acyclic = self._dfs()
+            P = self.ports_per_tile
+            if self._inherit is None:
+                bits, start = [0] * len(self.succ), 0
+                bits[P - 1::P] = [1 << t for t in range(len(self.ag))]
             else:
-                self._reach, self._acyclic, self._order = _reach_bits(
-                    self.succ, self.ports_per_tile)
+                reach, tails = self._inherit
+                self._inherit = None
+                bits = list(reach)
+                start = min(map(order.index, tails), default=len(order))
+            self._reach = _propagate(self.succ, P, bits, order, start, acyclic)
         return self._reach
 
     def route_provider(self, seed=0):
@@ -269,9 +277,8 @@ class RoutingGraph:
         order of `faults` does not matter.  Deleting entries keeps every
         list sorted.
 
-        When this graph is acyclic and has its reach bits, the result
-        holds them, their completion order and the deleted edges' tails
-        (never this graph), and derives its own from them on request."""
+        An acyclic graph with reach bits hands them, its order and the
+        deleted edges' tails to the result (module docstring)."""
         port = self.port_id
         succ = list(self.succ)
         tails = []
@@ -301,92 +308,57 @@ class RoutingGraph:
             else:
                 raise UnknownTarget(f"not a health-map element: {fault!r}")
         derived = RoutingGraph(self.ag, tuple(succ), self._nodes)
-        if self._reach is not None and self._acyclic:
-            derived._inherit = (self._reach, self._order, tails)
+        if self._reach is not None and self._postorder[1]:
+            derived._postorder = self._postorder
+            derived._inherit = (self._reach, tails)
         return derived
 
 
-def _reach_bits(succ, P):
-    """(reach bitset per node id, whether every strongly connected
-    component is a single node, the node ids in the order their
-    components completed).  Routing graphs have no self-loops by
-    construction (every edge joins two different ports), so the second
-    value is true iff the graph is acyclic, and the order is then
-    reverse topological: every node comes after all its successors."""
-    n = len(succ)
-    index = [-1] * n                        # DFS visit number, -1 unvisited
-    low = [0] * n
-    on_stack = [False] * n
-    bits = [0] * n
-    order = []
-    scc_stack = []
-    visits = 0
-    acyclic = True
-    for root in range(n):
-        if index[root] >= 0:
+def _dfs_postorder(succ):
+    """(node ids in depth-first postorder, whether the graph is acyclic).
+    An edge into a node still on the DFS stack closes a cycle; without
+    one the graph is acyclic and its postorder reverse topological."""
+    state = [0] * len(succ)                 # 0 unvisited, 1 on stack, 2 done
+    order, acyclic = [], True
+    for root in range(len(succ)):
+        if state[root]:
             continue
-        index[root] = low[root] = visits
-        visits += 1
-        scc_stack.append(root)
-        on_stack[root] = True
+        state[root] = 1
         work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
             for nxt in it:
-                if index[nxt] < 0:
-                    index[nxt] = low[nxt] = visits
-                    visits += 1
-                    scc_stack.append(nxt)
-                    on_stack[nxt] = True
+                if not state[nxt]:
+                    state[nxt] = 1
                     work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[nxt] and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if state[nxt] == 1:
+                    acyclic = False
             else:
                 work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] != index[node]:
-                    continue
-                members = []
-                acc = 0
-                while True:
-                    m = scc_stack.pop()
-                    on_stack[m] = False
-                    members.append(m)
-                    if m % P == P - 1:          # a local-out node
-                        acc |= 1 << (m // P)
-                    for nxt in succ[m]:
-                        # Successors inside this component are still 0;
-                        # all others belong to finished components.
-                        acc |= bits[nxt]
-                    if m == node:
-                        break
-                if len(members) > 1:
-                    acyclic = False
-                for m in members:
-                    bits[m] = acc
-                order += members
-    return bits, acyclic, order
+                state[node] = 2
+                order.append(node)
+    return order, acyclic
 
 
-def _reach_bits_after(succ, P, reach, order, tails):
-    """Reach bits of an acyclic parent minus some edges, from the
-    parent's bits and completion order and the deleted edges' tails:
-    the nodes from the earliest tail on in `order` are recomputed in
-    that order, the others keep their bits (the module docstring has
-    the proof)."""
-    bits = list(reach)
-    start = min(map(order.index, tails), default=len(order))
-    for k in range(start, len(order)):
-        node = order[k]
-        if node % P == P - 1:               # a local-out node keeps its bit
-            continue
-        acc = 0
-        for nxt in succ[node]:
-            acc |= bits[nxt]
-        bits[node] = acc
-    return bits
+def _propagate(succ, P, bits, order, start, acyclic):
+    """Apply the reach rule to `bits` in place along `order` from
+    position `start`: a local-out keeps its bit (its own tile's), every
+    other node gets the OR of its successors' bits.  One pass when the
+    graph is acyclic, else passes until one changes nothing (reach_by_id
+    has the proof).  Returns `bits`."""
+    while True:
+        before = None if acyclic else list(bits)
+        for k in range(start, len(order)):
+            node = order[k]
+            if node % P == P - 1:           # a local-out keeps its own bit
+                continue
+            acc = 0
+            for nxt in succ[node]:
+                acc |= bits[nxt]
+            bits[node] = acc
+        if acyclic or bits == before:
+            return bits
 
 
 def build_routing_graph(ag, turn_model, shm, regions=None):
@@ -435,10 +407,8 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
 
 def is_deadlock_free(rg):
     """True iff the port graph is acyclic (Dally & Seitz): read off the
-    graph's memoised Tarjan pass, where a graph is acyclic iff every
-    strongly connected component is a single node."""
-    rg.reach_by_id()
-    return rg._acyclic
+    graph's memoised depth-first pass, which finds no back edge."""
+    return rg._dfs()[1]
 
 
 def find_paths(rg, src, dst, limit=None):

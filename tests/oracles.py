@@ -6,6 +6,7 @@ so the two sides can disagree when one is wrong.
 """
 
 import itertools
+import random
 import weakref
 
 import networkx as nx
@@ -254,6 +255,74 @@ def best_partitions(tg, k):
         if best is None or cut < best:
             best = cut
     return best
+
+
+def cluster_tasks(tg, k, heuristic="greedy-merge", seed=0):
+    """The clusters of graphs.cluster_tasks, as a canonical tuple of
+    frozensets, by re-summing weights: every pair's weight from all
+    edges in each merge round, and the whole cut for every candidate
+    move of the local search."""
+    groups = [{i} for i in range(len(tg))]
+    while len(groups) > k:
+        best = None
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                w = _inter_weight(tg, groups[i], groups[j])
+                key = (-w, min(groups[i]), min(groups[j]))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        groups[i] |= groups[j]
+        del groups[j]
+    if heuristic == "local-search":
+        groups = _local_search(tg, groups, seed)
+    return tuple(sorted((frozenset(g) for g in groups), key=min))
+
+
+def _inter_weight(tg, ga, gb):
+    w = 0
+    for (a, b), weight in tg.edges.items():
+        if (a in ga and b in gb) or (a in gb and b in ga):
+            w += weight
+    return w
+
+
+def _cut_of(tg, groups):
+    owner = {}
+    for gi, g in enumerate(groups):
+        for t in g:
+            owner[t] = gi
+    return sum(w for (a, b), w in tg.edges.items() if owner[a] != owner[b])
+
+
+def _local_search(tg, groups, seed, rounds=50):
+    rng = random.Random(seed)
+    groups = [set(g) for g in groups]
+    best_cut = _cut_of(tg, groups)
+    for _ in range(rounds):
+        improved = False
+        tasks = list(range(len(tg)))
+        rng.shuffle(tasks)
+        for t in tasks:
+            src = next(i for i, g in enumerate(groups) if t in g)
+            if len(groups[src]) == 1:
+                continue
+            for dst in range(len(groups)):
+                if dst == src:
+                    continue
+                groups[src].remove(t)
+                groups[dst].add(t)
+                cut = _cut_of(tg, groups)
+                if cut < best_cut:
+                    best_cut = cut
+                    src = dst
+                    improved = True
+                else:
+                    groups[dst].remove(t)
+                    groups[src].add(t)
+        if not improved:
+            break
+    return groups
 
 
 def pstdev(values):

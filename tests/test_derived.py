@@ -270,19 +270,21 @@ def test_map_and_store_derives_from_the_given_graph(monkeypatch):
 
 
 def _counted(monkeypatch, name):
-    """Call count of routing.<name>, patched for the test."""
+    """Argument tuples of the calls to routing.<name>, patched for the
+    test."""
     calls = []
     fn = getattr(ns.routing, name)
     monkeypatch.setattr(ns.routing, name,
-                        lambda *args: calls.append(1) or fn(*args))
+                        lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
-def test_kernel_runs_one_tarjan_pass(monkeypatch):
+def test_kernel_runs_one_dfs_pass(monkeypatch):
     """A west_first run with permanent link, turn and PE faults and an
-    intermittent burst runs the Tarjan pass once, on the cold graph;
-    each permanent fault's graph derives its reach bits from the one
-    before, and the prediction step's hypothetical graphs never ask."""
+    intermittent burst runs the depth-first pass once, on the cold
+    graph, and propagates over all of it; each permanent fault's graph
+    propagates from the one before's bits over a suffix of its order,
+    and the prediction step's hypothetical graphs never ask."""
     script = ns.parse_scenario({
         "seed": 5,
         "application": {"type": "random", "tasks": 6, "density": 0.3},
@@ -302,8 +304,8 @@ def test_kernel_runs_one_tarjan_pass(monkeypatch):
              "persistence": "permanent"},
         ],
     })
-    cold = _counted(monkeypatch, "_reach_bits")
-    derived = _counted(monkeypatch, "_reach_bits_after")
+    passes = _counted(monkeypatch, "_dfs_postorder")
+    propagations = _counted(monkeypatch, "_propagate")
     stores = []
     store = ns.simkernel.map_and_store
     monkeypatch.setattr(ns.simkernel, "map_and_store",
@@ -312,8 +314,14 @@ def test_kernel_runs_one_tarjan_pass(monkeypatch):
     result = kernel.run()
     assert stores, "the burst should make the predictor store mappings"
     assert result.metrics.stores > 0
-    assert len(cold) == 1
-    assert len(derived) == 3
+    assert len(passes) == 1
+    # (succ, P, bits, order, start, acyclic): one cold propagation from
+    # position 0, then one per permanent fault from a later position.
+    starts = [args[4] for args in propagations]
+    assert len(starts) == 4
+    assert starts[0] == 0 and all(0 < s < len(propagations[0][3])
+                                  for s in starts[1:])
+    assert all(args[5] for args in propagations)
     assert result.tables.dump() == ns.build_region_tables(
         script.build_rg(kernel.shm), script.budget).dump()
 
@@ -325,18 +333,19 @@ def test_map_and_store_graphs_run_no_reach_pass(monkeypatch):
     shm = ns.SystemHealthMap(ag)
     rg = msu.build_rg(shm)
     rg.reach_by_id()
-    cold = _counted(monkeypatch, "_reach_bits")
-    derived = _counted(monkeypatch, "_reach_bits_after")
+    passes = _counted(monkeypatch, "_dfs_postorder")
+    propagations = _counted(monkeypatch, "_propagate")
     mpm = ns.MpmMemory(8)
     for location in [("pe", 5), ("link", 3), ("turn", 6, 4)]:
         assert ns.map_and_store(shm, location, msu, mpm, rg=rg) is not None
-    assert cold == [] and derived == []
+    assert passes == [] and propagations == []
 
 
 def test_fault_that_breaks_the_only_cycle_flips_deadlock_freedom(monkeypatch):
-    """On a cyclic custom model the derived graph takes the cold pass:
-    breaking the one cycle (a ring over all four links turning the same
-    way) makes it acyclic, as a cold build of the same state is."""
+    """On a cyclic custom model the derived graph runs its own
+    depth-first pass: breaking the one cycle (a ring over all four
+    links turning the same way) makes it acyclic, as a cold build of
+    the same state is."""
     ag = ns.build_mesh(2, 2)
     model = ns.custom_turn_model([("N", "E"), ("S", "W"), ("E", "S"),
                                   ("W", "N")])
@@ -347,10 +356,11 @@ def test_fault_that_breaks_the_only_cycle_flips_deadlock_freedom(monkeypatch):
     fault = ("link", ag.link(0, "E").id)
     shm.apply_fault(fault)
     cold = ns.build_routing_graph(ag, model, shm)
-    passes = _counted(monkeypatch, "_reach_bits")
+    passes = _counted(monkeypatch, "_dfs_postorder")
     derived = rg.without([fault])
     tables = ns.build_region_tables(derived, 2, prev=tables)
     assert len(passes) == 1
+    assert passes[0][0] is derived.succ
     assert ns.is_deadlock_free(derived)
     _assert_same_graph(derived, cold, 2, 0, tables)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import (
@@ -150,6 +150,22 @@ def test_local_search_not_worse_than_merge():
         merged = ns.cluster_tasks(tg, 3, heuristic="greedy-merge")
         improved = ns.cluster_tasks(tg, 3, heuristic="local-search", seed=seed)
         assert improved.cut_weight() <= merged.cut_weight()
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 24), density=st.sampled_from([0.1, 0.3, 0.6, 1.0]),
+       top=st.sampled_from([1, 2, 10]), data=st.data())
+def test_clusters_match_resumming_oracle(n, density, top, data):
+    """Kept pair weights and move deltas pick the clusters that
+    re-summing every weight picks, ties included (a top weight of 1 or
+    2 makes many)."""
+    tg = ns.random_task_graph(n, density, data.draw(st.integers(0, 10**6)),
+                              weight_range=(1, top))
+    k = data.draw(st.integers(1, n), label="k")
+    heuristic = data.draw(st.sampled_from(["greedy-merge", "local-search"]))
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    assert ns.cluster_tasks(tg, k, heuristic, seed).clusters == \
+        oracles.cluster_tasks(tg, k, heuristic, seed)
 
 
 # -- meshes ------------------------------------------------------------------

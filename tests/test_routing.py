@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,34 @@ def test_healthy_rgs_acyclic_all_models():
             rg = healthy_rg(w, h, model)
             assert ns.is_deadlock_free(rg)
             assert not oracles.has_cycle_dfs(rg)
+
+
+def test_named_models_acyclic_on_every_small_mesh():
+    """The ground for parsing no graph for a named model: every named 2D
+    model on every mesh up to 8x8, each split of such a mesh into two
+    regions under every named base model (a region takes a named model
+    or the base), and xyz on every mesh up to 4x4x3 give acyclic
+    healthy graphs."""
+    named = sorted(ns.routing.TURN_MODELS_2D.values())
+    graphs = 0
+    for w, h in itertools.product(range(1, 9), repeat=2):
+        ag = ns.build_mesh(w, h)
+        shm = ns.SystemHealthMap(ag)
+        for base in named:
+            assert ns.is_deadlock_free(ns.build_routing_graph(ag, base, shm))
+            graphs += 1
+            for halves in itertools.product(named + [None], repeat=2):
+                regions = two_regions(ag, *halves)
+                assert ns.is_deadlock_free(
+                    ns.build_routing_graph(ag, base, shm, regions)), \
+                    (w, h, base.name, halves)
+                graphs += 1
+    for dims in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
+        ag = ns.build_mesh(*dims)
+        assert ns.is_deadlock_free(
+            ns.build_routing_graph(ag, ns.XYZ, ns.SystemHealthMap(ag))), dims
+        graphs += 1
+    assert graphs == 64 * 4 * 26 + 48
 
 
 def test_fully_adaptive_2x2_cyclic():
@@ -191,21 +221,27 @@ def test_reachability_matrix_1x1():
 
 
 # The index is checked on acyclic planar models, a cyclic model that
-# allows all eight turns, a 3D mesh and a mesh without ports.
+# allows all eight turns, a drawn subset of the eight turns (a model of
+# None), a 3D mesh and a mesh without ports.  The drawn subsets give
+# cycles of many shapes, so the propagation's fixpoint path runs.
 INDEX_CASES = {
     "xy_4x4": ((4, 4), ns.XY),
     "west_first_4x3": ((4, 3), ns.WEST_FIRST),
     "north_last_3x3": ((3, 3), ns.NORTH_LAST),
     "all_turns_3x3": ((3, 3), ns.custom_turn_model(ns.TURN_SLOTS_2D)),
+    "drawn_turns_4x3": ((4, 3), None),
     "xyz_3x3x2": ((3, 3, 2), ns.XYZ),
     "xy_1x1": ((1, 1), ns.XY),
 }
+DRAWN_TURNS = st.sets(st.sampled_from(ns.TURN_SLOTS_2D))
 
 
 @pytest.mark.parametrize("case", sorted(INDEX_CASES))
-@given(seed=st.integers(0, 10**6))
-def test_reach_index_matches_oracles(case, seed):
+@given(seed=st.integers(0, 10**6), turns=DRAWN_TURNS)
+def test_reach_index_matches_oracles(case, seed, turns):
     dims, model = INDEX_CASES[case]
+    if model is None:
+        model = ns.custom_turn_model(sorted(turns))
     ag = ns.build_mesh(*dims)
     shm = random_shm(ag, seed, max_links=3 if ag.links else 0, max_pes=2)
     rg = ns.build_routing_graph(ag, model, shm)
@@ -230,13 +266,15 @@ def test_reach_index_memoised():
 
 
 ALL_TURNS = ns.custom_turn_model(ns.TURN_SLOTS_2D)
-# name -> (turn model, regions' (left, right) models or None, 3D mesh?)
+# name -> (turn model, or None for a drawn subset of the eight turns,
+#          regions' (left, right) models or None, 3D mesh?)
 DEADLOCK_CASES = {
     "xy": (ns.XY, None, False),
     "west_first": (ns.WEST_FIRST, None, False),
     "north_last": (ns.NORTH_LAST, None, False),
     "negative_first": (ns.NEGATIVE_FIRST, None, False),
     "all_turns": (ALL_TURNS, None, False),
+    "drawn_turns": (None, None, False),
     "regions_xy_west_first": (ns.XY, (ns.XY, ns.WEST_FIRST), False),
     "regions_xy_all_turns": (ns.XY, (ns.XY, ALL_TURNS), False),
     "xyz": (ns.XYZ, None, True),
@@ -246,9 +284,12 @@ DEADLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(DEADLOCK_CASES))
 @given(data=st.data())
 def test_deadlock_free_matches_cycle_oracle(case, data):
-    """is_deadlock_free, read off the Tarjan pass, agrees with an
+    """is_deadlock_free, read off the depth-first pass, agrees with an
     independent three-colour DFS on random faulted graphs."""
     model, halves, is_3d = DEADLOCK_CASES[case]
+    if model is None:
+        model = ns.custom_turn_model(sorted(data.draw(DRAWN_TURNS,
+                                                      label="turns")))
     if is_3d:
         ag = ns.build_mesh(data.draw(st.integers(1, 3), label="w"),
                            data.draw(st.integers(1, 3), label="h"), 2)

@@ -2,6 +2,7 @@ import copy
 import json
 import re
 import sys
+import time
 
 import pytest
 
@@ -414,6 +415,43 @@ def test_custom_all_turns_rejected_as_cyclic():
         ns.parse_scenario(doc(platform={"mesh": [3, 3],
                                         "turn_model": "custom",
                                         "custom_turns": everything}))
+
+
+def test_named_models_parse_without_building_a_graph(monkeypatch):
+    """Named models, regions included, are acyclic on every mesh
+    (tests/test_routing.py::test_named_models_acyclic_on_every_small_mesh),
+    so parsing builds no routing graph for them; a custom model's
+    healthy graph is built once and checked."""
+    builds = []
+    build = ns.scenario.build_routing_graph
+    monkeypatch.setattr(ns.scenario, "build_routing_graph",
+                        lambda *args, **kw: builds.append(1) or build(*args, **kw))
+    for platform in ({"mesh": [4, 4], "turn_model": "west_first"},
+                     {"mesh": [2, 2, 2]},
+                     {"mesh": [4, 4], "turn_model": "negative_first",
+                      "regions": {"labels": {str(t): "west" if t % 4 < 2
+                                             else "east" for t in range(16)},
+                                  "turn_models": {"east": "xy"}}}):
+        ns.parse_scenario(doc(platform=platform))
+    assert builds == []
+    ns.parse_scenario(doc(platform={"mesh": [3, 3], "turn_model": "custom",
+                                    "custom_turns": [["E", "N"], ["W", "S"]]}))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("heuristic", ["greedy-merge", "local-search"])
+def test_large_clustered_application_parses_in_seconds(heuristic):
+    """Clustering keeps its pair weights and prices a move by its delta,
+    so a 300-task application clusters in a fraction of a second.
+    Re-summing every edge per pair and per move grew like the fifth
+    power of the task count."""
+    start = time.perf_counter()
+    script = ns.parse_scenario(doc(application={
+        "tasks": 300, "cluster": {"k": 8, "heuristic": heuristic}}))
+    assert time.perf_counter() - start < 5
+    assert len(script.ctg) == 8
+    assert sorted(t for c in script.ctg.clusters for t in c) == \
+        list(range(300))
 
 
 def test_unknown_turn_model_name():
