@@ -3,6 +3,12 @@ each bundled scenario under greedy, ILS and SA, and the `nocsim
 regions` dump of scenarios/regions.json at budgets 1 and 8, compared
 byte for byte with the files under tests/golden/.
 
+tests/scenarios/ holds documents for features the bundled scenarios do
+not reach (the traffic and utilization costs, a clustered application,
+a 3D mesh); their goldens, in tests/golden/extra/<name>/<heuristic>/,
+add the `nocsim map` output (map.txt), whose `cost <kind> <value>`
+line pins evaluate_cost.
+
 The corpus pins the model's outputs, so a refactor or speed-up that
 changes any byte fails here.  The only way to rewrite it is
 
@@ -26,6 +32,8 @@ UPDATE = os.environ.get("NOCSIM_UPDATE_GOLDEN") == "1"
 SIMULATE_FILES = ("metrics.txt", "trace.txt", "decisions.log", "mapping.txt",
                   "mpm.txt", "shm.txt")
 SCENARIO_NAMES = sorted(p.stem for p in SCENARIOS.glob("*.json"))
+EXTRA = pathlib.Path(__file__).resolve().parent / "scenarios"
+EXTRA_NAMES = sorted(p.stem for p in EXTRA.glob("*.json"))
 HEURISTICS = ("greedy", "ils", "sa")
 BUDGETS = (1, 8)
 
@@ -46,16 +54,35 @@ def test_corpus_covers_every_scenario():
     assert SCENARIO_NAMES == ["burst_recovery", "regions", "smoke"]
 
 
+def _check_simulate(scenario, heuristic, golden, out):
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--heuristic", heuristic, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(SIMULATE_FILES)
+    for fname in SIMULATE_FILES:
+        _check(out / fname, golden / fname)
+
+
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_simulate_matches_golden(name, heuristic, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["simulate", "--scenario", str(SCENARIOS / f"{name}.json"),
-                 "--heuristic", heuristic, "--out", str(out)]) == 0
+    _check_simulate(SCENARIOS / f"{name}.json", heuristic,
+                    GOLDEN / name / heuristic, tmp_path / "out")
     capsys.readouterr()
-    assert sorted(p.name for p in out.iterdir()) == sorted(SIMULATE_FILES)
-    for fname in SIMULATE_FILES:
-        _check(out / fname, GOLDEN / name / heuristic / fname)
+
+
+def test_extra_corpus_covers_every_document():
+    assert EXTRA_NAMES == sorted(p.name for p in (GOLDEN / "extra").iterdir())
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@pytest.mark.parametrize("name", EXTRA_NAMES)
+def test_extra_matches_golden(name, heuristic, tmp_path, capsys):
+    golden = GOLDEN / "extra" / name / heuristic
+    _check_simulate(EXTRA / f"{name}.json", heuristic, golden, tmp_path / "sim")
+    assert main(["map", "--scenario", str(EXTRA / f"{name}.json"),
+                 "--heuristic", heuristic, "--out", str(tmp_path / "map")]) == 0
+    capsys.readouterr()
+    _check(tmp_path / "map" / "mapping.txt", golden / "map.txt")
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
