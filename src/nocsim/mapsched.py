@@ -1,14 +1,14 @@
 """Task-to-tile mapping and ASAP scheduling.
 
 A mapping is a plain list: index task id, value tile id.  The scheduler
-does one topological pass computing each task's start exactly once, so
-the number of start computations is linear in the task count (an
-operation counter on the result makes that checkable).  Data transfers
-occupy route links and are serialized where links are contended
-(earliest-fit); each link keeps its busy intervals sorted, so one probe
-of a link costs O(log I) in the I intervals already on it, and a link
-nothing uses yet costs none.  Tasks sharing a processing element are
-serialized too.
+does one topological pass computing each task's start exactly once
+(Schedule.start_computations counts them).  Data transfers occupy route
+links and are serialized where links are contended (earliest-fit); each
+link keeps its busy intervals sorted, so a probe bisects to the one
+interval it can hit, O(log I) in the I intervals on the link, but after
+a conflict it steps past each gap too short for the body, linear in the
+intervals skipped (about 127 per transfer on a 1000-task 4x4 schedule).
+Tasks sharing a processing element are serialized too.
 
 Routes are read from the route provider's rows, rows[src][dst], which
 every search and asap_schedule call given that provider shares: each
@@ -21,8 +21,8 @@ Heuristics (steepest-descent, iterated local search, simulated
 annealing) share one single-move neighborhood and are deterministic
 given their inputs and seed.  With a clustered application the move
 unit is the whole cluster; tasks inherit their cluster's tile.
-Candidates are scored by the same scheduling pass without building a
-Schedule; only the winner's is built."""
+Candidates are scored by the same pass and the one cost routine, _cost,
+without building a Schedule; only the winner's is built."""
 
 import math
 import random
@@ -193,11 +193,10 @@ def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
     on that link, so the result is the earliest conflict-free
     injection.  Intervals on one link never overlap, so their flat list
     is sorted and one bisection finds the only interval that can
-    conflict: O(log I) per link probe, and an unused link needs none.
-    After a conflict-free pass each interval is inserted where a
-    bisection puts it, which is where the probe found room: a route
-    never repeats a link, so no lane changes between the check and the
-    insert.
+    conflict; an unused link needs none.  After a conflict-free pass
+    each interval is inserted where a bisection puts it, which is where
+    the probe found room: a route never repeats a link, so no lane
+    changes between the check and the insert.
     """
     unit = comm.unit_link_cycles
     r = comm.router_delay
@@ -287,22 +286,33 @@ def _pstdev(values):
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
-def evaluate_cost(schedule, kind):
-    """schedule_length: last finish.  traffic_balance: population
-    stddev of busy cycles over used links.  utilization_balance: the
-    same over used processing elements."""
+def _cost(kind, tiles, start, finish, busy, base_time=0):
+    """The only definition of each cost kind.  tiles, start, finish: each
+    executed task's, in id order; busy: per link id None or its [start,
+    end, ...] bounds.  schedule_length: last finish - base_time;
+    traffic_balance: population stddev of busy cycles over used links,
+    in id order; utilization_balance: the same over used PEs."""
     if kind == SCHEDULE_LENGTH:
-        return schedule.makespan - schedule.base_time
+        return max(finish, default=base_time) - base_time
     if kind == TRAFFIC_BALANCE:
-        busy = [sum(e - s for s, e in iv) for iv in schedule.link_busy.values()]
-        return _pstdev([b for b in busy if b > 0])
-    if kind == UTILIZATION_BALANCE:
+        used = [sum(lane[1::2]) - sum(lane[::2]) for lane in busy if lane]
+    elif kind == UTILIZATION_BALANCE:
         per_pe = {}
-        for tid, (tile, start, finish) in enumerate(schedule.task_times):
-            if tid not in schedule.retained:
-                per_pe[tile] = per_pe.get(tile, 0) + (finish - start)
-        return _pstdev([b for b in per_pe.values() if b > 0])
-    raise RangeError(f"unknown cost function {kind!r}; choices: {COST_KINDS}")
+        for tile, s, f in zip(tiles, start, finish):
+            per_pe[tile] = per_pe.get(tile, 0) + (f - s)
+        used = [b for b in per_pe.values() if b > 0]
+    else:
+        raise RangeError(f"unknown cost function {kind!r}; choices: {COST_KINDS}")
+    return _pstdev(used)
+
+
+def evaluate_cost(schedule, kind):
+    """The cost `kind` of a built schedule (see _cost)."""
+    run = [times for tid, times in enumerate(schedule.task_times)
+           if tid not in schedule.retained]
+    tiles, start, finish = zip(*run) if run else ((), (), ())
+    busy = [[t for iv in ivs for t in iv] for ivs in schedule.link_busy.values()]
+    return _cost(kind, tiles, start, finish, busy, schedule.base_time)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +406,8 @@ class _Search:
         self.evaluations = 0
 
     def evaluate(self, unit_tiles):
-        """The candidate's cost, or None when it is infeasible
-        (unroutable transfer or missed critical deadline).  Equal to
-        evaluate_cost of its asap_schedule, float for float: the sums
-        are taken in the same order."""
+        """The candidate's cost (see _cost), or None when it is
+        infeasible (unroutable transfer or missed critical deadline)."""
         self.evaluations += 1
         if self.clustered:
             mapping = _expand(self.units, unit_tiles, len(self.tg))
@@ -414,15 +422,7 @@ class _Search:
         for task, deadline in self.deadlines:
             if finish[task] > deadline:
                 return None
-        if self.cost == SCHEDULE_LENGTH:
-            return max(finish, default=0)
-        if self.cost == TRAFFIC_BALANCE:
-            return _pstdev([sum(lane[1::2]) - sum(lane[::2])
-                            for lane in busy if lane])
-        per_pe = {}
-        for tile, s, f in zip(mapping, start, finish):
-            per_pe[tile] = per_pe.get(tile, 0) + (f - s)
-        return _pstdev([b for b in per_pe.values() if b > 0])
+        return _cost(self.cost, mapping, start, finish, busy)
 
     def feasible_start(self, unit_tiles):
         """The given start if feasible, else bounded probing: all units

@@ -3,9 +3,10 @@
 A scenario bundles the application, the platform, the algorithm knobs,
 and the scripted fault/aging timeline.  Parsing is strict: an unreadable,
 non-UTF-8 or malformed JSON file raises ParseError (with the line/column
-if malformed), a well-formed document with a bad field or a size past
-its cap (MAX_TILES, MAX_RANDOM_TASKS, MAX_BURST) raises SemanticError
-naming the offending path.
+if malformed), a well-formed document with a bad field or a size or
+search budget past its cap (MAX_TILES, MAX_RANDOM_TASKS, MAX_BURST,
+MAX_ITERATIONS, MAX_SA_CANDIDATES) raises SemanticError naming the
+offending path.
 
 An omitted field takes the default of the dataclass field it sets
 (ScenarioScript, whose MSU settings are shmu.Msu's, Task, SaParams,
@@ -54,24 +55,28 @@ from .routing import (
 from .shmu import ClassifierConfig, CostModel, degrade_targets, CHECKER_UNITS
 from .simkernel import AgingUpdate, DROP, Injection, REQUEUE, ScenarioScript
 
-# The flat sections: document key -> (ScenarioScript field, int lower
-# bound or tuple of allowed values).  heuristic.sa is read by _parse_sa.
+# Size caps, checked before anything is built: JSON must not exhaust memory.
+MAX_TILES = 4096                # platform.mesh, tiles in all
+MAX_RANDOM_TASKS = 2000         # application.tasks of a random application
+MAX_BURST = 1000                # events of one intermittent burst
+# Search caps: a valid document must not ask for unbounded mapping work.
+MAX_ITERATIONS = 1000           # heuristic.iterations (ILS rounds)
+MAX_SA_CANDIDATES = 250_000     # heuristic.sa: temperature levels x moves
+
+# The flat sections: document key -> (ScenarioScript field, tuple of
+# allowed values, or int lower bound [and upper bound]).  heuristic.sa
+# is read by _parse_sa.
 _FLAT = {
     "heuristic": {
         "name": ("heuristic", tuple(HEURISTICS)),
         "cost": ("cost", COST_KINDS + tuple(COST_ALIASES)),
         "initial": ("initial_policy", INITIAL_POLICIES),
-        "iterations": ("iterations", 1),
+        "iterations": ("iterations", 1, MAX_ITERATIONS),
     },
     "reachability": {"budget": ("budget", 1)},
     "prediction": {"k": ("prediction_k", 0), "mpm_capacity": ("mpm_capacity", 1)},
     "policies": {"severed_flows": ("severed_policy", (DROP, REQUEUE))},
 }
-
-# Size caps, checked before anything is built: JSON must not exhaust memory.
-MAX_TILES = 4096                # platform.mesh, tiles in all
-MAX_RANDOM_TASKS = 2000         # application.tasks of a random application
-MAX_BURST = 1000                # events of one intermittent burst
 
 
 def load_scenario(path, seed=None, heuristic=None, cost=None, budget=None):
@@ -294,6 +299,13 @@ def _parse_sa(cfg):
     _int(sa["moves_per_temp"], "heuristic.sa.moves_per_temp", lo=1)
     if not _real(sa["tmin_ratio"]) or not 0 < sa["tmin_ratio"] < 1:
         raise SemanticError("heuristic.sa.tmin_ratio: expected a number in (0, 1)")
+    # The annealing loop cools from t0 by alpha until tmin_ratio x t0.
+    levels = math.ceil(math.log(sa["tmin_ratio"]) / math.log(sa["alpha"]))
+    if levels * sa["moves_per_temp"] > MAX_SA_CANDIDATES:
+        raise SemanticError(
+            f"heuristic.sa: {levels} temperature levels x "
+            f"{sa['moves_per_temp']} moves is more than {MAX_SA_CANDIDATES} "
+            f"candidates")
     return SaParams(**sa)
 
 
@@ -305,11 +317,11 @@ def _flat(cfg, section, overrides, extra=()):
     table = _FLAT[section]
     _known(cfg, section, (*table, *extra))
     values = {}
-    for key, (name, rule) in table.items():
+    for key, (name, *rule) in table.items():
         value = overrides.get(name, cfg.get(key, getattr(ScenarioScript, name)))
         path = f"{section}.{key}"
-        values[name] = (_choice(value, path, rule) if isinstance(rule, tuple)
-                        else _int(value, path, lo=rule))
+        values[name] = (_choice(value, path, *rule) if isinstance(rule[0], tuple)
+                        else _int(value, path, *rule))
     return values
 
 

@@ -6,6 +6,7 @@ so the two sides can disagree when one is wrong.
 """
 
 import itertools
+import math
 import random
 import weakref
 
@@ -17,7 +18,6 @@ from nocsim.mapsched import (
     CommModel,
     FlowPlan,
     Schedule,
-    evaluate_cost,
     validate_mapping,
 )
 from nocsim.reachability import Rectangle
@@ -221,7 +221,7 @@ def exhaustive_best_mapping(tg, shm, rg, cost, comm=None):
             schedule = ns.asap_schedule(tg, list(mapping), shm, rg, comm=comm)
         except ns.UnroutableFlow:
             continue
-        c = ns.evaluate_cost(schedule, cost)
+        c = schedule_cost(schedule, cost)
         if best is None or c < best:
             best = c
     return best
@@ -330,7 +330,31 @@ def pstdev(values):
     if not values:
         return 0.0
     mean = sum(values) / len(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
+def schedule_cost(schedule, kind):
+    """Each cost kind from its definition over a built Schedule, without
+    the library's cost routine.  The population stddev is taken as the
+    library takes it (same sums, same order, math.sqrt), so equal inputs
+    give equal floats."""
+    executed = [times for tid, times in enumerate(schedule.task_times)
+                if tid not in schedule.retained]
+    if kind == ns.SCHEDULE_LENGTH:
+        return max((f for _, _, f in executed), default=schedule.base_time) \
+            - schedule.base_time
+    if kind == ns.TRAFFIC_BALANCE:
+        per_link = {}
+        for flow in schedule.flows:
+            for link, s, e in flow.intervals:
+                per_link[link] = per_link.get(link, 0) + (e - s)
+        return pstdev(per_link[l] for l in sorted(per_link) if per_link[l] > 0)
+    if kind == ns.UTILIZATION_BALANCE:
+        per_pe = {}                 # in order of each PE's first executed task
+        for tile, s, f in executed:
+            per_pe[tile] = per_pe.get(tile, 0) + (f - s)
+        return pstdev(v for v in per_pe.values() if v > 0)
+    raise ValueError(f"unknown cost kind {kind!r}")
 
 
 # -- ASAP scheduling -----------------------------------------------------------
@@ -439,7 +463,7 @@ def _place_flow(a, b, tile_a, tile_b, weight, route, injection, comm, link_busy)
 def evaluate_candidate(tg, mapping, shm, rg, comm, routes, cost):
     """Candidate evaluation as the heuristics scored it before cost-only
     evaluation: the reference Schedule, the deadline check and the
-    public cost function.  None for an infeasible candidate."""
+    reference cost.  None for an infeasible candidate."""
     try:
         schedule = asap_schedule(tg, mapping, shm, rg, comm=comm, routes=routes)
     except UnroutableFlow:
@@ -448,4 +472,4 @@ def evaluate_candidate(tg, mapping, shm, rg, comm, routes, cost):
         if task.criticality == ns.CRITICAL and task.slack is not None:
             if schedule.task_times[task.id][2] > task.release + task.slack:
                 return None
-    return evaluate_cost(schedule, cost)
+    return schedule_cost(schedule, cost)

@@ -9,6 +9,7 @@ from nocsim.errors import (
     InfeasibleInstance,
     LengthMismatch,
     NoHealthyPE,
+    RangeError,
     SemanticError,
     UnknownTile,
     UnroutableFlow,
@@ -226,13 +227,22 @@ def test_cost_utilization_balance_example():
     s = ns.asap_schedule(tg, [0, 1], shm, rg)
     assert ns.evaluate_cost(s, ns.UTILIZATION_BALANCE) == 10.0
     assert ns.evaluate_cost(s, ns.TRAFFIC_BALANCE) == 0.0
+    # Unequal task counts: PE 0 runs 10 + 10 cycles, PE 1 runs 30, so the
+    # busy totals are 20 and 30, stddev 5; a per-task constant moves it.
+    tg = ns.build_task_graph([ns.Task(0, 10), ns.Task(1, 10), ns.Task(2, 30)], {})
+    s = ns.asap_schedule(tg, [0, 0, 1], shm, rg)
+    assert s.task_times == ((0, 0, 10), (0, 10, 20), (1, 0, 30))
+    assert ns.evaluate_cost(s, ns.UTILIZATION_BALANCE) == 5.0
+    search = ns.mapsched._Search(tg, shm, rg, ns.UTILIZATION_BALANCE, None,
+                                 ns.CommModel(), None)
+    assert search.evaluate([0, 0, 1]) == 5.0
 
 
 def test_cost_unknown_kind():
     ag, shm, rg = platform(2, 1)
     tg = ns.build_task_graph([ns.Task(0, 1)], {})
     s = ns.asap_schedule(tg, [0], shm, rg)
-    with pytest.raises(Exception):
+    with pytest.raises(RangeError):
         ns.evaluate_cost(s, "nope")
 
 
@@ -614,6 +624,9 @@ def test_asap_schedule_matches_reference(seed):
     assert new.makespan == ref.makespan
     assert new.start_computations == ref.start_computations
     assert new.retained == ref.retained
+    for kind in ns.mapsched.COST_KINDS:
+        got, want = ns.evaluate_cost(new, kind), oracles.schedule_cost(ref, kind)
+        assert got == want and type(got) is type(want), kind
 
 
 @given(st.integers(0, 10**6), st.booleans())

@@ -1,5 +1,6 @@
 import copy
 import json
+import pathlib
 import re
 import sys
 import time
@@ -9,7 +10,13 @@ import pytest
 import nocsim as ns
 from nocsim.cli import main
 from nocsim.errors import CycleError, ParseError, SemanticError
-from nocsim.scenario import MAX_BURST, MAX_RANDOM_TASKS, MAX_TILES
+from nocsim.scenario import (
+    MAX_BURST,
+    MAX_ITERATIONS,
+    MAX_RANDOM_TASKS,
+    MAX_SA_CANDIDATES,
+    MAX_TILES,
+)
 
 
 MINIMAL = {
@@ -375,6 +382,48 @@ def test_sizes_at_their_caps_parse():
     s = ns.parse_scenario(inj_doc({"kind": "pe", "tile": 0},
                                   persistence=burst(MAX_BURST)))
     assert s.injections[0].persistence == ("intermittent", MAX_BURST, 1)
+
+
+def _validate_bundled(tmp_path, capsys, name, heuristic):
+    """`nocsim validate` on a bundled scenario with `heuristic` merged
+    into its heuristic section: (exit status, stderr)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    data = json.loads((path / f"{name}.json").read_text(encoding="utf-8"))
+    data["heuristic"].update(heuristic)
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(data))
+    status = main(["validate", "--scenario", str(p)])
+    return status, capsys.readouterr().err
+
+
+def test_iterations_past_their_cap_are_rejected(tmp_path, capsys):
+    s = ns.parse_scenario(doc(heuristic={"iterations": MAX_ITERATIONS}))
+    assert s.iterations == MAX_ITERATIONS
+    with pytest.raises(SemanticError, match=re.escape(
+            f"heuristic.iterations: must be <= {MAX_ITERATIONS}, got ")):
+        ns.parse_scenario(doc(heuristic={"iterations": MAX_ITERATIONS + 1}))
+    # An ILS run this long never ended before the cap.
+    status, err = _validate_bundled(tmp_path, capsys, "regions",
+                                    {"iterations": 10**30})
+    assert status == 1 and "error: heuristic.iterations: " in err
+
+
+def test_sa_candidate_budget_past_its_cap_is_rejected(tmp_path, capsys):
+    # ceil(ln 0.25 / ln 0.5) = 2 temperature levels.
+    at_cap = {"alpha": 0.5, "tmin_ratio": 0.25,
+              "moves_per_temp": MAX_SA_CANDIDATES // 2}
+    s = ns.parse_scenario(doc(heuristic={"sa": at_cap}))
+    assert s.sa_params.moves_per_temp == MAX_SA_CANDIDATES // 2
+    with pytest.raises(SemanticError, match=re.escape(
+            "heuristic.sa: 2 temperature levels x ")):
+        ns.parse_scenario(doc(heuristic={"sa": dict(
+            at_cap, moves_per_temp=MAX_SA_CANDIDATES // 2 + 1)}))
+    # The default, 227 levels x 100 moves, is far below the cap.
+    assert ns.parse_scenario(doc()).sa_params == ns.SaParams()
+    status, err = _validate_bundled(
+        tmp_path, capsys, "smoke",
+        {"name": "sa", "sa": {"alpha": 0.999999, "tmin_ratio": 1e-300}})
+    assert status == 1 and "error: heuristic.sa: " in err
 
 
 def test_injection_times_must_be_non_decreasing():
