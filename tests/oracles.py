@@ -341,8 +341,8 @@ def schedule_cost(schedule, kind):
     executed = [times for tid, times in enumerate(schedule.task_times)
                 if tid not in schedule.retained]
     if kind == ns.SCHEDULE_LENGTH:
-        return max((f for _, _, f in executed), default=schedule.base_time) \
-            - schedule.base_time
+        last = max((f for _, _, f in executed), default=schedule.base_time)
+        return last - schedule.base_time
     if kind == ns.TRAFFIC_BALANCE:
         per_link = {}
         for flow in schedule.flows:

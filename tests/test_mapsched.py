@@ -648,7 +648,7 @@ def test_cost_only_evaluation_matches_reference(seed, clustered):
 def test_cost_only_sums_in_reference_order():
     # Many busy links and PEs with uneven loads: here the population
     # stddev's float result depends on the order of the sums, so the
-    # cost-only path must add in the order evaluate_cost does.
+    # cost-only path must add in the order the definitions give.
     ag, shm, rg = platform(4, 4)
     shm.set_aging(5, 30)
     order_sensitive = 0
@@ -660,7 +660,7 @@ def test_cost_only_sums_in_reference_order():
         for kind in ns.mapsched.COST_KINDS:
             search = ns.mapsched._Search(tg, shm, rg, kind, None,
                                          ns.CommModel(), None)
-            assert search.evaluate(mapping) == ns.evaluate_cost(sched, kind), \
+            assert search.evaluate(mapping) == oracles.schedule_cost(sched, kind), \
                 (seed, kind)
         busy = [sum(e - s for s, e in iv) for iv in sched.link_busy.values()]
         order_sensitive += oracles.pstdev(busy) != oracles.pstdev(busy[::-1])
