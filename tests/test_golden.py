@@ -5,7 +5,8 @@ byte for byte with the files under tests/golden/.
 
 tests/scenarios/ holds documents for features the bundled scenarios do
 not reach (the traffic and utilization costs, a clustered application,
-a 3D mesh); their goldens, in tests/golden/extra/<name>/<heuristic>/,
+a 3D mesh, a flow dropped by the region filter, an infeasible store and
+an infeasible remap); their goldens, in tests/golden/extra/<name>/<heuristic>/,
 add the `nocsim map` output (map.txt), whose `cost <kind> <value>`
 line pins evaluate_cost.
 
