@@ -34,7 +34,7 @@ from .shmu import (
     map_and_deploy,
     MpmMemory,
 )
-from .simkernel import Kernel
+from .simkernel import format_location, Kernel
 
 
 def _add_common(sub, out=True, verbose=False):
@@ -103,7 +103,7 @@ def cmd_validate(args):
     if args.verbose:
         for inj in script.injections:
             print(f"  injection t={inj.time} at "
-                  f"{':'.join(str(p) for p in inj.location)} "
+                  f"{format_location(inj.location)} "
                   f"({inj.persistence})")
     return 0
 

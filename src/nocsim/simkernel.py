@@ -16,17 +16,21 @@ reconfiguration has taken its virtual t_rl cycles.  In-flight transfers
 crossing the broken element are dropped or requeued per policy; other
 halted transfers are re-sent by the new plan.
 
-Every planned transfer ends with exactly one outcome, set and counted
-by Kernel._settle: delivered (flows_delivered); dropped at the filter,
+A run is recorded as one list, Kernel.events, of (time, kind, *fields)
+tuples; trace.txt and decisions.log are rendered from it through LINES
+when read, and the Metrics counters are counted off it.  Every planned
+transfer ends with exactly one outcome, recorded by Kernel._settle as
+that flow's event: delivered (flows_delivered); dropped at the filter,
 or severed under the drop policy (flows_dropped); requeued under the
 requeue policy, or halted in flight by a remap (flows_requeued);
-cancelled with its source task, or superseded unsent by a new plan
-(not counted).  An injected transfer adds the cycles it held each link
-to link_busy: its whole interval when delivered, the part before its
+cancelled with its source task, or superseded unsent by a new plan (not
+counted).  An injected transfer adds the cycles it held each link to
+link_busy: its whole interval when delivered, the part before its
 outcome's time otherwise.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibilityError, SemanticError
@@ -124,22 +128,63 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
+# Event kind -> (its trace.txt line, its decisions.log line), or None:
+# str.format templates over the event's fields, rendered after its time.
+_ACTION = "event {0} class={1} severity={2} action="
+LINES = {
+    "initial": ("deploy gen=1 initial t_rl={0.t_rl}",      # (LatencyReport,)
+                "initial deploy t_rl={0.t_rl}"),
+    "aging": ("aging tile={0} percent={1}", None),
+    "store": ("store {0} tag={1:016x}", None),
+    "store_infeasible": ("store {0} infeasible", None),
+    "shm_update": ("shm_update {0}", None),
+    "deploy": ("deploy gen={0}", None),
+    "results_lost": ("results_lost task={0} tile={1}", None),
+    "task_cancelled": ("task_cancelled task={0}", None),
+    "task_finish": ("task_finish task={0} tile={1} start={2} finish={3}", None),
+    # A flow's injection and its outcome: (FlowPlan, ...).
+    "inject": ("flow_inject {0.src_task}->{0.dst_task} links={1}", None),
+    "delivered": ("flow_deliver {0.src_task}->{0.dst_task}", None),
+    "dropped": ("flow_drop {0.src_task}->{0.dst_task} "
+                "src_tile={0.src_tile} dst_tile={0.dst_tile}", None),
+    "severed": ("flow_severed {0.src_task}->{0.dst_task}", None),
+    "requeued": ("flow_severed {0.src_task}->{0.dst_task}", None),
+    **dict.fromkeys(("halted", "cancelled", "superseded"), (None, None)),
+    # Decisions, named by their action: (location, class, severity, ...),
+    # the location as format_location writes it.
+    "already-recorded": (None, _ACTION + "already-recorded"),
+    "none": (None, _ACTION + "none"),
+    "stored": (None, _ACTION + "stored:{3}"),
+    "tables-rebuilt": (None, _ACTION + "tables-rebuilt"),
+    "infeasible": (None, _ACTION + "infeasible ({3})"),
+    "remap": ("remap hit={3.hit:d} t_rl={3.t_rl}",     # + (report, deploy_at)
+              _ACTION + "remap hit={3.hit:d} t_rl={3.t_rl} deploy_at={4}"),
+}
+
+
+def format_location(location):
+    """A fault location as the logs show it: pe:3, turn:4:6."""
+    return ":".join(map(str, location))
+
+
+def render(events, column):
+    """One log's lines: column 0 for trace.txt, 1 for decisions.log."""
+    return [f"{e[0]} {LINES[e[1]][column].format(*e[2:])}"
+            for e in events if LINES[e[1]][column] is not None]
+
+
 @dataclass
 class RunResult:
     metrics: Metrics
-    trace: list
-    decisions: list
+    events: list
     shm: object
     tables: object
     mpm: object
     cmm: object
     initial_report: object
 
-
-# Flow outcome -> the Metrics counter it bumps (None: not counted).
-_COUNTER = dict(delivered="flows_delivered", dropped="flows_dropped",
-                severed="flows_dropped", requeued="flows_requeued",
-                halted="flows_requeued", cancelled=None, superseded=None)
+    trace = property(lambda self: render(self.events, 0))
+    decisions = property(lambda self: render(self.events, 1))
 
 
 class _FlowState:
@@ -183,18 +228,15 @@ class Kernel:
         self.rg = None
         self.tables = None
         self.histories = {}
-        self.trace = []
-        self.decisions = []
+        self.events = []
         self.metrics = Metrics()
         self._heap = []
         self._seq = 0
         self._gen = 0
-        self._initial_report = None
         self._flows = []                    # _FlowState of the running plan
         self._completed = {}                # task -> finish time
         self._cancelled = set()
         self._plan_tasks = {}               # task -> (tile, start, finish) current plan
-        self._reports = []                  # LatencyReport per remap
 
     # -- plumbing ------------------------------------------------------------
 
@@ -204,17 +246,15 @@ class Kernel:
         heapq.heappush(self._heap, (time, prio, self._seq, handler, args))
         self._seq += 1
 
-    def _log(self, time, line):
-        self.trace.append(f"{time} {line}")
+    def _log(self, time, kind, *fields):
+        self.events.append((time, kind, *fields))
 
     def _settle(self, state, outcome, now):
-        """End one flow: record its outcome, bump the outcome's counter,
+        """End one flow: set its outcome, record it as the flow's event,
         and charge the link cycles an injected flow held, all of them
         when delivered, those before `now` otherwise."""
         state.outcome = outcome
-        counter = _COUNTER[outcome]
-        if counter is not None:
-            setattr(self.metrics, counter, getattr(self.metrics, counter) + 1)
+        self._log(now, outcome, state.plan)
         if not state.injected:
             return
         busy = self.metrics.link_busy
@@ -273,23 +313,19 @@ class Kernel:
     # -- fault pipeline --------------------------------------------------------
 
     def _on_fault(self, now, event):
+        """Classify one fault report, act on it, and record the decision
+        as an event named by its action."""
+        where = format_location(event.location)
         history = self.histories.setdefault(event.location, [])
         history.append(event)
         fclass = classify(history, self.script.classifier)
-        sev, action = self._respond(now, event.location, fclass)
-        self.decisions.append(f"{now} event {_loc(event.location)} "
-                              f"class={fclass} severity={sev} action={action}")
-
-    def _respond(self, now, location, fclass):
-        """Act on one classified fault report; returns the decision's
-        (severity, action)."""
-        targets = degrade_targets(location, self.ag)
+        targets = degrade_targets(event.location, self.ag)
         if fclass == PERMANENT and self.shm.broken.issuperset(targets):
-            return "ignore", "already-recorded"
+            return self._log(now, "already-recorded", where, fclass, "ignore")
 
-        sev = severity(location, fclass, self.cmm, self.ag)
+        sev = severity(event.location, fclass, self.cmm, self.ag)
         if fclass == TRANSIENT:
-            return sev, "none"
+            return self._log(now, "none", where, fclass, sev)
 
         if fclass == INTERMITTENT:
             stored = 0
@@ -299,42 +335,37 @@ class Kernel:
                                       rg=self.rg)
                 if entry is not None:
                     stored += 1
-                    self._log(now, f"store {_loc(loc)} tag={entry.tag:016x}")
+                    self._log(now, "store", format_location(loc), entry.tag)
                 else:
-                    self._log(now, f"store {_loc(loc)} infeasible")
-            self.metrics.stores += stored
-            return sev, f"stored:{stored}"
+                    self._log(now, "store_infeasible", format_location(loc))
+            return self._log(now, "stored", where, fclass, sev, stored)
 
         # Permanent: record, rebuild routing state, then maybe remap.
         for fault in targets:
             self.shm.apply_fault(fault)
         self._rebuild_tables(targets)
-        self._log(now, f"shm_update {_loc(location)}")
+        self._log(now, "shm_update", where)
         self._sever_in_flight(now, targets)
 
         if sev != REMAP:
-            return sev, "tables-rebuilt"
+            return self._log(now, "tables-rebuilt", where, fclass, sev)
 
         finished = set(self._halt_plan(now))
         try:
-            mapping, schedule, report = map_and_deploy(
-                self.shm, self.script, self.mpm, self.cmm, rg=self.rg
-            )
+            *_, report = map_and_deploy(self.shm, self.script, self.mpm,
+                                        self.cmm, rg=self.rg)
         except InfeasibilityError as exc:
             # No feasible remap: abandon the tasks pinned to broken PEs.
             pinned = [t for t, (tile, _, _) in self._plan_tasks.items()
                       if t not in self._completed
                       and not self.shm.pe_usable(tile)]
             self._cancel(now, pinned)
-            return sev, f"infeasible ({exc})"
+            return self._log(now, "infeasible", where, fclass, sev, str(exc))
 
-        self._reports.append(report)
         deploy_at = now + report.t_rl
         self._deploy_plan(deploy_at, finished)
-        self._log(now, f"remap hit={int(report.hit)} t_rl={report.t_rl}")
-        self._log(deploy_at, f"deploy gen={self._gen}")
-        return sev, (f"remap hit={int(report.hit)} t_rl={report.t_rl} "
-                     f"deploy_at={deploy_at}")
+        self._log(now, "remap", where, fclass, sev, report, deploy_at)
+        self._log(deploy_at, "deploy", self._gen)
 
     def _halt_plan(self, now):
         """Stop the executing plan; tasks finished by `now` on a still
@@ -345,7 +376,7 @@ class Kernel:
             if not self.shm.pe_usable(tile):
                 del finished[t]
                 del self._completed[t]
-                self._log(now, f"results_lost task={t} tile={tile}")
+                self._log(now, "results_lost", t, tile)
         for state in self._flows:
             if state.injected and state.outcome is None:
                 self._settle(state, "halted", now)
@@ -362,7 +393,6 @@ class Kernel:
             if (state.injected and state.outcome is None
                     and not flow_elements(fp, self.ag).isdisjoint(faults)):
                 self._settle(state, outcome, now)
-                self._log(now, f"flow_severed {fp.src_task}->{fp.dst_task}")
 
     def _cancel(self, now, tasks):
         """Abandon `tasks` and every successor that has not completed;
@@ -378,7 +408,7 @@ class Kernel:
                     frontier.append(s)
         self._cancelled |= lost
         for t in sorted(lost):
-            self._log(now, f"task_cancelled task={t}")
+            self._log(now, "task_cancelled", t)
 
     # -- event loop ------------------------------------------------------------
 
@@ -390,12 +420,9 @@ class Kernel:
                 self._push(update.time, _AGING, self._on_aging, update)
 
         self._rebuild_tables()
-        mapping, schedule, initial_report = map_and_deploy(
-            self.shm, self.script, self.mpm, self.cmm, rg=self.rg
-        )
-        self._initial_report = initial_report
-        self._log(0, f"deploy gen=1 initial t_rl={initial_report.t_rl}")
-        self.decisions.append(f"0 initial deploy t_rl={initial_report.t_rl}")
+        *_, initial_report = map_and_deploy(self.shm, self.script, self.mpm,
+                                            self.cmm, rg=self.rg)
+        self._log(0, "initial", initial_report)
         self._deploy_plan(0, frozenset())
 
         latency = self.script.cost_model.detection_latency
@@ -407,11 +434,11 @@ class Kernel:
             time, _, _, handler, args = heapq.heappop(self._heap)
             handler(time, *args)
 
-        return self._finish()
+        return self._finish(initial_report)
 
     def _on_aging(self, time, update):
         self.shm.set_aging(update.tile, update.percent)
-        self._log(time, f"aging tile={update.tile} percent={update.percent}")
+        self._log(time, "aging", update.tile, update.percent)
 
     def _on_flow_inject(self, time, state):
         if state.outcome is not None:
@@ -422,53 +449,46 @@ class Kernel:
             return
         if should_drop(self.tables, fp.src_tile, fp.dst_tile):
             self._settle(state, "dropped", time)
-            self._log(time, f"flow_drop {fp.src_task}->{fp.dst_task} "
-                            f"src_tile={fp.src_tile} dst_tile={fp.dst_tile}")
             self._cancel(time, [fp.dst_task])
             return
         state.injected = True
-        self._log(time, f"flow_inject {fp.src_task}->{fp.dst_task} "
-                        f"links={','.join(map(str, fp.links))}")
+        self._log(time, "inject", fp, ",".join(map(str, fp.links)))
 
     def _on_flow_deliver(self, time, state):
         # Still open means injected: the inject event always comes first.
-        if state.outcome is not None:
-            return
-        self._settle(state, "delivered", time)
-        fp = state.plan
-        self._log(time, f"flow_deliver {fp.src_task}->{fp.dst_task}")
+        if state.outcome is None:
+            self._settle(state, "delivered", time)
 
     def _on_task(self, time, gen, tid, tile, start, finish):
         if gen != self._gen or tid in self._cancelled or tid in self._completed:
             return
         self._completed[tid] = finish
-        self._log(time, f"task_finish task={tid} tile={tile} "
-                        f"start={start} finish={finish}")
+        self._log(time, "task_finish", tid, tile, start, finish)
 
-    def _finish(self):
+    def _finish(self, initial_report):
         self.metrics.makespan = max(self._completed.values(), default=0)
         self.metrics.tasks_completed = len(self._completed)
         self.metrics.tasks_unfinished = len(self.tg) - len(self._completed)
-        reports = self._reports
+        n = Counter(e[1] for e in self.events)
+        self.metrics.flows_delivered = n["delivered"]
+        self.metrics.flows_dropped = n["dropped"] + n["severed"]
+        self.metrics.flows_requeued = n["requeued"] + n["halted"]
+        self.metrics.stores = n["store"]
+        reports = tuple(e[5] for e in self.events if e[1] == "remap")
         self.metrics.remaps = len(reports)
         self.metrics.mpm_hits = sum(r.hit for r in reports)
         self.metrics.mpm_misses = len(reports) - self.metrics.mpm_hits
         self.metrics.recovery_walls = tuple(r.t_rl for r in reports)
-        self.metrics.latency_reports = tuple(reports)
+        self.metrics.latency_reports = reports
         return RunResult(
             metrics=self.metrics,
-            trace=self.trace,
-            decisions=self.decisions,
+            events=self.events,
             shm=self.shm,
             tables=self.tables,
             mpm=self.mpm,
             cmm=self.cmm,
-            initial_report=self._initial_report,
+            initial_report=initial_report,
         )
-
-
-def _loc(location):
-    return ":".join(str(p) for p in location)
 
 
 def run(script):

@@ -5,10 +5,12 @@ byte for byte with the files under tests/golden/.
 
 tests/scenarios/ holds documents for features the bundled scenarios do
 not reach (the traffic and utilization costs, a clustered application,
-a 3D mesh, a flow dropped by the region filter, an infeasible store and
-an infeasible remap); their goldens, in tests/golden/extra/<name>/<heuristic>/,
-add the `nocsim map` output (map.txt), whose `cost <kind> <value>`
-line pins evaluate_cost.
+a 3D mesh, a flow dropped by the region filter, a flow severed under
+the requeue policy, an infeasible store and an infeasible remap); their
+goldens, in tests/golden/extra/<name>/<heuristic>/, add the `nocsim
+map` output (map.txt), whose `cost <kind> <value>` line pins
+evaluate_cost.  Every line format in the kernel's LINES table, and
+every decision action, must appear somewhere in the corpus.
 
 The corpus pins the model's outputs, so a refactor or speed-up that
 changes any byte fails here.  The only way to rewrite it is
@@ -20,10 +22,13 @@ CHANGES.md; any other change must leave these files as they are."""
 
 import os
 import pathlib
+import re
+import string
 
 import pytest
 
 from nocsim.cli import main
+from nocsim.simkernel import LINES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -93,3 +98,36 @@ def test_regions_matches_golden(budget, tmp_path, capsys):
                  "--regions-budget", str(budget), "--out", str(out)]) == 0
     capsys.readouterr()
     _check(out / "regions.txt", GOLDEN / "regions_dump" / f"budget{budget}.txt")
+
+
+def _line_pattern(template):
+    """A template from the kernel's LINES table as a regex for the whole
+    rendered line, time included; each field matches any text."""
+    parts = [re.escape(literal) + ("" if name is None else ".+?")
+             for literal, name, _, _ in string.Formatter().parse(template)]
+    return re.compile(r"\d+ " + "".join(parts))
+
+
+@pytest.mark.parametrize("column, fname", [(0, "trace.txt"),
+                                           (1, "decisions.log")])
+def test_corpus_holds_every_line_format(column, fname):
+    """Each line format the kernel can write appears in some golden
+    file, and each golden line has a format: a kind added without a
+    golden, or a line written outside the table, fails here."""
+    templates = {t[column] for t in LINES.values() if t[column] is not None}
+    patterns = {t: _line_pattern(t) for t in templates}
+    seen = set()
+    for path in sorted(GOLDEN.rglob(fname)):
+        for line in path.read_text().splitlines():
+            hits = {t for t, pat in patterns.items() if pat.fullmatch(line)}
+            assert hits, f"{path}: no line format in LINES matches {line!r}"
+            seen |= hits
+    assert templates - seen == set()
+
+
+def test_corpus_holds_every_decision_action():
+    actions = set()
+    for path in GOLDEN.rglob("decisions.log"):
+        actions |= set(re.findall(r" action=([a-z-]+:?)", path.read_text()))
+    assert {"none", "stored:", "tables-rebuilt", "remap", "infeasible",
+            "already-recorded"} <= actions
