@@ -512,7 +512,10 @@ def _run_ils(search, start, seed, iterations, sa_params):
             cand[u] = rng.choice(search.tiles)
         c = search.evaluate(cand)
         if c is None:
-            cand, c = search.feasible_start(cand)
+            try:
+                cand, c = search.feasible_start(cand)
+            except InfeasibleInstance:
+                continue                    # keep the best found so far
         cand, c = search.descend(cand, c)
         if c < best_cost:
             best_assign, best_cost = cand, c

@@ -334,6 +334,20 @@ def test_ils_deterministic():
     assert a.mapping == b.mapping
 
 
+def test_ils_keeps_its_best_when_a_round_has_no_feasible_start():
+    # Only mappings that split tasks 0 and 1 meet task 2's deadline, so
+    # no one-tile start is feasible: a round whose perturbation is
+    # infeasible is skipped, and the first descent's mapping is returned.
+    ag, shm, rg = platform(2, 1)
+    tg = ns.build_task_graph(
+        [ns.Task(0, 10), ns.Task(1, 10),
+         ns.Task(2, 2, criticality=ns.CRITICAL, slack=16)],
+        {(0, 2): 1, (1, 2): 1})
+    for iterations in (0, 1, 2, 10):
+        r = ns.run_heuristic("ils", tg, shm, rg, iterations=iterations, seed=1)
+        assert r.mapping == [0, 1, 0]
+
+
 def test_sa_deterministic():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(8, 0.4, seed=13)
