@@ -42,9 +42,7 @@ def main():
         seed = args.seed + i
         tg = ns.random_task_graph(args.tasks, 0.3, seed=seed)
         script = ns.ScenarioScript(seed=seed, tg=tg, ag=ag, turn_model=ns.XY)
-        shm = ns.SystemHealthMap(ag)
-        mapping, _, _ = ns.map_and_deploy(
-            shm, script, ns.MpmMemory(16), ns.CurrentMappingMemory())
+        mapping, _, _ = ns.Kernel(script).deploy()
         victim = max(set(mapping), key=mapping.count)
 
         pred = ns.run(with_faults(script, victim, k=2))

@@ -2,7 +2,8 @@
 
 Subcommands:
   validate   parse and check a scenario file
-  map        compute the initial mapping and schedule, no fault timeline
+  map        the kernel's initial deployment (mapping and schedule), no
+             fault timeline
   simulate   run the full event-driven simulation
   regions    dump the per-port unreachable-region tables after the
              scripted permanent faults
@@ -28,12 +29,7 @@ from .mapsched import (
 )
 from .reachability import build_region_tables
 from .scenario import load_scenario
-from .shmu import (
-    CurrentMappingMemory,
-    degrade_targets,
-    map_and_deploy,
-    MpmMemory,
-)
+from .shmu import degrade_targets
 from .simkernel import format_location, Kernel
 
 
@@ -110,12 +106,7 @@ def cmd_validate(args):
 
 def cmd_map(args):
     script = _load(args)
-    shm = SystemHealthMap(script.ag)
-    for update in script.aging:
-        if update.time <= 0:
-            shm.set_aging(update.tile, update.percent)
-    mapping, schedule, report = map_and_deploy(
-        shm, script, MpmMemory(script.mpm_capacity), CurrentMappingMemory())
+    mapping, schedule, report = Kernel(script).deploy()
     cost = evaluate_cost(schedule, script.cost)
     text = (dump_mapping(mapping) + "\n" + schedule.dump()
             + f"cost {script.cost} {cost}\n"

@@ -10,8 +10,11 @@ the health-map serialization (verified against the stored full
 configuration on lookup, so hash collisions cannot deploy a wrong
 mapping).  When the predicted fault later turns permanent the stored
 assignment is fetched and only rescheduled, which is much cheaper than
-running the mapping heuristic again.  Msu holds the mapper's settings;
-a simkernel.ScenarioScript extends it and is accepted wherever it is.
+running the mapping heuristic again.  Each decision forms that key once
+(_lookup) and seeds the heuristic from its tag.  Msu holds the mapper's
+settings; a simkernel.ScenarioScript extends it and is accepted wherever
+it is.  Msu.schedule is the only code that schedules a mapping with the
+MSU's transfer model and routes, for the hit path and the kernel alike.
 
 Reconfiguration latency is accounted in virtual cycles:
   miss: t_rl = t_map_alg + t_par_ext + t_par_map
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
 from .graphs import OPPOSITE
-from .health import config_tag, shm_tag
+from .health import config_tag
 from .mapsched import (CommModel, SaParams, SCHEDULE_LENGTH, asap_schedule,
                        run_heuristic)
 from .rng import derive_seed
@@ -299,13 +302,20 @@ class Msu:
     def routes_for(self, rg):
         return rg.route_provider(derive_seed(self.seed, "routing"))
 
-    def compute(self, shm, rg=None):
-        """Run the configured heuristic for the given health state.
+    def schedule(self, shm, rg, mapping, base_time=0, finished=()):
+        """ASAP schedule of `mapping` on `rg`, from `base_time`, with the
+        `finished` tasks retained (see mapsched.asap_schedule)."""
+        return asap_schedule(self.tg, mapping, shm, rg, comm=self.comm,
+                             routes=self.routes_for(rg), base_time=base_time,
+                             finished=finished)
 
-        The heuristic sub-stream is derived from the health tag, so the
-        same fault configuration always yields the same mapping no
-        matter when it is computed (precomputation or live)."""
-        rg = rg or self.build_rg(shm)
+    def compute(self, shm, rg, tag):
+        """Run the configured heuristic for the health state `shm`,
+        whose routing graph is `rg` and whose tag is `tag`.
+
+        The heuristic sub-stream is derived from the tag, so the same
+        fault configuration always yields the same mapping no matter
+        when it is computed (precomputation or live)."""
         return run_heuristic(
             self.heuristic,
             self.tg,
@@ -315,11 +325,18 @@ class Msu:
             ctg=self.ctg,
             comm=self.comm,
             routes=self.routes_for(rg),
-            seed=derive_seed(self.seed, f"mapsched:{shm_tag(shm):016x}"),
+            seed=derive_seed(self.seed, f"mapsched:{tag:016x}"),
             initial_policy=self.initial_policy,
             iterations=self.iterations,
             sa_params=self.sa_params,
         )
+
+
+def _lookup(shm, mpm):
+    """The health state's key (serialization, tag) and its entry or None."""
+    full_config = shm.serialize()
+    tag = config_tag(full_config)
+    return full_config, tag, mpm.lookup(tag, full_config)
 
 
 def map_and_store(shm, location, msu, mpm, rg=None):
@@ -343,13 +360,11 @@ def map_and_store(shm, location, msu, mpm, rg=None):
         targets = degrade_targets(location, shm.ag)
         for fault in targets:
             shm.apply_fault(fault)
-        full_config = shm.serialize()
-        tag = config_tag(full_config)
-        entry = mpm.lookup(tag, full_config)
+        full_config, tag, entry = _lookup(shm, mpm)
         if entry is None:
             try:
-                result = msu.compute(
-                    shm, rg.without(targets) if rg is not None else None)
+                result = msu.compute(shm, rg.without(targets) if rg is not None
+                                     else msu.build_rg(shm), tag)
             except InfeasibilityError:
                 return None
             entry = MpmEntry(tag, full_config, tuple(result.mapping))
@@ -365,23 +380,19 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
 
     Updates the current-mapping memory.  Raises InfeasibilityError
     when no feasible mapping exists (caller decides the policy)."""
-    full_config = shm.serialize()
-    tag = config_tag(full_config)
+    _, tag, entry = _lookup(shm, mpm)
     rg = rg or msu.build_rg(shm)
     cm = msu.cost_model
     m = len(msu.tg)
 
-    entry = mpm.lookup(tag, full_config)
     if entry is not None:
         mapping = list(entry.assignment)
-        schedule = asap_schedule(
-            msu.tg, mapping, shm, rg, comm=msu.comm, routes=msu.routes_for(rg)
-        )
+        schedule = msu.schedule(shm, rg, mapping)
         t_map_alg = 0
         t_fetch = cm.t_fetch
         t_schd = m * cm.cycles_per_task
     else:
-        result = msu.compute(shm, rg)
+        result = msu.compute(shm, rg, tag)
         mapping, schedule = result.mapping, result.schedule
         t_map_alg = result.evaluations * cm.cycles_per_eval
         t_fetch = 0

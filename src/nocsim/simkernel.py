@@ -9,12 +9,15 @@ fault events before aging before flow events before task completions at
 the same timestamp.  Identical scripts therefore produce identical
 traces, metrics, and dumps byte for byte.
 
-Execution replays the deployed plan.  A remap ordered at detection time
-halts the old plan: tasks finished by then keep their results (unless
-their host PE broke), everything else restarts on the new mapping once
-reconfiguration has taken its virtual t_rl cycles.  In-flight transfers
-crossing the broken element are dropped or requeued per policy; other
-halted transfers are re-sent by the new plan.
+Execution replays the deployed plan, a Schedule the MSU built: at time
+0 map_and_deploy's (Kernel.deploy, which `nocsim map` runs too), after
+a remap Msu.schedule's from its deploy time.  A remap ordered at
+detection time halts the old plan: tasks finished by then keep their
+results (unless their host PE broke), everything else restarts on the
+new mapping once reconfiguration has taken its virtual t_rl cycles.
+In-flight transfers crossing the broken element are dropped or
+requeued per policy; other halted transfers are re-sent by the new
+plan.
 
 A run is recorded as one list, Kernel.events, of (time, kind, *fields)
 tuples; trace.txt and decisions.log are rendered from it through LINES
@@ -24,9 +27,9 @@ that flow's event: delivered (flows_delivered); dropped at the filter,
 or severed under the drop policy (flows_dropped); requeued under the
 requeue policy, or halted in flight by a remap (flows_requeued);
 cancelled with its source task, or superseded unsent by a new plan (not
-counted).  An injected transfer adds the cycles it held each link to
-link_busy: its whole interval when delivered, the part before its
-outcome's time otherwise.
+counted).  An injected transfer (its outcome is in _HELD) adds the
+cycles it held each link to link_busy: its whole interval when
+delivered, the part before its outcome's time otherwise.
 """
 
 import heapq
@@ -35,7 +38,6 @@ from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibilityError, SemanticError
 from .health import SystemHealthMap
-from .mapsched import asap_schedule
 from .reachability import build_region_tables, should_drop
 from .shmu import (
     INTERMITTENT,
@@ -61,6 +63,8 @@ _FAULT, _AGING, _FLOW, _TASK = 0, 1, 2, 3
 
 DROP = "drop"
 REQUEUE = "requeue"
+# The outcomes of an injected transfer, which held its links.
+_HELD = frozenset(("delivered", "severed", "requeued", "halted"))
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,11 @@ class RunResult:
     tables: object
     mpm: object
     cmm: object
-    initial_report: object
 
     trace = property(lambda self: render(self.events, 0))
     decisions = property(lambda self: render(self.events, 1))
+    initial_report = property(
+        lambda self: next(e[2] for e in self.events if e[1] == "initial"))
 
 
 class _FlowState:
@@ -216,7 +221,7 @@ def expand_injection(injection):
 
 
 class Kernel:
-    """One simulation run.  Build, then call run() once."""
+    """One simulation run.  Build, then call run(), or only deploy(), once."""
 
     def __init__(self, script):
         self.script = script
@@ -233,10 +238,10 @@ class Kernel:
         self._heap = []
         self._seq = 0
         self._gen = 0
+        self._plan = None                   # the running Schedule
         self._flows = []                    # _FlowState of the running plan
         self._completed = {}                # task -> finish time
         self._cancelled = set()
-        self._plan_tasks = {}               # task -> (tile, start, finish) current plan
 
     # -- plumbing ------------------------------------------------------------
 
@@ -250,18 +255,9 @@ class Kernel:
         self.events.append((time, kind, *fields))
 
     def _settle(self, state, outcome, now):
-        """End one flow: set its outcome, record it as the flow's event,
-        and charge the link cycles an injected flow held, all of them
-        when delivered, those before `now` otherwise."""
+        """End one flow: set its outcome and record it as its event."""
         state.outcome = outcome
         self._log(now, outcome, state.plan)
-        if not state.injected:
-            return
-        busy = self.metrics.link_busy
-        for link, s, e in state.plan.intervals:
-            end = e if outcome == "delivered" else min(e, now)
-            if end > s:
-                busy[link] = busy.get(link, 0) + (end - s)
 
     # -- setup ---------------------------------------------------------------
 
@@ -276,29 +272,18 @@ class Kernel:
         self.tables = build_region_tables(self.rg, self.script.budget,
                                           prev=self.tables)
 
-    def _deploy_plan(self, base_time, finished):
-        """Replace the executing plan: schedule the not-yet-finished
-        tasks on the current mapping from base_time on.  The replaced
-        plan's flows that were never sent are superseded."""
+    def _deploy_plan(self, plan):
+        """Execute `plan`, a Schedule of the current mapping, from its base
+        time on: every task it does not retain runs.  The replaced plan's
+        flows that were never sent are superseded."""
         for state in self._flows:
             if state.outcome is None:
-                self._settle(state, "superseded", base_time)
+                self._settle(state, "superseded", plan.base_time)
         self._gen += 1
-        plan = asap_schedule(
-            self.tg,
-            self.cmm.mapping,
-            self.shm,
-            self.rg,
-            comm=self.script.comm,
-            routes=self.script.routes_for(self.rg),
-            base_time=base_time,
-            finished=finished,
-        )
-        self._plan_tasks = {}
+        self._plan = plan
         for tid, (tile, start, finish) in enumerate(plan.task_times):
-            if tid in finished or tid in self._cancelled:
+            if tid in plan.retained or tid in self._cancelled:
                 continue
-            self._plan_tasks[tid] = (tile, start, finish)
             self._push(finish, _TASK, self._on_task, self._gen, tid, tile,
                        start, finish)
         self._flows = []
@@ -356,14 +341,15 @@ class Kernel:
                                         self.cmm, rg=self.rg)
         except InfeasibilityError as exc:
             # No feasible remap: abandon the tasks pinned to broken PEs.
-            pinned = [t for t, (tile, _, _) in self._plan_tasks.items()
-                      if t not in self._completed
+            pinned = [t for t, (tile, _, _) in enumerate(self._plan.task_times)
+                      if t not in self._plan.retained | self._completed.keys()
                       and not self.shm.pe_usable(tile)]
             self._cancel(now, pinned)
             return self._log(now, "infeasible", where, fclass, sev, str(exc))
 
         deploy_at = now + report.t_rl
-        self._deploy_plan(deploy_at, finished)
+        self._deploy_plan(self.script.schedule(
+            self.shm, self.rg, self.cmm.mapping, deploy_at, finished))
         self._log(now, "remap", where, fclass, sev, report, deploy_at)
         self._log(deploy_at, "deploy", self._gen)
 
@@ -412,19 +398,24 @@ class Kernel:
 
     # -- event loop ------------------------------------------------------------
 
-    def run(self):
+    def deploy(self):
+        """Time 0: apply the aging due by then (queue the rest), build the
+        first routing graph and tables, map, and start the mapping's
+        schedule.  Returns map_and_deploy's (mapping, schedule, report)."""
         for update in sorted(self.script.aging, key=lambda u: (u.time, u.tile)):
             if update.time <= 0:
                 self._on_aging(0, update)
             else:
                 self._push(update.time, _AGING, self._on_aging, update)
-
         self._rebuild_tables()
-        *_, initial_report = map_and_deploy(self.shm, self.script, self.mpm,
-                                            self.cmm, rg=self.rg)
-        self._log(0, "initial", initial_report)
-        self._deploy_plan(0, frozenset())
+        mapping, schedule, report = map_and_deploy(
+            self.shm, self.script, self.mpm, self.cmm, rg=self.rg)
+        self._log(0, "initial", report)
+        self._deploy_plan(schedule)
+        return mapping, schedule, report
 
+    def run(self):
+        self.deploy()
         latency = self.script.cost_model.detection_latency
         for injection in self.script.injections:
             for event in expand_injection(injection):
@@ -434,7 +425,7 @@ class Kernel:
             time, _, _, handler, args = heapq.heappop(self._heap)
             handler(time, *args)
 
-        return self._finish(initial_report)
+        return self._finish()
 
     def _on_aging(self, time, update):
         self.shm.set_aging(update.tile, update.percent)
@@ -465,7 +456,15 @@ class Kernel:
         self._completed[tid] = finish
         self._log(time, "task_finish", tid, tile, start, finish)
 
-    def _finish(self, initial_report):
+    def _finish(self):
+        busy = self.metrics.link_busy
+        for e in self.events:
+            if e[1] in _HELD:
+                for link, s, end in e[2].intervals:
+                    if e[1] != "delivered":
+                        end = min(end, e[0])
+                    if end > s:
+                        busy[link] = busy.get(link, 0) + (end - s)
         self.metrics.makespan = max(self._completed.values(), default=0)
         self.metrics.tasks_completed = len(self._completed)
         self.metrics.tasks_unfinished = len(self.tg) - len(self._completed)
@@ -487,7 +486,6 @@ class Kernel:
             tables=self.tables,
             mpm=self.mpm,
             cmm=self.cmm,
-            initial_report=initial_report,
         )
 
 

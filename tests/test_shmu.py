@@ -335,7 +335,7 @@ def test_map_and_store_reuses_a_stored_state(monkeypatch):
         hyp = ns.SystemHealthMap(ag)
         for fault in ns.degrade_targets(loc, ag):
             hyp.apply_fault(fault)
-        result = msu.compute(hyp)
+        result = msu.compute(hyp, msu.build_rg(hyp), ns.shm_tag(hyp))
         cold.store(ns.MpmEntry(ns.shm_tag(hyp), hyp.serialize(),
                                tuple(result.mapping)))
 
@@ -419,7 +419,7 @@ def test_hit_schedule_matches_recomputed():
 def test_t_map_alg_matches_evaluation_count():
     ag, tg, msu = small_msu()
     shm = ns.SystemHealthMap(ag)
-    result = msu.compute(shm)
+    result = msu.compute(shm, msu.build_rg(shm), ns.shm_tag(shm))
     report = ns.map_and_deploy(shm, msu, ns.MpmMemory(2),
                                ns.CurrentMappingMemory())[2]
     assert report.t_map_alg == result.evaluations * msu.cost_model.cycles_per_eval
