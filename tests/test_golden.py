@@ -1,7 +1,8 @@
 """Golden-output corpus: every file `nocsim simulate --out` writes for
 each bundled scenario under greedy, ILS and SA, and the `nocsim
-regions` dump of scenarios/regions.json at budgets 1 and 8, compared
-byte for byte with the files under tests/golden/.
+regions` dumps of scenarios/regions.json and of the 3D document
+tests/scenarios/xyz_faults.json at budgets 1 and 8, compared byte for
+byte with the files under tests/golden/.
 
 tests/scenarios/ holds documents for features the bundled scenarios do
 not reach (the traffic and utilization costs, a clustered application,
@@ -98,6 +99,19 @@ def test_regions_matches_golden(budget, tmp_path, capsys):
                  "--regions-budget", str(budget), "--out", str(out)]) == 0
     capsys.readouterr()
     _check(out / "regions.txt", GOLDEN / "regions_dump" / f"budget{budget}.txt")
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_xyz_regions_matches_golden(budget, tmp_path, capsys):
+    """The region dump of a 3D mesh (3x3x2, xyz) after its three
+    permanent faults, a turn fault among them: the only pinned output
+    whose port layout and turn slots are the 3D ones."""
+    out = tmp_path / "out"
+    assert main(["regions", "--scenario", str(EXTRA / "xyz_faults.json"),
+                 "--regions-budget", str(budget), "--out", str(out)]) == 0
+    capsys.readouterr()
+    _check(out / "regions.txt",
+           GOLDEN / "regions_dump_xyz_faults" / f"budget{budget}.txt")
 
 
 def _line_pattern(template):

@@ -241,16 +241,19 @@ def test_lbdr_broken_link_clears_connectivity(mesh22):
 @given(st.integers(0, 10**6))
 def test_lbdr_bits_match_rg_edges(seed):
     """Connectivity bits match external edges, routing bits match turn
-    edges, for every tile of a randomly degraded mesh."""
-    ag = ns.build_mesh(3, 3)
-    shm = random_shm(ag, seed, max_links=4, max_turns=6)
-    rg = ns.build_routing_graph(ag, ns.XY, shm)
-    for tile in range(9):
-        cfg = ns.derive_lbdr_config(shm, ns.XY, tile)
-        for d in ("N", "E", "W", "S"):
-            out = rg.port(tile, d, "out")
-            has_ext = any(b.tile != tile for b in rg.adj[out])
-            assert bool(cfg.connectivity[d]) == has_ext
-        for (a, b), bit in cfg.routing.items():
-            edge = rg.port(tile, b, "out") in rg.adj[rg.port(tile, a, "in")]
-            assert bool(bit) == edge
+    edges, for every tile of a randomly degraded mesh.  On a 3D mesh
+    the bits are the planar slice and match the planar edges."""
+    for dims, model in (((3, 3), ns.XY), ((3, 3, 2), ns.XYZ)):
+        ag = ns.build_mesh(*dims)
+        shm = random_shm(ag, seed, max_links=4, max_turns=6)
+        rg = ns.build_routing_graph(ag, model, shm)
+        for tile in range(len(ag)):
+            cfg = ns.derive_lbdr_config(shm, model, tile)
+            for d in ("N", "E", "W", "S"):
+                out = rg.port(tile, d, "out")
+                has_ext = any(b.tile != tile for b in rg.adj[out])
+                assert bool(cfg.connectivity[d]) == has_ext
+            assert len(cfg.routing) == 8
+            for (a, b), bit in cfg.routing.items():
+                edge = rg.port(tile, b, "out") in rg.adj[rg.port(tile, a, "in")]
+                assert bool(bit) == edge

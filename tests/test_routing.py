@@ -20,6 +20,19 @@ def healthy_rg(w, h, model=None, depth=None):
 
 
 def test_turn_slot_canon():
+    """The slot numbering is a data format (scenario `slot` indices,
+    shm.txt lines, the configuration-tag preimage): every index of
+    both tables is pinned."""
+    assert ns.TURN_SLOTS_2D == (
+        ("N", "E"), ("N", "W"), ("S", "E"), ("S", "W"),
+        ("E", "N"), ("E", "S"), ("W", "N"), ("W", "S"),
+    )
+    assert ns.TURN_SLOTS_3D == ns.TURN_SLOTS_2D + (
+        ("N", "U"), ("N", "D"), ("S", "U"), ("S", "D"),
+        ("E", "U"), ("E", "D"), ("W", "U"), ("W", "D"),
+        ("U", "N"), ("U", "E"), ("U", "W"), ("U", "S"),
+        ("D", "N"), ("D", "E"), ("D", "W"), ("D", "S"),
+    )
     assert len(ns.TURN_SLOTS_2D) == 8
     assert len(ns.TURN_SLOTS_3D) == 24
     assert ns.TURN_SLOTS_2D[6] == ("W", "N")

@@ -289,6 +289,26 @@ def test_turn_slot_out_of_range():
                                    "slot": ["N", "N"]}))
 
 
+@pytest.mark.parametrize("slot", [[["W"], "N"], [{"a": 1}, "N"], [1, 2],
+                                  ["U", "D"], 24])
+def test_turn_slot_on_3d_mesh_rejects_non_turns(slot):
+    """Unhashable pairs, non-direction pairs, a straight pair and an
+    index past the 24 slots all end in a SemanticError naming the
+    slot."""
+    with pytest.raises(SemanticError,
+                       match=re.escape("injections[0].target.slot: ")):
+        ns.parse_scenario(doc(platform={"mesh": [3, 3, 2]}, injections=[
+            {"time": 10, "target": {"kind": "turn", "tile": 1, "slot": slot},
+             "persistence": "permanent"}]))
+
+
+def test_turn_slot_on_3d_mesh_parses_vertical_turn():
+    s = ns.parse_scenario(doc(platform={"mesh": [3, 3, 2]}, injections=[
+        {"time": 10, "target": {"kind": "turn", "tile": 1, "slot": ["E", "U"]},
+         "persistence": "permanent"}]))
+    assert s.injections[0].location == ("turn", 1, 12)
+
+
 def test_link_by_id_equals_tile_direction():
     ag = ns.build_mesh(3, 3)
     lid = ag.link(0, "E").id
