@@ -34,6 +34,8 @@ from .graphs import (
     CRITICAL,
     Link,
     NON_CRITICAL,
+    TURN_SLOTS_2D,
+    TURN_SLOTS_3D,
     Task,
     TaskGraph,
     Tile,
@@ -48,8 +50,6 @@ from .routing import (
     PortNode,
     RouteProvider,
     RoutingGraph,
-    TURN_SLOTS_2D,
-    TURN_SLOTS_3D,
     TurnModel,
     WEST_FIRST,
     XY,
@@ -59,9 +59,7 @@ from .routing import (
     find_paths,
     is_deadlock_free,
     reachability_matrix,
-    turn_index,
     turn_model_by_name,
-    turn_slots,
 )
 from .health import (
     LbdrConfig,

@@ -3,6 +3,11 @@
 The application side is a weighted DAG of tasks (optionally coarsened
 into clusters before mapping); the platform side is a 2D or 3D mesh of
 tiles joined by directed links.
+
+The platform owns its vocabulary: an ArchitectureGraph decides once
+whether it is 2D or 3D, and every other layer reads its directions
+(directions()), its turn slots (turns, in the canonical TURN_SLOTS_2D or
+TURN_SLOTS_3D order defined here) and a turn's slot (turn_slot) from it.
 """
 
 import heapq
@@ -35,6 +40,22 @@ DIR_VECTORS = {
     "U": (0, 0, 1),
     "D": (0, 0, -1),
 }
+
+# Canonical turn slot order; a turn (a, b) arrives on port a and leaves
+# through port b (routing's convention).  The order is a data format:
+# scenario `slot` indices, shm.txt lines and the configuration-tag
+# preimage use it.  The first eight are the planar turns and double as
+# the layout of per-router LBDR routing bits.
+TURN_SLOTS_2D = (
+    ("N", "E"), ("N", "W"), ("S", "E"), ("S", "W"),
+    ("E", "N"), ("E", "S"), ("W", "N"), ("W", "S"),
+)
+TURN_SLOTS_3D = TURN_SLOTS_2D + (
+    ("N", "U"), ("N", "D"), ("S", "U"), ("S", "D"),
+    ("E", "U"), ("E", "D"), ("W", "U"), ("W", "D"),
+    ("U", "N"), ("U", "E"), ("U", "W"), ("U", "S"),
+    ("D", "N"), ("D", "E"), ("D", "W"), ("D", "S"),
+)
 
 
 @dataclass(frozen=True)
@@ -326,6 +347,8 @@ class ArchitectureGraph:
         self.dims = dims                    # (w, h) or (w, h, d)
         self.tiles = tiles                  # tuple of Tile, index == id
         self.links = links                  # tuple of Link, index == id
+        self.turns = TURN_SLOTS_3D if self.is_3d else TURN_SLOTS_2D
+        self.turn_slot = {t: i for i, t in enumerate(self.turns)}
         self._neighbor = {}                 # (tile, dir) -> tile
         self._link_at = {}                  # (tile, dir) -> Link
         for link in links:

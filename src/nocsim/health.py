@@ -10,15 +10,16 @@ mapping/scheduling side reads `broken` and the reader operations and
 never writes.  A snapshot is exactly that state (the mesh dimensions,
 the broken set frozen, the aging bytes), so equal states give equal,
 hashable snapshots.  The canonical text serialization fixes the element
-order (tiles ascending, turn slots in canonical order, links ascending,
-aging bytes) and is the preimage of the 64-bit configuration tag.
+order (tiles ascending, turn slots in the platform's canonical order,
+ag.turns from graphs.TURN_SLOTS_2D/3D, links ascending, aging bytes) and
+is the preimage of the 64-bit configuration tag.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, RangeError, UnknownTarget
-from .routing import turn_slots
+from .graphs import DIRS_2D, TURN_SLOTS_2D
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class SystemHealthMap:
 
     def __init__(self, ag):
         self.ag = ag
-        self._slots = turn_slots(ag.is_3d)
         self.broken = set()                 # broken health elements
         self._aging = [0] * len(ag)
 
@@ -46,9 +46,9 @@ class SystemHealthMap:
             self.ag.check_tile(fault[1])
         elif kind == "turn" and len(fault) == 3:
             self.ag.check_tile(fault[1])
-            if not 0 <= fault[2] < len(self._slots):
+            if not 0 <= fault[2] < len(self.ag.turns):
                 raise UnknownTarget(
-                    f"turn slot {fault[2]} outside 0..{len(self._slots) - 1}")
+                    f"turn slot {fault[2]} outside 0..{len(self.ag.turns) - 1}")
         elif kind == "link" and len(fault) == 2:
             n = len(self.ag.links)
             if not isinstance(fault[1], int) or not 0 <= fault[1] < n:
@@ -88,7 +88,7 @@ class SystemHealthMap:
         """Canonical text form; identical states serialize identically."""
         b = self.broken
         tiles = range(len(self.ag))
-        slots = range(len(self._slots))
+        slots = range(len(self.ag.turns))
         lines = [f"pe {t} {'B' if ('pe', t) in b else 'H'}" for t in tiles]
         lines += [f"turn {t} {s} {'B' if ('turn', t, s) in b else 'H'}"
                   for t in tiles for s in slots]
@@ -158,7 +158,7 @@ class LbdrConfig:
 
     def dump(self):
         c = self.connectivity
-        conn = " ".join(f"C_{d.lower()}={c[d]}" for d in ("N", "E", "W", "S"))
+        conn = " ".join(f"C_{d.lower()}={c[d]}" for d in DIRS_2D)
         rout = " ".join(
             f"R_{a.lower()}{b.lower()}={bit}" for (a, b), bit in sorted(self.routing.items())
         )
@@ -171,11 +171,11 @@ def derive_lbdr_config(shm, turn_model, tile):
     ag = shm.ag
     ag.check_tile(tile)
     connectivity = {}
-    for d in ("N", "E", "W", "S"):
+    for d in DIRS_2D:
         link = ag.link(tile, d)
         connectivity[d] = 1 if (link is not None and shm.link_healthy(link.id)) else 0
     routing = {}
-    for slot, (a, b) in enumerate(turn_slots(False)):
+    for slot, (a, b) in enumerate(TURN_SLOTS_2D):
         allowed = turn_model.allows(a, b) and shm.turn_healthy(tile, slot)
         routing[(a, b)] = 1 if allowed else 0
     return LbdrConfig(tile, connectivity, routing)

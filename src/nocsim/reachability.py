@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 from .errors import RangeError, RegionBudgetError, SemanticError, UnknownPort
 
-_PORT_DIRS = ("N", "E", "W", "S", "U", "D")
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -60,7 +58,7 @@ def unreachable_set(rg, tile, direction):
     """
     ag = rg.ag
     ag.check_tile(tile)
-    if direction not in _PORT_DIRS or ag.neighbor(tile, direction) is None:
+    if ag.neighbor(tile, direction) is None:
         raise UnknownPort(f"tile {tile} has no {direction} output port")
     reach = rg.reach_by_id()[rg.port_id(tile, direction, "out")]
     return set(_tiles_of(_unreachable_bits(reach, tile, len(ag))))
@@ -293,8 +291,7 @@ def build_region_tables(rg, budget, prev=None):
         if cover is None:
             cover = covers[unreach] = cover_rectangles(unreach, ag.dims, budget)
         rects[key] = cover
-    succ, P, local = rg.succ, rg.ports_per_tile, rg.slots["L"]
-    local_ok = [t * P + local + 1 in succ[t * P + local]
+    local_ok = [rg.port_id(t, "L", "out") in rg.succ[rg.port_id(t, "L", "in")]
                 for t in range(len(ag))]
     return PortRegionTable(ag, budget, rects, local_ok, ports, reach)
 

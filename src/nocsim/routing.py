@@ -8,8 +8,10 @@ legal route and an acyclic graph cannot deadlock.
 Turn naming convention used everywhere in this package: a turn (a, b)
 means "arrived on the a input port, leaves through the b output port".
 A packet traveling east arrives on its next router's W port, so the
-classic "east-then-north" turn is written (W, N) here.  Connection
-kinds and their gating:
+classic "east-then-north" turn is written (W, N) here.  The turn slots
+and their order belong to the platform (graphs.TURN_SLOTS_2D/3D, read
+as ag.turns), as do the directions the port slots follow
+(ag.directions()).  Connection kinds and their gating:
 
   local-in -> d-out   injection        needs a healthy PE
   d-in -> local-out   ejection         needs a healthy PE
@@ -56,34 +58,8 @@ import random
 from typing import NamedTuple
 
 from .errors import RangeError, UnknownTarget, UnknownTile
-from .graphs import DIRS_2D, DIRS_3D, OPPOSITE
+from .graphs import OPPOSITE, TURN_SLOTS_2D, TURN_SLOTS_3D
 from .rng import derive_seed
-
-# Canonical turn slot order.  The first eight are the planar turns and
-# double as the layout of per-router turn health and routing bits.
-TURN_SLOTS_2D = (
-    ("N", "E"), ("N", "W"), ("S", "E"), ("S", "W"),
-    ("E", "N"), ("E", "S"), ("W", "N"), ("W", "S"),
-)
-TURN_SLOTS_3D = TURN_SLOTS_2D + (
-    ("N", "U"), ("N", "D"), ("S", "U"), ("S", "D"),
-    ("E", "U"), ("E", "D"), ("W", "U"), ("W", "D"),
-    ("U", "N"), ("U", "E"), ("U", "W"), ("U", "S"),
-    ("D", "N"), ("D", "E"), ("D", "W"), ("D", "S"),
-)
-TURN_INDEX_2D = {t: i for i, t in enumerate(TURN_SLOTS_2D)}
-TURN_INDEX_3D = {t: i for i, t in enumerate(TURN_SLOTS_3D)}
-
-
-def turn_slots(is_3d):
-    return TURN_SLOTS_3D if is_3d else TURN_SLOTS_2D
-
-
-def turn_index(turn, is_3d):
-    table = TURN_INDEX_3D if is_3d else TURN_INDEX_2D
-    if turn not in table:
-        raise RangeError(f"not a turn: {turn}")
-    return table[turn]
 
 
 class TurnModel(NamedTuple):
@@ -142,7 +118,7 @@ def custom_turn_model(pairs, is_3d=False):
     """Turn model from explicit (arrival, output) pairs; each pair must
     be one of the canonical turn slots.  Deadlock freedom is not implied
     and should be checked with is_deadlock_free."""
-    slots = set(turn_slots(is_3d))
+    slots = set(TURN_SLOTS_3D if is_3d else TURN_SLOTS_2D)
     pairs = [tuple(p) for p in pairs]
     for p in pairs:
         if p not in slots:
@@ -156,12 +132,15 @@ class PortNode(NamedTuple):
     kind: str                               # "in" or "out"
 
 
-# Node ids: tile * P + slot[direction] + (kind == "out"), where P is
-# twice the port count.  Slots follow the mesh's direction order, then
-# L, so ascending ids are in (tile, direction, kind) order.
-_SLOTS_2D = {d: 2 * i for i, d in enumerate(DIRS_2D + ("L",))}
-_SLOTS_3D = {d: 2 * i for i, d in enumerate(DIRS_3D + ("L",))}
 _KINDS = ("in", "out")
+
+
+def _port_slots(ag):
+    """Node ids are tile * P + slot[direction] + (kind == "out"), where
+    P is twice the port count.  Slots follow the mesh's direction
+    order, then L, so ascending ids are in (tile, direction, kind)
+    order."""
+    return {d: 2 * i for i, d in enumerate(ag.directions() + ("L",))}
 
 
 class RoutingGraph:
@@ -173,7 +152,7 @@ class RoutingGraph:
     def __init__(self, ag, succ, nodes=None):
         self.ag = ag
         self.succ = succ                    # tuple of sorted id tuples, by id
-        self.slots = _SLOTS_3D if ag.is_3d else _SLOTS_2D
+        self.slots = _port_slots(ag)
         self.ports_per_tile = 2 * len(self.slots)
         self._nodes = nodes                 # memoised PortNode tuple, by id
         self._adj = None                    # memoised PortNode adjacency
@@ -299,7 +278,7 @@ class RoutingGraph:
                 for d in self.ag.directions():
                     drop(port(tile, d, "in"), port(tile, "L", "out"))
             elif kind == "turn":
-                a, b = turn_slots(self.ag.is_3d)[fault[2]]
+                a, b = self.ag.turns[fault[2]]
                 drop(port(fault[1], a, "in"), port(fault[1], b, "out"))
             elif kind == "link":
                 link = self.ag.links[fault[1]]
@@ -370,11 +349,11 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
     external edges between tiles of different regions.
     """
     dirs = ag.directions()
-    slots = _SLOTS_3D if ag.is_3d else _SLOTS_2D
+    slots = _port_slots(ag)
     P = 2 * len(slots)
     local = slots["L"]
     straight = [(slots[d], slots[OPPOSITE[d]] + 1) for d in dirs]
-    turns = [(a, b, slots[a], slots[b] + 1) for a, b in turn_slots(ag.is_3d)]
+    turns = [(a, b, slots[a], slots[b] + 1) for a, b in ag.turns]
     succ = [[] for _ in range(len(ag) * P)]
 
     for t in range(len(ag)):

@@ -49,8 +49,6 @@ from .routing import (
     custom_turn_model,
     is_deadlock_free,
     turn_model_by_name,
-    turn_slots,
-    turn_index,
 )
 from .shmu import ClassifierConfig, CostModel, degrade_targets, CHECKER_UNITS
 from .simkernel import AgingUpdate, DROP, Injection, REQUEUE, ScenarioScript
@@ -159,27 +157,25 @@ def _parse_platform(cfg):
     if math.prod(mesh) > MAX_TILES:
         raise SemanticError(f"platform.mesh: more than {MAX_TILES} tiles")
     ag = build_mesh(*mesh)
-    is_3d = len(mesh) == 3
 
-    name = cfg.get("turn_model", "xyz" if is_3d else "xy")
+    name = cfg.get("turn_model", "xyz" if ag.is_3d else "xy")
     if name == "custom":
         raw = _list(_req(cfg, "custom_turns", "platform"), "platform.custom_turns")
         pairs = []
-        valid = {d for pair in turn_slots(is_3d) for d in pair}
         for i, item in enumerate(raw):
             if (not isinstance(item, list) or len(item) != 2
-                    or not all(isinstance(d, str) and d in valid for d in item)):
+                    or not all(d in ag.directions() for d in item)):
                 raise SemanticError(
                     f"platform.custom_turns[{i}]: expected a [from, to] "
                     f"direction pair")
             pairs.append((item[0], item[1]))
         try:
-            model = custom_turn_model(pairs, is_3d=is_3d)
+            model = custom_turn_model(pairs, is_3d=ag.is_3d)
         except Exception as exc:
             raise SemanticError(f"platform.custom_turns: {exc}") from None
     else:
         try:
-            model = turn_model_by_name(name, is_3d=is_3d)
+            model = turn_model_by_name(name, is_3d=ag.is_3d)
         except Exception as exc:
             raise SemanticError(f"platform.turn_model: {exc}") from None
 
@@ -207,7 +203,7 @@ def _parse_platform(cfg):
                           "platform.regions.turn_models")
         for label, mname in raw_models.items():
             try:
-                models[label] = turn_model_by_name(mname, is_3d=is_3d)
+                models[label] = turn_model_by_name(mname, is_3d=ag.is_3d)
             except Exception as exc:
                 raise SemanticError(
                     f"platform.regions.turn_models.{label}: {exc}") from None
@@ -370,15 +366,15 @@ def _parse_target(cfg, ag, path):
         tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
         slot = _req(cfg, "slot", path)
         if isinstance(slot, list) and len(slot) == 2:
-            try:
-                slot = turn_index((slot[0], slot[1]), ag.is_3d)
-            except Exception:
+            # Only a pair of strings can name a turn (or be a dict key).
+            index = (ag.turn_slot.get(tuple(slot))
+                     if all(isinstance(d, str) for d in slot) else None)
+            if index is None:
                 raise SemanticError(
-                    f"{path}.slot: {slot!r} is not a turn of this mesh"
-                ) from None
+                    f"{path}.slot: {slot!r} is not a turn of this mesh")
+            slot = index
         else:
-            slot = _int(slot, f"{path}.slot", lo=0,
-                        hi=len(turn_slots(ag.is_3d)) - 1)
+            slot = _int(slot, f"{path}.slot", lo=0, hi=len(ag.turns) - 1)
         location = ("turn", tile, slot)
     elif kind == "link":
         if "link" in cfg:

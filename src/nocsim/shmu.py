@@ -34,12 +34,7 @@ from .health import config_tag
 from .mapsched import (CommModel, SaParams, SCHEDULE_LENGTH, asap_schedule,
                        run_heuristic)
 from .rng import derive_seed
-from .routing import (
-    TURN_INDEX_2D,
-    TURN_INDEX_3D,
-    build_routing_graph,
-    turn_slots,
-)
+from .routing import build_routing_graph
 
 TRANSIENT = "transient"
 INTERMITTENT = "intermittent"
@@ -121,7 +116,7 @@ def degrade_targets(location, ag):
         tile, unit = location[1], location[2]
         ag.check_tile(tile)
         if unit in _CONTROL_UNITS:
-            return [("turn", tile, s) for s in range(len(turn_slots(ag.is_3d)))]
+            return [("turn", tile, s) for s in range(len(ag.turns))]
         if unit == "datapath_parity":
             return [
                 ("link", l.id) for l in ag.links if l.src == tile or l.dst == tile
@@ -136,9 +131,8 @@ def flow_elements(flow, ag):
     enters router l1.dst on port opposite(l1.direction) and the next
     link l2 leaves through port l2.direction; two ports at a right angle
     are a turn of that router, two opposite ones a straight pass."""
-    index = TURN_INDEX_3D if ag.is_3d else TURN_INDEX_2D
     steps = [ag.links[l] for l in flow.links]
-    turns = [(l1.dst, index.get((OPPOSITE[l1.direction], l2.direction)))
+    turns = [(l1.dst, ag.turn_slot.get((OPPOSITE[l1.direction], l2.direction)))
              for l1, l2 in zip(steps, steps[1:])]
     return ({("pe", flow.src_tile), ("pe", flow.dst_tile)}
             | {("link", l) for l in flow.links}

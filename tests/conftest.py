@@ -35,7 +35,7 @@ def random_shm(ag, seed, max_links=3, max_turns=3, max_pes=0):
     shm = ns.SystemHealthMap(ag)
     for _ in range(rng.randint(0, max_links)):
         shm.apply_fault(("link", rng.randrange(len(ag.links))))
-    n_slots = len(ns.turn_slots(ag.is_3d))
+    n_slots = len(ag.turns)
     for _ in range(rng.randint(0, max_turns)):
         shm.apply_fault(("turn", rng.randrange(len(ag.tiles)),
                          rng.randrange(n_slots)))

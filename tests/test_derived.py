@@ -39,7 +39,7 @@ def _random_location(ag, rng):
     if kind == "pe":
         return ("pe", tile)
     if kind == "turn":
-        return ("turn", tile, rng.randrange(len(ns.turn_slots(ag.is_3d))))
+        return ("turn", tile, rng.randrange(len(ag.turns)))
     if kind == "link":
         return ("link", rng.randrange(len(ag.links)))
     return ("checker", tile, rng.choice(ns.CHECKER_UNITS))
@@ -137,8 +137,7 @@ def test_without_equals_cold_build_on_large_west_first_meshes(side):
     for _ in range(8):
         locations.append(("link", rng.randrange(len(ag.links))))
         locations.append(("turn", rng.randrange(len(ag)),
-                          ns.turn_index(rng.choice(sorted(ns.WEST_FIRST.allowed)),
-                                        False)))
+                          ag.turn_slot[rng.choice(sorted(ns.WEST_FIRST.allowed))]))
     locations.insert(5, ("pe", rng.randrange(len(ag))))
     locations.insert(11, ("pe", rng.randrange(len(ag))))
     _check_chain(ag, ns.WEST_FIRST, None, locations, 4, seed=None)
@@ -157,8 +156,7 @@ def _gate(ag, a, b):
         return ("pe", a.tile)
     if b.direction == OPPOSITE[a.direction]:
         return None
-    return ("turn", a.tile, ns.turn_index((a.direction, b.direction),
-                                          ag.is_3d))
+    return ("turn", a.tile, ag.turn_slot[(a.direction, b.direction)])
 
 
 def _edges(rg):

@@ -224,7 +224,7 @@ def test_lbdr_xy_routing_bits(mesh22):
 
 def test_lbdr_turn_fault_masks_one_bit(mesh22):
     shm = ns.SystemHealthMap(mesh22)
-    shm.apply_fault(("turn", 0, ns.turn_index(("E", "N"), False)))
+    shm.apply_fault(("turn", 0, mesh22.turn_slot[("E", "N")]))
     cfg = ns.derive_lbdr_config(shm, ns.XY, 0)
     assert cfg.routing[("E", "N")] == 0
     assert cfg.routing[("E", "S")] == 1

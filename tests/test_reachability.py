@@ -238,7 +238,7 @@ def _apply_random_fault(shm, rng):
     if kind == "link":
         shm.apply_fault(("link", rng.randrange(len(ag.links))))
     elif kind == "turn":
-        slot = rng.randrange(len(ns.turn_slots(ag.is_3d)))
+        slot = rng.randrange(len(ag.turns))
         shm.apply_fault(("turn", rng.randrange(len(ag)), slot))
     else:
         shm.apply_fault(("pe", rng.randrange(len(ag))))

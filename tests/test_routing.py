@@ -36,12 +36,7 @@ def test_turn_slot_canon():
     assert len(ns.TURN_SLOTS_2D) == 8
     assert len(ns.TURN_SLOTS_3D) == 24
     assert ns.TURN_SLOTS_2D[6] == ("W", "N")
-    assert ns.turn_index(("W", "N"), False) == 6
-
-
-def test_turn_index_rejects_straights():
-    with pytest.raises(RangeError):
-        ns.turn_index(("N", "S"), False)
+    assert ns.build_mesh(2, 2).turn_slot[("W", "N")] == 6
 
 
 def test_xy_allowed_set():
@@ -182,7 +177,7 @@ def test_broken_turn_blocks_diagonal():
     # intermediate router severs the only XY route to the diagonal tile.
     ag = ns.build_mesh(2, 2)
     shm = ns.SystemHealthMap(ag)
-    shm.apply_fault(("turn", 1, ns.turn_index(("W", "N"), False)))
+    shm.apply_fault(("turn", 1, ag.turn_slot[("W", "N")]))
     rg = ns.build_routing_graph(ag, ns.XY, shm)
     assert ns.find_paths(rg, 0, 3) == []
     assert oracles.nx_tile_reach(rg, 0) == {0, 1, 2}

@@ -479,7 +479,7 @@ def test_custom_turn_model_roundtrip():
 
 
 def test_custom_all_turns_rejected_as_cyclic():
-    everything = [[a, b] for a, b in ns.turn_slots(False)]
+    everything = [[a, b] for a, b in ns.TURN_SLOTS_2D]
     with pytest.raises(SemanticError, match="routing cycle"):
         ns.parse_scenario(doc(platform={"mesh": [3, 3],
                                         "turn_model": "custom",

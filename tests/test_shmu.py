@@ -142,7 +142,7 @@ def test_severity_permanent_on_used_turn(mesh22):
     tg = chain_tg([5, 5], [2])
     sched = ns.asap_schedule(tg, [0, 3], shm, rg)
     cmm2 = ns.CurrentMappingMemory(mapping=[0, 3], schedule=sched)
-    assert ns.severity(("turn", 1, ns.turn_index(("W", "N"), False)),
+    assert ns.severity(("turn", 1, mesh22.turn_slot[("W", "N")]),
                        ns.PERMANENT, cmm2, mesh22) == ns.REMAP
 
 
@@ -174,7 +174,7 @@ def test_flow_turns_read_off_links_match_the_port_path(seed):
         ag = ns.build_mesh(rng.randint(2, 5), rng.randint(2, 5))
         model = rng.choice([ns.XY, ns.WEST_FIRST, ns.NORTH_LAST,
                             ns.NEGATIVE_FIRST])
-    slots = ns.turn_slots(ag.is_3d)
+    slots = ag.turns
     shm = ns.SystemHealthMap(ag)
     for link in rng.sample(range(len(ag.links)), len(ag.links) // 5):
         shm.apply_fault(("link", link))

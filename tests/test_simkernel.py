@@ -318,7 +318,7 @@ def test_turn_fault_severs_the_flow_taking_it(mesh33, policy):
     tg = ns.build_task_graph(tasks, {(0, 2): 30, (1, 2): 30})
     aging = tuple(ns.AgingUpdate(time=0, tile=t, percent=100)
                   for t in range(9) if t not in (0, 4))
-    slot = ns.turn_index(("E", "S"), False)
+    slot = mesh33.turn_slot[("E", "S")]
     inj = ns.Injection(time=60, location=("turn", 3, slot),
                        persistence="permanent")
     res = ns.run(script(tg, mesh33, aging=aging, injections=(inj,),
