@@ -6,8 +6,9 @@ byte with the files under tests/golden/.
 
 tests/scenarios/ holds documents for features the bundled scenarios do
 not reach (the traffic and utilization costs, a clustered application,
-a 3D mesh, a flow dropped by the region filter, a flow severed under
-the requeue policy, an infeasible store and an infeasible remap); their
+a 3D mesh, a vertical turn fault that severs a flow on it, a flow
+dropped by the region filter, a flow severed under the requeue policy,
+an infeasible store and an infeasible remap); their
 goldens, in tests/golden/extra/<name>/<heuristic>/, add the `nocsim
 map` output (map.txt), whose `cost <kind> <value>` line pins
 evaluate_cost.  Every line format in the kernel's LINES table, and
