@@ -2,13 +2,18 @@
 
 A mapping is a plain list: index task id, value tile id.  The scheduler
 does one topological pass computing each task's start exactly once
-(Schedule.start_computations counts them).  Data transfers occupy route
-links and are serialized where links are contended (earliest-fit); each
-link keeps its busy intervals sorted, so a probe bisects to the one
-interval it can hit, O(log I) in the I intervals on the link, but after
-a conflict it steps past each gap too short for the body, linear in the
-intervals skipped (about 127 per transfer on a 1000-task 4x4 schedule).
-Tasks sharing a processing element are serialized too.
+(Schedule.start_computations counts them).  One object, _AsapPass,
+prepares that pass once (task arrays, per-tile cycle table, transfer
+model, route provider) and runs it per mapping: asap_schedule builds one
+over the mapped tiles, and a search is one over the usable tiles.  Data
+transfers occupy route links and are serialized where links are
+contended (earliest-fit).  The pass keeps each link's busy intervals as
+one sorted flat lane [s0, e0, s1, e1, ...], the format _cost reads, so a
+probe bisects to the one interval it can hit, O(log I) in the I
+intervals on the link, but after a conflict it steps past each gap too
+short for the body, linear in the intervals skipped (about 127 per
+transfer on a 1000-task 4x4 schedule).  Tasks sharing a processing
+element are serialized too.
 
 Routes are read from the route provider's rows, rows[src][dst], which
 every search and asap_schedule call given that provider shares: each
@@ -119,149 +124,150 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
     everything else executes.  Raises UnroutableFlow when a transfer
     between mapped tiles has no route.
     """
-    comm = comm or CommModel()
-    routes = routes or rg.route_provider()
-    finished = frozenset(finished or ())
     validate_mapping(tg, mapping, shm)
-
-    order, preds, release = _task_arrays(tg)
-    wcet = _wcet_table(tg, shm, set(mapping))
-    records = []
-    start, finish, _ = _asap(order, preds, release, wcet, mapping, routes,
-                             comm, len(shm.ag.links), base_time, finished,
-                             records)
-
-    r = comm.router_delay
-    flows = []
-    for a, b, tile_a, tile_b, weight, (links, hops, _), t in records:
-        hold = weight * comm.unit_link_cycles
-        intervals = tuple(
-            (link, t + i * r, t + i * r + hold)
-            for i, link in enumerate(links, start=1)
-        ) if hold > 0 else ()
-        flows.append(FlowPlan(a, b, tile_a, tile_b, links, t,
-                              t + hops * r + hold, intervals))
-    executed = [finish[t] for t in range(len(tg)) if t not in finished]
-    return Schedule(
-        task_times=tuple(zip(mapping, start, finish)),
-        flows=tuple(flows),
-        start_computations=len(order),
-        base_time=base_time,
-        retained=finished,
-        makespan=max(executed) if executed else base_time,
-    )
+    return _AsapPass(tg, shm, rg, set(mapping), comm, routes).schedule(
+        mapping, base_time, frozenset(finished or ()))
 
 
-def _task_arrays(tg):
-    """(topological order, ((pred, weight), ...) per task, release per
-    task): the task graph as the flat arrays the ASAP core reads."""
-    preds = [tuple((a, tg.edges[(a, b)]) for a in tg.predecessors(b))
-             for b in range(len(tg))]
-    return tg.topological_order(), preds, [t.release for t in tg.tasks]
+class _AsapPass:
+    """The ASAP pass shared by asap_schedule and candidate evaluation,
+    with everything no mapping changes prepared once: the topological
+    order, each task's ((pred, weight), ...) and release, each task's
+    cycles on each of `tiles` after aging (wcet[tile], None for other
+    tiles), the transfer model and the route provider, whose rows the
+    pass reads, routing a pair not yet in them.
 
+    Lanes: run returns busy, per link id None if the link is unused,
+    else its busy intervals in time order as one flat list [s0, e0, s1,
+    e1, ...].  That is this pass's lane format, and _cost reads it."""
 
-def _wcet_table(tg, shm, tiles):
-    """Per tile id, each task's cycles on that tile after aging; None
-    for tiles not in `tiles`."""
-    table = [None] * len(shm.ag)
-    for tile in tiles:
-        table[tile] = [shm.effective_wcet(tile, t.wcet) for t in tg.tasks]
-    return table
+    def __init__(self, tg, shm, rg, tiles, comm=None, routes=None):
+        self.tg = tg
+        self.comm = comm or CommModel()
+        self.routes = routes or rg.route_provider()
+        self.order = tg.topological_order()
+        self.preds = [tuple((a, tg.edges[(a, b)]) for a in tg.predecessors(b))
+                      for b in range(len(tg))]
+        self.release = [t.release for t in tg.tasks]
+        self.wcet = [None] * len(shm.ag)
+        for tile in tiles:
+            self.wcet[tile] = [shm.effective_wcet(tile, t.wcet) for t in tg.tasks]
+        self.n_links = len(shm.ag.links)
 
+    def run(self, mapping, base_time=0, finished=frozenset(), records=None):
+        """Visits tasks in topological order and computes each start
+        once: the latest of release, PE free time and data arrivals (an
+        unroutable pair raises UnroutableFlow).  Returns the per-task
+        start and finish lists and the busy lanes.  When `records` is a
+        list, appends (src task, dst task, src tile, dst tile, weight,
+        Route, injection) to it per transfer.
 
-def _asap(order, preds, release, wcet, mapping, routes, comm, n_links,
-          base_time=0, finished=frozenset(), records=None):
-    """The ASAP pass shared by asap_schedule and candidate evaluation.
-
-    Visits tasks in topological order and computes each start once:
-    the latest of release, PE free time and data arrivals.  wcet[tile]
-    lists each task's cycles on that tile; routes is a RouteProvider,
-    whose rows the pass reads, routing a pair not yet in them (an
-    unroutable pair raises UnroutableFlow).
-    Returns the per-task start and finish lists and busy: per link id,
-    None if unused, else the link's busy intervals in time order as
-    [start, end, start, end, ...].  When `records` is a list, appends
-    (src task, dst task, src tile, dst tile, weight, Route, injection)
-    to it per transfer.
-
-    A transfer's head needs router_delay per router; its body holds
-    link i for weight x unit_link_cycles from i router delays after
-    injection.  Placement is earliest-fit: a conflict on some link
-    moves the injection past the conflicting interval, and past any
-    later ones on that link whose gaps are too short for the body; then
-    the check restarts at the first link.  Every time skipped conflicts
-    on that link, so the result is the earliest conflict-free
-    injection.  Intervals on one link never overlap, so their flat list
-    is sorted and one bisection finds the only interval that can
-    conflict; an unused link needs none.  After a conflict-free pass
-    each interval is inserted where a bisection puts it, which is where
-    the probe found room: a route never repeats a link, so no lane
-    changes between the check and the insert.
-    """
-    unit = comm.unit_link_cycles
-    r = comm.router_delay
-    rows = routes.rows
-    start = [base_time] * len(order)
-    finish = [base_time] * len(order)
-    pe_free = [base_time] * len(wcet)
-    busy = [None] * n_links
-    for b in order:
-        if finished and b in finished:
-            continue
-        tile_b = mapping[b]
-        ready = pe_free[tile_b]
-        if release[b] > ready:
-            ready = release[b]
-        for a, weight in preds[b]:
-            tile_a = mapping[a]
-            t = finish[a]
-            if tile_a != tile_b:
-                row = rows[tile_a]
-                entry = row and row[tile_b]
-                if not entry:
-                    if entry is None:
-                        routes.route(tile_a, tile_b)
-                        entry = rows[tile_a][tile_b]
+        A transfer's head needs router_delay per router; its body holds
+        link i for weight x unit_link_cycles from i router delays after
+        injection.  Placement is earliest-fit: a conflict on some link
+        moves the injection past the conflicting interval, and past any
+        later ones on that link whose gaps are too short for the body;
+        then the check restarts at the first link.  Every time skipped
+        conflicts on that link, so the result is the earliest
+        conflict-free injection.  Intervals on one link never overlap,
+        so their flat list is sorted and one bisection finds the only
+        interval that can conflict; an unused link needs none.  After a
+        conflict-free pass each interval is inserted where a bisection
+        puts it, which is where the probe found room: a route never
+        repeats a link, so no lane changes between the check and the
+        insert.
+        """
+        order, preds, release, wcet = self.order, self.preds, self.release, self.wcet
+        routes = self.routes
+        unit = self.comm.unit_link_cycles
+        r = self.comm.router_delay
+        rows = routes.rows
+        start = [base_time] * len(order)
+        finish = [base_time] * len(order)
+        pe_free = [base_time] * len(wcet)
+        busy = [None] * self.n_links
+        for b in order:
+            if finished and b in finished:
+                continue
+            tile_b = mapping[b]
+            ready = pe_free[tile_b]
+            if release[b] > ready:
+                ready = release[b]
+            for a, weight in preds[b]:
+                tile_a = mapping[a]
+                t = finish[a]
+                if tile_a != tile_b:
+                    row = rows[tile_a]
+                    entry = row and row[tile_b]
                     if not entry:
-                        raise UnroutableFlow(tile_a, tile_b)
-                links, hops, _ = entry
-                hold = weight * unit
-                if hold > 0:
-                    while True:
+                        if entry is None:
+                            routes.route(tile_a, tile_b)
+                            entry = rows[tile_a][tile_b]
+                        if not entry:
+                            raise UnroutableFlow(tile_a, tile_b)
+                    links, hops, _ = entry
+                    hold = weight * unit
+                    if hold > 0:
+                        while True:
+                            s = t
+                            for link in links:
+                                s += r
+                                lane = busy[link]
+                                if lane is None:
+                                    continue
+                                k = bisect_right(lane, s)
+                                if k & 1 or (k < len(lane) and lane[k] < s + hold):
+                                    k |= 1      # end of the conflicting interval
+                                    # Skip on while the gap after it is too short.
+                                    last = len(lane) - 1
+                                    while k < last and lane[k + 1] < lane[k] + hold:
+                                        k += 2
+                                    t += lane[k] - s
+                                    break
+                            else:
+                                break
                         s = t
                         for link in links:
                             s += r
                             lane = busy[link]
                             if lane is None:
-                                continue
-                            k = bisect_right(lane, s)
-                            if k & 1 or (k < len(lane) and lane[k] < s + hold):
-                                k |= 1      # end of the conflicting interval
-                                # Skip on while the gap after it is too short.
-                                last = len(lane) - 1
-                                while k < last and lane[k + 1] < lane[k] + hold:
-                                    k += 2
-                                t += lane[k] - s
-                                break
-                        else:
-                            break
-                    s = t
-                    for link in links:
-                        s += r
-                        lane = busy[link]
-                        if lane is None:
-                            busy[link] = [s, s + hold]
-                        else:
-                            k = bisect_right(lane, s)
-                            lane[k:k] = (s, s + hold)
-                if records is not None:
-                    records.append((a, b, tile_a, tile_b, weight, entry, t))
-                t += hops * r + hold
-            if t > ready:
-                ready = t
-        start[b] = ready
-        finish[b] = pe_free[tile_b] = ready + wcet[tile_b][b]
-    return start, finish, busy
+                                busy[link] = [s, s + hold]
+                            else:
+                                k = bisect_right(lane, s)
+                                lane[k:k] = (s, s + hold)
+                    if records is not None:
+                        records.append((a, b, tile_a, tile_b, weight, entry, t))
+                    t += hops * r + hold
+                if t > ready:
+                    ready = t
+            start[b] = ready
+            finish[b] = pe_free[tile_b] = ready + wcet[tile_b][b]
+        return start, finish, busy
+
+    def schedule(self, mapping, base_time=0, finished=frozenset()):
+        """The pass's Schedule: its task times and a FlowPlan per
+        transfer."""
+        records = []
+        start, finish, _ = self.run(mapping, base_time, finished, records)
+        r = self.comm.router_delay
+        flows = []
+        for a, b, tile_a, tile_b, weight, (links, hops, _), t in records:
+            hold = weight * self.comm.unit_link_cycles
+            intervals = tuple(
+                (link, t + i * r, t + i * r + hold)
+                for i, link in enumerate(links, start=1)
+            ) if hold > 0 else ()
+            flows.append(FlowPlan(a, b, tile_a, tile_b, links, t,
+                                  t + hops * r + hold, intervals))
+        executed = [finish[t] for t in range(len(self.tg)) if t not in finished]
+        return Schedule(
+            task_times=tuple(zip(mapping, start, finish)),
+            flows=tuple(flows),
+            start_computations=len(self.order),
+            base_time=base_time,
+            retained=finished,
+            makespan=max(executed) if executed else base_time,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +294,11 @@ def _pstdev(values):
 
 def _cost(kind, tiles, start, finish, busy, base_time=0):
     """The only definition of each cost kind.  tiles, start, finish: each
-    executed task's, in id order; busy: per link id None or its [start,
-    end, ...] bounds.  schedule_length: last finish - base_time;
-    traffic_balance: population stddev of busy cycles over used links,
-    in id order; utilization_balance: the same over used PEs."""
+    executed task's, in id order; busy: per link id None or its lane in
+    _AsapPass's format, [start, end, ...].  schedule_length: last finish
+    - base_time; traffic_balance: population stddev of busy cycles over
+    used links, in id order; utilization_balance: the same over used
+    PEs."""
     if kind == SCHEDULE_LENGTH:
         return max(finish, default=base_time) - base_time
     if kind == TRAFFIC_BALANCE:
@@ -379,30 +386,23 @@ def _expand(units, unit_tiles, n_tasks):
     return mapping
 
 
-class _Search:
-    """Shared candidate evaluation for all heuristics.
-
-    Everything a candidate does not change is prepared once per search:
-    the flat task arrays, each task's cycles on each usable tile, the
-    critical deadlines and the route provider, whose rows outlive the
-    search.  Candidates only ever place units on usable tiles, so they
-    need no per-candidate validation."""
+class _Search(_AsapPass):
+    """Shared candidate evaluation for all heuristics: the ASAP pass
+    prepared over the usable tiles, plus the critical deadlines.  The
+    route provider's rows outlive the search.  Candidates only ever
+    place units on usable tiles, so they need no per-candidate
+    validation."""
 
     def __init__(self, tg, shm, rg, cost, ctg, comm, routes):
         if cost not in COST_KINDS:
             raise RangeError(f"unknown cost function {cost!r}; choices: {COST_KINDS}")
-        self.tg = tg
         self.cost = cost
         self.units = _units(tg, ctg)
         self.clustered = ctg is not None
-        self.comm = comm
-        self.routes = routes or rg.route_provider()
         self.tiles = usable_tiles(shm)
-        self.order, self.preds, self.release = _task_arrays(tg)
-        self.wcet = _wcet_table(tg, shm, self.tiles)
+        super().__init__(tg, shm, rg, self.tiles, comm, routes)
         self.deadlines = [(t.id, t.release + t.slack) for t in tg.tasks
                           if t.criticality == CRITICAL and t.slack is not None]
-        self.n_links = len(shm.ag.links)
         self.evaluations = 0
 
     def evaluate(self, unit_tiles):
@@ -414,9 +414,7 @@ class _Search:
         else:
             mapping = unit_tiles
         try:
-            start, finish, busy = _asap(self.order, self.preds, self.release,
-                                        self.wcet, mapping, self.routes,
-                                        self.comm, self.n_links)
+            start, finish, busy = self.run(mapping)
         except UnroutableFlow:
             return None
         for task, deadline in self.deadlines:
@@ -468,7 +466,6 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
     number of candidate evaluations performed (the mapping effort unit
     of the reconfiguration cost model).  Candidates are scored without
     building a Schedule; the winner's is built once at the end."""
-    comm = comm or CommModel()
     search = _Search(tg, shm, rg, cost, ctg, comm, routes)
     if initial is None:
         initial = initial_mapping(tg, shm, policy=initial_policy,
@@ -493,7 +490,7 @@ def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
     assign = run(search, start, seed, iterations, sa_params or SaParams())
 
     mapping = _expand(search.units, assign, len(tg))
-    schedule = asap_schedule(tg, mapping, shm, rg, comm=comm,
+    schedule = asap_schedule(tg, mapping, shm, rg, comm=search.comm,
                              routes=search.routes)
     return HeuristicResult(mapping, schedule, search.evaluations)
 
