@@ -366,8 +366,9 @@ class ArchitectureGraph:
         return DIRS_3D if self.is_3d else DIRS_2D
 
     def check_tile(self, tile_id):
-        if not 0 <= tile_id < len(self.tiles):
-            raise UnknownTile(f"tile {tile_id} outside mesh of {len(self.tiles)}")
+        """`tile_id` if it is an int (not a bool) naming a tile."""
+        if type(tile_id) is not int or not 0 <= tile_id < len(self.tiles):
+            raise UnknownTile(f"tile {tile_id!r} outside mesh of {len(self.tiles)}")
         return tile_id
 
     def coords(self, tile_id):

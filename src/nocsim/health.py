@@ -46,9 +46,9 @@ class SystemHealthMap:
             self.ag.check_tile(fault[1])
         elif kind == "turn" and len(fault) == 3:
             self.ag.check_tile(fault[1])
-            if not 0 <= fault[2] < len(self.ag.turns):
+            if type(fault[2]) is not int or not 0 <= fault[2] < len(self.ag.turns):
                 raise UnknownTarget(
-                    f"turn slot {fault[2]} outside 0..{len(self.ag.turns) - 1}")
+                    f"turn slot {fault[2]!r} outside 0..{len(self.ag.turns) - 1}")
         elif kind == "link" and len(fault) == 2:
             n = len(self.ag.links)
             if not isinstance(fault[1], int) or not 0 <= fault[1] < n:

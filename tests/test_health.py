@@ -54,6 +54,22 @@ def test_apply_fault_unknown_target(mesh22):
         shm.apply_fault(("link", 99))
 
 
+@pytest.mark.parametrize("fault, error", [
+    (("pe", "3"), UnknownTile),
+    (("pe", 1.5), UnknownTile),
+    (("pe", True), UnknownTile),
+    (("turn", 0, "1"), UnknownTarget),
+    (("turn", None, 1), UnknownTile),
+], ids=["pe-str", "pe-float", "pe-bool", "turn-slot-str", "turn-tile-none"])
+def test_apply_fault_rejects_non_int_element(mesh22, fault, error):
+    # A tile or turn slot must be an int (not a bool); anything else is
+    # an unknown target, not a raw TypeError or a broken element.
+    shm = ns.SystemHealthMap(mesh22)
+    with pytest.raises(error):
+        shm.apply_fault(fault)
+    assert shm.broken == set()
+
+
 # -- aging ---------------------------------------------------------------------
 
 

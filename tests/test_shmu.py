@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
-from nocsim.errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
+from nocsim.errors import (EmptyHistory, LengthMismatch, RangeError, UnknownTarget,
+                           UnknownTile)
 from nocsim.shmu import flow_elements
 
 from conftest import chain_tg
@@ -87,6 +88,11 @@ def test_degrade_datapath_kills_incident_links(mesh22):
 def test_degrade_unknown_unit(mesh22):
     with pytest.raises(UnknownTarget):
         ns.degrade_targets(("checker", 0, "coffee"), mesh22)
+
+
+def test_degrade_non_int_tile(mesh22):
+    with pytest.raises(UnknownTile):
+        ns.degrade_targets(("pe", "3"), mesh22)
 
 
 # -- severity ----------------------------------------------------------------------
