@@ -50,7 +50,7 @@ from .routing import (
     is_deadlock_free,
     turn_model_by_name,
 )
-from .shmu import ClassifierConfig, CostModel, degrade_targets, CHECKER_UNITS
+from .shmu import ClassifierConfig, CostModel, CHECKER_UNITS
 from .simkernel import AgingUpdate, DROP, Injection, REQUEUE, ScenarioScript
 
 # Size caps, checked before anything is built: JSON must not exhaust memory.
@@ -360,10 +360,9 @@ def _parse_target(cfg, ag, path):
     kind = _choice(_req(cfg, "kind", path), f"{path}.kind",
                    ("pe", "turn", "link", "checker"))
     if kind == "pe":
-        tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
-        location = ("pe", tile)
+        location = ("pe", _tile(cfg, ag, path))
     elif kind == "turn":
-        tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
+        tile = _tile(cfg, ag, path)
         slot = _req(cfg, "slot", path)
         if isinstance(slot, list) and len(slot) == 2:
             # Only a pair of strings can name a turn (or be a dict key).
@@ -381,23 +380,17 @@ def _parse_target(cfg, ag, path):
             location = ("link", _int(cfg["link"], f"{path}.link", lo=0,
                                      hi=len(ag.links) - 1))
         else:
-            tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
+            tile = _tile(cfg, ag, path)
             direction = _req(cfg, "direction", path)
-            if not 0 <= tile < len(ag.tiles):
-                raise SemanticError(f"{path}.tile: tile {tile} out of range")
             link = ag.link(tile, direction) if direction in ag.directions() else None
             if link is None:
                 raise SemanticError(
                     f"{path}: tile {tile} has no {direction!r} link")
             location = ("link", link.id)
     else:
-        tile = _int(_req(cfg, "tile", path), f"{path}.tile", lo=0)
+        tile = _tile(cfg, ag, path)
         unit = _choice(_req(cfg, "unit", path), f"{path}.unit", CHECKER_UNITS)
         location = ("checker", tile, unit)
-    try:
-        degrade_targets(location, ag)
-    except Exception as exc:
-        raise SemanticError(f"{path}: {exc}") from None
     return location
 
 
@@ -421,9 +414,7 @@ def _parse_aging(raw, ag):
     for i, item in enumerate(_list(raw, "aging")):
         path = f"aging[{i}]"
         _known(item, path, ("time", "tile", "percent"))
-        tile = _int(_req(item, "tile", path), f"{path}.tile", lo=0)
-        if not 0 <= tile < len(ag.tiles):
-            raise SemanticError(f"{path}.tile: tile {tile} out of range")
+        tile = _tile(item, ag, path)
         out.append(AgingUpdate(
             time=_int(_req(item, "time", path), f"{path}.time", lo=0),
             tile=tile,
@@ -481,6 +472,11 @@ def _choice(value, path, allowed):
     if value not in allowed:
         raise SemanticError(f"{path}: {value!r} not one of {allowed}")
     return value
+
+
+def _tile(obj, ag, path):
+    """obj's required "tile", a tile id of the mesh."""
+    return _int(_req(obj, "tile", path), f"{path}.tile", lo=0, hi=len(ag) - 1)
 
 
 def _int(value, path, lo=None, hi=None):

@@ -344,6 +344,24 @@ def test_pe_target_out_of_range():
         ns.parse_scenario(inj_doc({"kind": "pe", "tile": 99}))
 
 
+@pytest.mark.parametrize("target", [
+    {"kind": "pe", "tile": 9},
+    {"kind": "turn", "tile": 9, "slot": 0},
+    {"kind": "checker", "tile": 9, "unit": "arbiter"},
+    {"kind": "link", "tile": 9, "direction": "E"},
+], ids=["pe", "turn", "checker", "link"])
+def test_target_tile_outside_mesh_names_its_path(target):
+    with pytest.raises(SemanticError, match=re.escape(
+            "injections[0].target.tile: must be <= 8, got 9")):
+        ns.parse_scenario(inj_doc(target))
+
+
+def test_aging_tile_outside_mesh_names_its_path():
+    with pytest.raises(SemanticError, match=re.escape(
+            "aging[0].tile: must be <= 8, got 9")):
+        ns.parse_scenario(doc(aging=[{"time": 0, "tile": 9, "percent": 10}]))
+
+
 def test_unknown_target_kind():
     with pytest.raises(SemanticError, match="kind"):
         ns.parse_scenario(inj_doc({"kind": "capacitor", "tile": 0}))
