@@ -8,6 +8,10 @@ The platform owns its vocabulary: an ArchitectureGraph decides once
 whether it is 2D or 3D, and every other layer reads its directions
 (directions()), its turn slots (turns, in the canonical TURN_SLOTS_2D or
 TURN_SLOTS_3D order defined here) and a turn's slot (turn_slot) from it.
+It also owns the health-element vocabulary: check_element is the one
+check that ("pe", tile), ("turn", tile, slot) or ("link", link_id)
+names an element of this mesh, for the health map, degrade_targets and
+RoutingGraph.without alike.
 """
 
 import heapq
@@ -19,6 +23,7 @@ from .errors import (
     DanglingEdgeError,
     InfeasibleK,
     RangeError,
+    UnknownTarget,
     UnknownTile,
     ZeroDimensionError,
 )
@@ -370,6 +375,27 @@ class ArchitectureGraph:
         if type(tile_id) is not int or not 0 <= tile_id < len(self.tiles):
             raise UnknownTile(f"tile {tile_id!r} outside mesh of {len(self.tiles)}")
         return tile_id
+
+    def check_element(self, element):
+        """`element` if it is a health element of this mesh: ("pe",
+        tile), ("turn", tile, slot) or ("link", link_id), every id an int
+        (not a bool) in range.  A bad tile raises UnknownTile, anything
+        else UnknownTarget."""
+        kind = element[0] if isinstance(element, tuple) and element else None
+        if kind == "pe" and len(element) == 2:
+            self.check_tile(element[1])
+        elif kind == "turn" and len(element) == 3:
+            self.check_tile(element[1])
+            if type(element[2]) is not int or not 0 <= element[2] < len(self.turns):
+                raise UnknownTarget(
+                    f"turn slot {element[2]!r} outside 0..{len(self.turns) - 1}")
+        elif kind == "link" and len(element) == 2:
+            n = len(self.links)
+            if type(element[1]) is not int or not 0 <= element[1] < n:
+                raise UnknownTarget(f"link {element[1]!r} outside 0..{n - 1}")
+        else:
+            raise UnknownTarget(f"not a health-map element: {element!r}")
+        return element
 
     def coords(self, tile_id):
         return self.tiles[self.check_tile(tile_id)].coords

@@ -3,22 +3,26 @@ aging byte.
 
 A health element is ("pe", tile), ("turn", tile, slot) or ("link",
 link_id), the one vocabulary that degrade_targets, apply_fault,
-RoutingGraph.without and flow_elements share.  The map holds `broken`,
-the set of elements that have failed; every other element is healthy.
-The map has a single writer (the fault-management unit); the
-mapping/scheduling side reads `broken` and the reader operations and
-never writes.  A snapshot is exactly that state (the mesh dimensions,
-the broken set frozen, the aging bytes), so equal states give equal,
-hashable snapshots.  The canonical text serialization fixes the element
-order (tiles ascending, turn slots in the platform's canonical order,
-ag.turns from graphs.TURN_SLOTS_2D/3D, links ascending, aging bytes) and
-is the preimage of the 64-bit configuration tag.
+RoutingGraph.without and flow_elements share;
+ArchitectureGraph.check_element is its one check.  The writer and the
+checked readers (pe_healthy, turn_healthy, link_healthy) call it, while
+pe_usable and effective_wcet, on the scoring path, do not.  The map
+holds `broken`, the set of elements that have failed; every other
+element is healthy.  The map has a single writer (the fault-management
+unit); the mapping/scheduling side reads `broken` and the reader
+operations and never writes.  A snapshot is exactly that state (the
+mesh dimensions, the broken set frozen, the aging bytes), so equal
+states give equal, hashable snapshots.  The canonical text
+serialization fixes the element order (tiles ascending, turn slots in
+the platform's canonical order, ag.turns from graphs.TURN_SLOTS_2D/3D,
+links ascending, aging bytes) and is the preimage of the 64-bit
+configuration tag.
 """
 
 import hashlib
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, RangeError, UnknownTarget
+from .errors import DimensionMismatch, RangeError
 from .graphs import DIRS_2D, TURN_SLOTS_2D
 
 
@@ -39,34 +43,16 @@ class SystemHealthMap:
         self.broken = set()                 # broken health elements
         self._aging = [0] * len(ag)
 
-    def _element(self, fault):
-        """`fault`, checked to be a health element of this platform."""
-        kind = fault[0] if isinstance(fault, tuple) and fault else None
-        if kind == "pe" and len(fault) == 2:
-            self.ag.check_tile(fault[1])
-        elif kind == "turn" and len(fault) == 3:
-            self.ag.check_tile(fault[1])
-            if type(fault[2]) is not int or not 0 <= fault[2] < len(self.ag.turns):
-                raise UnknownTarget(
-                    f"turn slot {fault[2]!r} outside 0..{len(self.ag.turns) - 1}")
-        elif kind == "link" and len(fault) == 2:
-            n = len(self.ag.links)
-            if not isinstance(fault[1], int) or not 0 <= fault[1] < n:
-                raise UnknownTarget(f"link {fault[1]!r} outside 0..{n - 1}")
-        else:
-            raise UnknownTarget(f"not a health-map element: {fault!r}")
-        return fault
-
     # -- readers -----------------------------------------------------------
 
     def pe_healthy(self, tile):
-        return self._element(("pe", tile)) not in self.broken
+        return self.ag.check_element(("pe", tile)) not in self.broken
 
     def turn_healthy(self, tile, slot):
-        return self._element(("turn", tile, slot)) not in self.broken
+        return self.ag.check_element(("turn", tile, slot)) not in self.broken
 
     def link_healthy(self, link_id):
-        return self._element(("link", link_id)) not in self.broken
+        return self.ag.check_element(("link", link_id)) not in self.broken
 
     def aging(self, tile):
         self.ag.check_tile(tile)
@@ -106,7 +92,7 @@ class SystemHealthMap:
     def apply_fault(self, fault):
         """Mark one element Broken.  Idempotent.  fault is one of
         ("pe", tile), ("turn", tile, slot), ("link", link_id)."""
-        self.broken.add(self._element(fault))
+        self.broken.add(self.ag.check_element(fault))
 
     def set_aging(self, tile, percent):
         """Record the frequency decrement (0..100) of a tile's PE."""
@@ -155,14 +141,6 @@ class LbdrConfig:
     tile: int
     connectivity: dict
     routing: dict
-
-    def dump(self):
-        c = self.connectivity
-        conn = " ".join(f"C_{d.lower()}={c[d]}" for d in DIRS_2D)
-        rout = " ".join(
-            f"R_{a.lower()}{b.lower()}={bit}" for (a, b), bit in sorted(self.routing.items())
-        )
-        return f"tile {self.tile}: {conn} {rout}"
 
 
 def derive_lbdr_config(shm, turn_model, tile):

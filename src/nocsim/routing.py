@@ -57,7 +57,7 @@ is_deadlock_free.
 import random
 from typing import NamedTuple
 
-from .errors import RangeError, UnknownTarget, UnknownTile
+from .errors import RangeError, UnknownTile
 from .graphs import OPPOSITE, TURN_SLOTS_2D, TURN_SLOTS_3D
 from .rng import derive_seed
 
@@ -243,7 +243,8 @@ class RoutingGraph:
 
     def without(self, faults):
         """This graph minus the edges that `faults` (health-map elements,
-        as SystemHealthMap.apply_fault takes them) remove: a PE fault
+        each checked by ArchitectureGraph.check_element, as
+        SystemHealthMap.apply_fault checks it) remove: a PE fault
         removes its tile's local edges, a turn fault its turn edge, a
         link fault its link edge.
 
@@ -268,7 +269,7 @@ class RoutingGraph:
                 tails.append(i)
 
         for fault in faults:
-            kind = fault[0]
+            kind = self.ag.check_element(fault)[0]
             if kind == "pe":
                 tile = fault[1]
                 local_in = port(tile, "L", "in")
@@ -284,8 +285,6 @@ class RoutingGraph:
                 link = self.ag.links[fault[1]]
                 drop(port(link.src, link.direction, "out"),
                      port(link.dst, OPPOSITE[link.direction], "in"))
-            else:
-                raise UnknownTarget(f"not a health-map element: {fault!r}")
         derived = RoutingGraph(self.ag, tuple(succ), self._nodes)
         if self._reach is not None and self._postorder[1]:
             derived._postorder = self._postorder
@@ -390,10 +389,9 @@ def is_deadlock_free(rg):
     return rg._dfs()[1]
 
 
-def find_paths(rg, src, dst, limit=None):
+def find_paths(rg, src, dst):
     """All simple port paths local-in(src) .. local-out(dst), in
-    lexicographic order of the visited tile id sequence.  `limit` caps
-    the number of paths returned."""
+    lexicographic order of the visited tile id sequence."""
     start = rg.local_in(src)
     goal = rg.local_out(dst)
     paths = []
@@ -401,8 +399,6 @@ def find_paths(rg, src, dst, limit=None):
     on_path = {start}
 
     def dfs(node):
-        if limit is not None and len(paths) >= limit:
-            return
         if node == goal:
             paths.append(tuple(path))
             return
@@ -420,8 +416,6 @@ def find_paths(rg, src, dst, limit=None):
 
     dfs(start)
     paths.sort(key=lambda p: (tuple(n.tile for n in p), p))
-    if limit is not None:
-        paths = paths[:limit]
     return paths
 
 

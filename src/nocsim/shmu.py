@@ -98,21 +98,14 @@ def classify(history, config):
 def degrade_targets(location, ag):
     """Health-map elements broken when `location` fails permanently.
 
-    PE, turn, and link locations map to themselves.  Checker units have
+    PE, turn, and link locations map to themselves, once
+    ArchitectureGraph.check_element accepts them.  Checker units have
     no individual health slot: a broken control unit (routing logic,
     arbiter, fifo control) takes out every turn of its router; a broken
     datapath takes out every link touching the tile.
     """
-    kind = location[0]
-    if kind == "pe" and len(location) == 2:
-        ag.check_tile(location[1])
-        return [("pe", location[1])]
-    if kind == "turn" and len(location) == 3:
-        ag.check_tile(location[1])
-        return [("turn", location[1], location[2])]
-    if kind == "link" and len(location) == 2:
-        return [("link", location[1])]
-    if kind == "checker" and len(location) == 3:
+    if (isinstance(location, tuple) and len(location) == 3
+            and location[0] == "checker"):
         tile, unit = location[1], location[2]
         ag.check_tile(tile)
         if unit in _CONTROL_UNITS:
@@ -122,7 +115,7 @@ def degrade_targets(location, ag):
                 ("link", l.id) for l in ag.links if l.src == tile or l.dst == tile
             ]
         raise UnknownTarget(f"unknown checker unit {unit!r}")
-    raise UnknownTarget(f"not a fault location: {location!r}")
+    return [ag.check_element(location)]
 
 
 def flow_elements(flow, ag):

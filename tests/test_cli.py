@@ -150,6 +150,20 @@ def test_simulate_out_writes_file_set(tmp_path, capsys):
     assert "remaps 1" in metrics
 
 
+def test_simulate_out_verbose_writes_files_and_prints_metrics(tmp_path,
+                                                              capsys):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", SMOKE, "--out", str(out_dir),
+                 "--verbose"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "decisions.log", "mapping.txt", "metrics.txt", "mpm.txt", "shm.txt",
+        "trace.txt"]
+    metrics = (out_dir / "metrics.txt").read_text()
+    assert capsys.readouterr().out == \
+        f"wrote 6 files to {out_dir}\n" + metrics
+    assert metrics.startswith("makespan ")
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -199,6 +213,23 @@ def test_sweep_deterministic_rows(scenario, capsys):
                                 "mpm_hits", "mpm_misses", "tasks_unfinished"]
     seeds = [int(l.split()[0]) for l in lines[1:-1]]
     assert seeds == [5, 6, 7]
+    assert lines[-1].startswith("aggregate makespan min=")
+
+
+def test_sweep_out_writes_rows_and_aggregate(scenario, tmp_path, capsys):
+    path = scenario(BASIC)
+    assert main(["sweep", "--scenario", path, "--seeds", "2",
+                 "--jobs", "1"]) == 0
+    printed = capsys.readouterr().out
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", path, "--out", str(out_dir),
+                 "--seeds", "2", "--jobs", "1"]) == 0
+    written = out_dir / "sweep.txt"
+    assert capsys.readouterr().out == f"wrote {written}\n"
+    text = written.read_text()
+    assert text == printed
+    lines = text.splitlines()
+    assert [int(l.split()[0]) for l in lines[1:-1]] == [5, 6]
     assert lines[-1].startswith("aggregate makespan min=")
 
 

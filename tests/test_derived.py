@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
-from nocsim.errors import UnknownTarget
+from nocsim.errors import UnknownTarget, UnknownTile
 from nocsim.graphs import OPPOSITE
 
 import oracles
@@ -208,6 +208,27 @@ def test_without_rejects_unknown_element():
     rg = ns.build_routing_graph(ag, ns.XY, ns.SystemHealthMap(ag))
     with pytest.raises(UnknownTarget):
         rg.without([("router", 0)])
+
+
+@pytest.mark.parametrize("fault, error", [
+    (("pe", -1), UnknownTile),
+    (("pe", True), UnknownTile),
+    (("pe", 7), UnknownTile),
+    (("link", -1), UnknownTarget),
+    (("link", 99), UnknownTarget),
+    (("turn", 0, 99), UnknownTarget),
+], ids=["pe-negative", "pe-bool", "pe-7", "link-negative", "link-99",
+        "turn-slot-99"])
+def test_without_rejects_a_bad_id(fault, error):
+    # A negative or bool id used to index another port or link, and an
+    # id past the end raised a raw IndexError.
+    ag = ns.build_mesh(2, 2)
+    rg = ns.build_routing_graph(ag, ns.XY, ns.SystemHealthMap(ag))
+    rg.reach_by_id()
+    succ = rg.succ
+    with pytest.raises(error):
+        rg.without([("link", 0), fault])
+    assert rg.succ is succ
 
 
 def test_port_ids_follow_port_order():

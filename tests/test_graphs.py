@@ -51,6 +51,32 @@ def test_self_edge_rejected():
         ns.build_task_graph([ns.Task(0, 1)], {(0, 0): 1})
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ns.build_task_graph([ns.Task(0, 0)], {}),
+     "task 0: wcet must be positive, got 0"),
+    (lambda: ns.build_task_graph([ns.Task(0, 1, release=-1)], {}),
+     "task 0: release must be >= 0, got -1"),
+    (lambda: ns.build_task_graph([ns.Task(0, 1, criticality="urgent")], {}),
+     "task 0: unknown criticality 'urgent'"),
+    (lambda: ns.build_task_graph(
+        [ns.Task(0, 1, criticality=ns.CRITICAL, slack=-2)], {}),
+     "task 0: slack must be >= 0, got -2"),
+    (lambda: ns.build_task_graph([ns.Task(0, 1), ns.Task(1, 1)], {(0, 1): 0}),
+     "edge (0, 1): weight must be positive, got 0"),
+    (lambda: ns.random_task_graph(0, 0.5, 1),
+     "task count must be positive, got 0"),
+    (lambda: ns.random_task_graph(3, 1.5, 1),
+     "density must be in [0, 1], got 1.5"),
+    (lambda: ns.cluster_tasks(ns.random_task_graph(3, 0.5, 1), 2, "spectral"),
+     "unknown clustering heuristic 'spectral'"),
+], ids=["wcet", "release", "criticality", "slack", "edge-weight",
+        "random-count", "random-density", "cluster-heuristic"])
+def test_graph_field_checks_raise_range_error(call, fragment):
+    with pytest.raises(RangeError) as exc:
+        call()
+    assert str(exc.value) == fragment
+
+
 def test_topological_order_is_topological():
     tg = ns.random_task_graph(9, 0.4, seed=42)
     order = tg.topological_order()
@@ -150,6 +176,19 @@ def test_local_search_not_worse_than_merge():
         merged = ns.cluster_tasks(tg, 3, heuristic="greedy-merge")
         improved = ns.cluster_tasks(tg, 3, heuristic="local-search", seed=seed)
         assert improved.cut_weight() <= merged.cut_weight()
+
+
+def test_local_search_moves_a_task_off_greedy_merge():
+    # The one instance of 1,620 probed (6-50 tasks, density 0.1-0.6, k
+    # of 2, 3 or 5, seeds 0-29) where local search changes greedy-merge's
+    # result: task 5 moves from {4, 5} into {0, 1, 3}.
+    tg = ns.random_task_graph(6, 0.3, 27)
+    merged = ns.cluster_tasks(tg, 3, "greedy-merge", 27)
+    moved = ns.cluster_tasks(tg, 3, "local-search", 27)
+    assert (merged.cut_weight(), merged.clusters) == \
+        (20, (frozenset({0, 1, 3}), frozenset({2}), frozenset({4, 5})))
+    assert (moved.cut_weight(), moved.clusters) == \
+        (18, (frozenset({0, 1, 3, 5}), frozenset({2}), frozenset({4})))
 
 
 @settings(max_examples=60)

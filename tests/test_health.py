@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import (
@@ -9,6 +9,7 @@ from nocsim.errors import (
     RangeError,
     UnknownTarget,
     UnknownTile,
+    ValidationError,
 )
 
 from conftest import random_shm
@@ -60,14 +61,69 @@ def test_apply_fault_unknown_target(mesh22):
     (("pe", True), UnknownTile),
     (("turn", 0, "1"), UnknownTarget),
     (("turn", None, 1), UnknownTile),
-], ids=["pe-str", "pe-float", "pe-bool", "turn-slot-str", "turn-tile-none"])
+    (("link", True), UnknownTarget),
+    (("turn", 0, False), UnknownTarget),
+], ids=["pe-str", "pe-float", "pe-bool", "turn-slot-str", "turn-tile-none",
+        "link-bool", "turn-slot-bool"])
 def test_apply_fault_rejects_non_int_element(mesh22, fault, error):
-    # A tile or turn slot must be an int (not a bool); anything else is
-    # an unknown target, not a raw TypeError or a broken element.
+    # A tile, turn slot or link id must be an int (not a bool); anything
+    # else is an unknown target, not a raw TypeError or a broken element.
     shm = ns.SystemHealthMap(mesh22)
     with pytest.raises(error):
         shm.apply_fault(fault)
     assert shm.broken == set()
+
+
+# One platform per shape, each with its healthy routing graph.
+ELEMENT_PLATFORMS = [
+    (ag, ns.build_routing_graph(ag, model, ns.SystemHealthMap(ag)), model)
+    for ag, model in ((ns.build_mesh(2, 2), ns.WEST_FIRST),
+                      (ns.build_mesh(3, 2), ns.XY),
+                      (ns.build_mesh(2, 2, 2), ns.XYZ))
+]
+ELEMENT_IDS = st.one_of(st.integers(-3, 30), st.integers(), st.booleans(),
+                        st.text(max_size=2), st.none())
+
+
+def _element_outcome(call):
+    """The ValidationError subclass `call` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_element_check_for_map_degrade_and_without(data):
+    """apply_fault, degrade_targets and RoutingGraph.without accept the
+    same elements and reject the rest with the same error, never a raw
+    exception, and a rejected call changes no state."""
+    ag, rg, model = data.draw(st.sampled_from(ELEMENT_PLATFORMS))
+    valid = ([("pe", t) for t in range(len(ag))]
+             + [("turn", t, s) for t in range(len(ag))
+                for s in range(len(ag.turns))]
+             + [("link", l) for l in range(len(ag.links))])
+    shaped = st.builds(lambda kind, ids: (kind, *ids),
+                       st.sampled_from(["pe", "turn", "link", "router", ""]),
+                       st.lists(ELEMENT_IDS, max_size=3))
+    element = data.draw(st.one_of(st.sampled_from(valid), shaped,
+                                  st.sampled_from([(), None, 5, "pe"])))
+    shm = ns.SystemHealthMap(ag)
+    succ = rg.succ
+    outcomes = {_element_outcome(lambda: shm.apply_fault(element)),
+                _element_outcome(lambda: ns.degrade_targets(element, ag)),
+                _element_outcome(lambda: rg.without([element]))}
+    assert len(outcomes) == 1, (element, outcomes)
+    assert rg.succ is succ
+    if outcomes == {None}:
+        assert shm.broken == {element}
+        assert ns.degrade_targets(element, ag) == [element]
+        assert rg.without([element]).succ == \
+            ns.build_routing_graph(ag, model, shm).succ
+    else:
+        assert shm.broken == set()
 
 
 # -- aging ---------------------------------------------------------------------

@@ -99,6 +99,13 @@ def test_minimal_document_defaults():
     assert len(s.ag.tiles) == 9
 
 
+@pytest.mark.parametrize("data", [[], "scenario", None, 5])
+def test_document_that_is_not_an_object(data):
+    with pytest.raises(SemanticError) as exc:
+        ns.parse_scenario(data)
+    assert str(exc.value) == "scenario: document must be an object"
+
+
 def test_unknown_top_level_field():
     with pytest.raises(SemanticError, match="scenario.frobnicate: unknown"):
         ns.parse_scenario(doc(frobnicate=1))
@@ -258,6 +265,34 @@ def test_sa_field_errors(field, value, message):
     ({"heuristic": {"sa": {"t0": float("inf")}}}, "heuristic.sa.t0"),
     ({"heuristic": {"sa": {"t0": True}}}, "heuristic.sa.t0"),
     ({"heuristic": {"sa": {"t0": 10 ** 400}}}, "heuristic.sa.t0"),
+    # Raise sites of the section parsers that no other test reaches.
+    ({"platform": {"mesh": [3, 3], "turn_model": "custom",
+                   "custom_turns": [["N", "Q"]]}}, "platform.custom_turns[0]"),
+    ({"platform": {"mesh": [3, 3], "turn_model": "custom",
+                   "custom_turns": [["N", "S"]]}}, "platform.custom_turns"),
+    ({"platform": {"mesh": [3, 3], "regions": {"labels": {"9": "a"}}}},
+     "platform.regions.labels"),
+    ({"platform": {"mesh": [3, 3], "regions": {"labels": {"0": 5}}}},
+     "platform.regions.labels.0"),
+    ({"platform": {"mesh": [3, 3], "regions": {
+        "labels": {"0": "a"}, "turn_models": {"a": "zigzag"}}}},
+     "platform.regions.turn_models.a"),
+    ({"platform": {"mesh": [3, 3], "regions": {
+        "labels": {"0": "a"}, "turn_models": {"b": "xy"}}}},
+     "platform.regions"),
+    ({"application": dict(EXPLICIT["application"], tasks=[])},
+     "application.tasks"),
+    ({"application": dict(EXPLICIT["application"], edges=[[0, 1]])},
+     "application.edges[0]"),
+    ({"application": {"tasks": 5, "cluster": {"k": 2,
+                                              "heuristic": "spectral"}}},
+     "application.cluster"),
+    ({"injections": [{"time": 1, "target": {"kind": "pe", "tile": 0},
+                      "persistence": {"kind": "burst", "count": 2,
+                                      "spacing": 1}}]},
+     "injections[0].persistence.kind"),
+    ({"application": {"tasks": 5, "wcet_range": [3, 1]}},
+     "application.wcet_range"),
 ])
 def test_malformed_value_is_a_semantic_error_naming_its_path(section, path):
     with pytest.raises(SemanticError, match=re.escape(path) + ": "):

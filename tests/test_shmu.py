@@ -62,6 +62,22 @@ def test_classifier_config_validation():
                             permanent_threshold=3).validate()
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ns.ClassifierConfig(window=0).validate(),
+     "window must be positive, got 0"),
+    (lambda: ns.severity(("pe", 0), "sporadic", None, None),
+     "unknown fault class 'sporadic'"),
+    (lambda: ns.predict_mpfs({}, -1, CFG),
+     "prediction size must be >= 0, got -1"),
+    (lambda: ns.MpmMemory(0), "capacity must be >= 1, got 0"),
+], ids=["classifier-window", "severity-class", "prediction-size",
+        "mpm-capacity"])
+def test_shmu_settings_raise_range_error(call, fragment):
+    with pytest.raises(RangeError) as exc:
+        call()
+    assert str(exc.value) == fragment
+
+
 # -- degradation targets ---------------------------------------------------------
 
 
@@ -93,6 +109,31 @@ def test_degrade_unknown_unit(mesh22):
 def test_degrade_non_int_tile(mesh22):
     with pytest.raises(UnknownTile):
         ns.degrade_targets(("pe", "3"), mesh22)
+
+
+@pytest.mark.parametrize("location, error", [
+    (("turn", 0, 99), UnknownTarget),
+    (("turn", 0, "1"), UnknownTarget),
+    (("link", "x"), UnknownTarget),
+    (("link", 999), UnknownTarget),
+    (("link", True), UnknownTarget),
+    (("pe", -1), UnknownTile),
+    ((), UnknownTarget),
+    (None, UnknownTarget),
+    (5, UnknownTarget),
+    (("checker", 0), UnknownTarget),
+], ids=["turn-slot-99", "turn-slot-str", "link-str", "link-999", "link-bool",
+        "pe-negative", "empty", "none", "int", "checker-short"])
+def test_degrade_rejects_what_apply_fault_rejects(mesh22, location, error):
+    # One element check: degrade_targets, the severity policy over it
+    # and apply_fault reject the same location with the same error.
+    with pytest.raises(error) as exc:
+        ns.degrade_targets(location, mesh22)
+    with pytest.raises(error) as used:
+        ns.severity(location, ns.PERMANENT, busy_cmm(mesh22), mesh22)
+    with pytest.raises(error) as applied:
+        ns.SystemHealthMap(mesh22).apply_fault(location)
+    assert str(exc.value) == str(used.value) == str(applied.value)
 
 
 # -- severity ----------------------------------------------------------------------
