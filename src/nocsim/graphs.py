@@ -115,7 +115,7 @@ def build_task_graph(tasks, edges):
     """Validate and assemble a TaskGraph.
 
     tasks: iterable of Task (ids must be exactly 0..m-1, wcet > 0).
-    edges: mapping (src, dst) -> weight or iterable of (src, dst, weight).
+    edges: mapping (src, dst) -> weight.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     ids = [t.id for t in tasks]
@@ -131,8 +131,6 @@ def build_task_graph(tasks, edges):
         if t.slack is not None and t.slack < 0:
             raise RangeError(f"task {t.id}: slack must be >= 0, got {t.slack}")
 
-    if not isinstance(edges, dict):
-        edges = {(a, b): w for (a, b, w) in edges}
     known = set(range(len(tasks)))
     for (a, b), w in edges.items():
         if a not in known or b not in known:

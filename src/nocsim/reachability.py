@@ -90,22 +90,27 @@ def cover_rectangles(dest_set, dims, budget):
     If that exceeds the budget, repeatedly merge the pair with the
     smallest bounding box (ties by the lowest tile id of the box
     corners), which may over-approximate but never under-approximate.
+    A cell or bit outside the mesh raises RangeError.
     """
     w, h = dims[0], dims[1]
+    dims3 = dims if len(dims) == 3 else (w, h, 1)
     if isinstance(dest_set, int):
         bits = dest_set
     else:
         bits = 0
         for c in dest_set:
-            z = c[2] if len(c) == 3 else 0
-            bits |= 1 << (c[0] + (c[1] + z * h) * w)
+            x, y, z = c[0], c[1], (c[2] if len(c) == 3 else 0)
+            if not (0 <= x < w and 0 <= y < h and 0 <= z < dims3[2]):
+                raise RangeError(f"cell {c} is outside the {dims} mesh")
+            bits |= 1 << (x + (y + z * h) * w)
+    if bits < 0 or bits >> (w * h * dims3[2]):
+        raise RangeError(f"tile bitset names a tile outside the {dims} mesh")
     if not bits:
         return ()
     if budget < 1:
         raise RegionBudgetError(
             f"budget {budget} cannot cover {bits.bit_count()} destinations"
         )
-    dims3 = dims if len(dims) == 3 else (w, h, 1)
 
     rects = _exact_cover(bits, dims3)
 

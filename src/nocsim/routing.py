@@ -106,7 +106,7 @@ TURN_MODELS_3D = {"xyz": XYZ}
 
 def turn_model_by_name(name, is_3d=False):
     table = TURN_MODELS_3D if is_3d else TURN_MODELS_2D
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise RangeError(
             f"unknown turn model {name!r} for {'3D' if is_3d else '2D'}; "
             f"choices: {sorted(table)}"

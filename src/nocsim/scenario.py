@@ -6,7 +6,9 @@ non-UTF-8 or malformed JSON file raises ParseError (with the line/column
 if malformed), a well-formed document with a bad field or a size or
 search budget past its cap (MAX_TILES, MAX_RANDOM_TASKS, MAX_BURST,
 MAX_ITERATIONS, MAX_SA_CANDIDATES) raises SemanticError naming the
-offending path.
+offending path.  _checked is the one place where a library call's
+ValidationError becomes a SemanticError at the field's path; any other
+exception is a bug and propagates as itself.
 
 An omitted field takes the default of the dataclass field it sets
 (ScenarioScript, whose MSU settings are shmu.Msu's, Task, SaParams,
@@ -24,7 +26,7 @@ import math
 import re
 from dataclasses import fields
 
-from .errors import ParseError, RangeError, SemanticError
+from .errors import ParseError, SemanticError, ValidationError
 from .graphs import (
     Task,
     build_mesh,
@@ -120,12 +122,9 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
     values["cost"] = COST_ALIASES.get(values["cost"], values["cost"])
     values["sa_params"] = _parse_sa(heur_cfg.get("sa", {}))
 
-    values["classifier"], = _int_sections(data.get("classifier", {}),
-                                          "classifier", ClassifierConfig)
-    try:
-        values["classifier"].validate()
-    except RangeError as exc:
-        raise SemanticError(f"classifier: {exc}") from None
+    classifier, = _int_sections(data.get("classifier", {}), "classifier",
+                                ClassifierConfig)
+    values["classifier"] = _checked("classifier", classifier.validate)
     values["comm"], values["cost_model"] = _int_sections(
         data.get("cost_model", {}), "cost_model", CommModel, CostModel)
 
@@ -169,15 +168,11 @@ def _parse_platform(cfg):
                     f"platform.custom_turns[{i}]: expected a [from, to] "
                     f"direction pair")
             pairs.append((item[0], item[1]))
-        try:
-            model = custom_turn_model(pairs, is_3d=ag.is_3d)
-        except Exception as exc:
-            raise SemanticError(f"platform.custom_turns: {exc}") from None
+        model = _checked("platform.custom_turns", custom_turn_model, pairs,
+                         is_3d=ag.is_3d)
     else:
-        try:
-            model = turn_model_by_name(name, is_3d=ag.is_3d)
-        except Exception as exc:
-            raise SemanticError(f"platform.turn_model: {exc}") from None
+        model = _checked("platform.turn_model", turn_model_by_name, name,
+                         is_3d=ag.is_3d)
 
     regions = None
     if "regions" in cfg:
@@ -202,15 +197,10 @@ def _parse_platform(cfg):
         raw_models = _obj(rcfg.get("turn_models", {}),
                           "platform.regions.turn_models")
         for label, mname in raw_models.items():
-            try:
-                models[label] = turn_model_by_name(mname, is_3d=ag.is_3d)
-            except Exception as exc:
-                raise SemanticError(
-                    f"platform.regions.turn_models.{label}: {exc}") from None
-        try:
-            regions = partition(ag, labels, models or None)
-        except Exception as exc:
-            raise SemanticError(f"platform.regions: {exc}") from None
+            models[label] = _checked(f"platform.regions.turn_models.{label}",
+                                     turn_model_by_name, mname, is_3d=ag.is_3d)
+        regions = _checked("platform.regions", partition, ag, labels,
+                           models or None)
 
     return ag, model, regions
 
@@ -267,7 +257,7 @@ def _parse_application(cfg, master_seed):
             if (src, dst) in edges:
                 raise SemanticError(f"{path}: duplicate edge ({src}, {dst})")
             edges[(src, dst)] = weight
-        tg = build_task_graph(tasks, edges)
+        tg = _checked("application", build_task_graph, tasks, edges)
 
     ctg = None
     if "cluster" in cfg:
@@ -276,11 +266,8 @@ def _parse_application(cfg, master_seed):
         k = _int(_req(ccfg, "k", "application.cluster"),
                  "application.cluster.k", lo=1)
         ch = ccfg.get("heuristic", "greedy-merge")
-        try:
-            ctg = cluster_tasks(tg, k, heuristic=ch,
-                                seed=derive_seed(master_seed, "cluster"))
-        except Exception as exc:
-            raise SemanticError(f"application.cluster: {exc}") from None
+        ctg = _checked("application.cluster", cluster_tasks, tg, k,
+                       heuristic=ch, seed=derive_seed(master_seed, "cluster"))
 
     return tg, ctg
 
@@ -441,6 +428,15 @@ def _check_deadlock_free(ag, turn_model, regions):
 
 
 # -- small checked accessors ----------------------------------------------
+
+
+def _checked(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValidationError it raises is re-raised as a
+    SemanticError at `path`, and nothing else is caught."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        raise SemanticError(f"{path}: {exc}") from None
 
 
 def _req(obj, key, path=None):

@@ -69,8 +69,27 @@ def test_self_edge_rejected():
      "density must be in [0, 1], got 1.5"),
     (lambda: ns.cluster_tasks(ns.random_task_graph(3, 0.5, 1), 2, "spectral"),
      "unknown clustering heuristic 'spectral'"),
+    # A cell past a row's end used to cover the next row's tile, one
+    # past the mesh to be dropped, and a negative one to raise ValueError.
+    (lambda: ns.cover_rectangles({(2, 0)}, (2, 2), 4),
+     "cell (2, 0) is outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles({(5, 0)}, (2, 2), 4),
+     "cell (5, 0) is outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles({(0, 2)}, (2, 2), 4),
+     "cell (0, 2) is outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles({(-1, 0)}, (2, 2), 4),
+     "cell (-1, 0) is outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles({(0, 0, 1)}, (2, 2), 4),
+     "cell (0, 0, 1) is outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles(1 << 9, (2, 2), 4),
+     "tile bitset names a tile outside the (2, 2) mesh"),
+    (lambda: ns.cover_rectangles(-1, (2, 2), 4),
+     "tile bitset names a tile outside the (2, 2) mesh"),
 ], ids=["wcet", "release", "criticality", "slack", "edge-weight",
-        "random-count", "random-density", "cluster-heuristic"])
+        "random-count", "random-density", "cluster-heuristic",
+        "cover-cell-past-row", "cover-cell-past-mesh-x",
+        "cover-cell-past-mesh-y", "cover-cell-negative", "cover-cell-layer",
+        "cover-bits-past-mesh", "cover-bits-negative"])
 def test_graph_field_checks_raise_range_error(call, fragment):
     with pytest.raises(RangeError) as exc:
         call()

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import pathlib
@@ -6,10 +7,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.cli import main
-from nocsim.errors import CycleError, ParseError, SemanticError
+from nocsim.errors import ParseError, SemanticError, ValidationError
 from nocsim.scenario import (
     MAX_BURST,
     MAX_ITERATIONS,
@@ -172,7 +174,7 @@ def test_explicit_application():
 def test_explicit_cycle_rejected():
     bad = doc(EXPLICIT)
     bad["application"]["edges"] = [[0, 1, 2], [1, 2, 1], [2, 0, 1]]
-    with pytest.raises(CycleError):
+    with pytest.raises(SemanticError, match="application: dependency cycle"):
         ns.parse_scenario(bad)
 
 
@@ -293,10 +295,152 @@ def test_sa_field_errors(field, value, message):
      "injections[0].persistence.kind"),
     ({"application": {"tasks": 5, "wcet_range": [3, 1]}},
      "application.wcet_range"),
+    # The explicit task graph's own checks, reported at the application.
+    ({"application": dict(EXPLICIT["application"], tasks=[
+        {"id": 0, "wcet": 1}, {"id": 2, "wcet": 1}], edges=[])},
+     "application"),
+    ({"application": dict(EXPLICIT["application"], tasks=[
+        {"id": 0, "wcet": 1}, {"id": 0, "wcet": 1}], edges=[])},
+     "application"),
+    ({"application": dict(EXPLICIT["application"], edges=[[0, 5, 1]])},
+     "application"),
+    ({"application": dict(EXPLICIT["application"], edges=[[1, 1, 1]])},
+     "application"),
+    ({"application": dict(EXPLICIT["application"],
+                          edges=[[0, 1, 2], [1, 2, 1], [2, 0, 1]])},
+     "application"),
 ])
 def test_malformed_value_is_a_semantic_error_naming_its_path(section, path):
     with pytest.raises(SemanticError, match=re.escape(path) + ": "):
         ns.parse_scenario(doc(**section))
+
+
+# -- one error path from the library -----------------------------------------
+
+
+# JSON values of every type, nested a little; `likely` values are drawn
+# as often as all the others.
+def json_values(*likely):
+    scalars = (st.none() | st.booleans() | st.integers(-2, 10) | st.integers()
+               | st.floats() | st.text(max_size=3))
+    anything = st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4)
+    return st.sampled_from(likely) | anything if likely else anything
+
+
+XY_TURNS = [["E", "N"], ["E", "S"], ["W", "N"], ["W", "S"]]
+
+# Each field the parser checks through a library call, and documents
+# that set it to drawn JSON values.
+ROUTED_FIELDS = {
+    "platform.turn_model": st.builds(
+        lambda v: doc(platform={"mesh": [3, 3], "turn_model": v,
+                                "custom_turns": XY_TURNS}),
+        json_values("xy", "west_first", "xyz", "custom")),
+    "platform.custom_turns": st.builds(
+        lambda v: doc(platform={"mesh": [3, 3], "turn_model": "custom",
+                                "custom_turns": [v, *XY_TURNS]}),
+        st.lists(st.sampled_from("NESWU"), min_size=2, max_size=2)
+        | json_values()),
+    "platform.regions": st.builds(
+        lambda labels, models: doc(platform={
+            "mesh": [3, 3],
+            "regions": {"labels": labels, "turn_models": models}}),
+        st.dictionaries(st.sampled_from(["0", "4", "8", "9", "-1", "01"])
+                        | st.text(max_size=2),
+                        json_values("a", "b"), max_size=3) | json_values(),
+        st.dictionaries(st.sampled_from(["a", "b", "default"])
+                        | st.text(max_size=2),
+                        json_values("xy", "west_first", "custom"),
+                        max_size=2) | json_values()),
+    "application.cluster": st.builds(
+        lambda k, heuristic: doc(application={
+            "tasks": 5, "cluster": {"k": k, "heuristic": heuristic}}),
+        st.integers(-1, 7) | json_values(),
+        json_values("greedy-merge", "local-search")),
+    "application": st.builds(
+        lambda ids, edges: doc(application={
+            "type": "explicit", "tasks": [{"id": i, "wcet": 1} for i in ids],
+            "edges": edges}),
+        st.lists(st.integers(0, 3) | json_values(), min_size=1, max_size=4),
+        st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3)
+                 | json_values(), max_size=4)),
+    "classifier": st.builds(
+        lambda window, intermittent, permanent: doc(classifier={
+            "window": window, "intermittent_threshold": intermittent,
+            "permanent_threshold": permanent}),
+        *[st.integers(-1, 10) | json_values()] * 3),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ROUTED_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_routed_field_parses_or_is_a_semantic_error_at_its_path(path, data):
+    """A value of any JSON type in a field a library call checks parses,
+    or raises exactly SemanticError naming the field: never the
+    library's own error class, and never a raw TypeError."""
+    try:
+        ns.parse_scenario(data.draw(ROUTED_FIELDS[path]))
+    except ValidationError as exc:
+        assert type(exc) is SemanticError, repr(exc)
+        assert re.match(re.escape(path) + r"[.\[:]", str(exc)), str(exc)
+
+
+# A custom platform model with regions: the regions' is the one call of
+# turn_model_by_name.
+REGIONS_DOC = doc(platform={
+    "mesh": [3, 3], "turn_model": "custom", "custom_turns": XY_TURNS,
+    "regions": {"labels": {"0": "a"}, "turn_models": {"a": "west_first"}}})
+
+
+@pytest.mark.parametrize("owner, name, document", [
+    (ns.scenario, "build_mesh", MINIMAL),
+    (ns.scenario, "turn_model_by_name", MINIMAL),
+    (ns.scenario, "turn_model_by_name", REGIONS_DOC),
+    (ns.scenario, "custom_turn_model", REGIONS_DOC),
+    (ns.scenario, "partition", REGIONS_DOC),
+    (ns.scenario, "build_routing_graph", REGIONS_DOC),
+    (ns.scenario, "is_deadlock_free", REGIONS_DOC),
+    (ns.scenario, "random_task_graph", MINIMAL),
+    (ns.scenario, "build_task_graph", EXPLICIT),
+    (ns.scenario, "cluster_tasks",
+     doc(application={"tasks": 5, "cluster": {"k": 2}})),
+    (ns.ClassifierConfig, "validate", MINIMAL),
+], ids=["build_mesh", "turn_model_by_name", "region-turn_model_by_name",
+        "custom_turn_model", "partition", "build_routing_graph",
+        "is_deadlock_free", "random_task_graph", "build_task_graph",
+        "cluster_tasks", "classifier-validate"])
+def test_a_bug_in_a_library_call_propagates_as_itself(monkeypatch, owner,
+                                                       name, document):
+    """Only a ValidationError becomes a document error: a misspelt name
+    in a library raise site is a NameError, and the parser must not
+    report it as a fault of the document."""
+    def broken(*args, **kwargs):
+        raise NameError("name 'heurstic' is not defined")
+
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(NameError, match="heurstic"):
+        ns.parse_scenario(document)
+
+
+def test_no_handler_in_the_package_catches_every_exception():
+    """`except Exception`, `except BaseException` and a bare `except:`
+    would turn a bug into a reported error, or swallow it."""
+    broad = []
+    for path in sorted(pathlib.Path(ns.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None or any(
+                        isinstance(t, ast.Name)
+                        and t.id in ("Exception", "BaseException")
+                        for t in (node.type.elts
+                                  if isinstance(node.type, ast.Tuple)
+                                  else [node.type]))):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []
 
 
 # -- injection targets -------------------------------------------------------
@@ -580,6 +724,21 @@ def test_unknown_turn_model_name():
     with pytest.raises(SemanticError, match="turn_model"):
         ns.parse_scenario(doc(platform={"mesh": [3, 3],
                                         "turn_model": "zigzag"}))
+
+
+@pytest.mark.parametrize("platform, path, value", [
+    ({"mesh": [2, 2], "turn_model": []}, "platform.turn_model", "[]"),
+    ({"mesh": [2, 2], "regions": {"labels": {"0": "a"},
+                                  "turn_models": {"a": {}}}},
+     "platform.regions.turn_models.a", "{}"),
+], ids=["platform", "region"])
+def test_turn_model_that_is_not_a_string_is_unknown(platform, path, value):
+    # A list or object name used to surface as "unhashable type".
+    with pytest.raises(SemanticError) as exc:
+        ns.parse_scenario(doc(platform=platform))
+    assert str(exc.value) == (
+        f"{path}: unknown turn model {value} for 2D; choices: "
+        "['negative_first', 'north_last', 'west_first', 'xy']")
 
 
 def test_regions_parse_and_partition():
