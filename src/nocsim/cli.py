@@ -120,31 +120,20 @@ def cmd_map(args):
 
 
 def cmd_simulate(args):
-    script = _load(args)
-    kernel = Kernel(script)
-    result = kernel.run()
+    files = Kernel(_load(args)).run().files()
     if args.out:
-        files = {
-            "metrics.txt": result.metrics.to_text(),
-            "trace.txt": _lines(result.trace),
-            "decisions.log": _lines(result.decisions),
-            "mapping.txt": dump_mapping(result.cmm.mapping) + "\n"
-                           + result.cmm.schedule.dump(),
-            "mpm.txt": result.mpm.dump(),
-            "shm.txt": result.shm.serialize(),
-        }
         for name, text in files.items():
             _write(args.out, name, text)
         print(f"wrote {len(files)} files to {args.out}")
         if args.verbose:
-            print(result.metrics.to_text(), end="")
+            print(files["metrics.txt"], end="")
     else:
-        print(result.metrics.to_text(), end="")
+        print(files["metrics.txt"], end="")
         if args.verbose:
             print("# trace")
-            print(_lines(result.trace), end="")
+            print(files["trace.txt"], end="")
             print("# decisions")
-            print(_lines(result.decisions), end="")
+            print(files["decisions.log"], end="")
     return 0
 
 
@@ -209,10 +198,6 @@ def cmd_sweep(args):
     else:
         print(text, end="")
     return 0
-
-
-def _lines(items):
-    return "\n".join(items) + ("\n" if items else "")
 
 
 _COMMANDS = {

@@ -352,11 +352,7 @@ class ArchitectureGraph:
         self.links = links                  # tuple of Link, index == id
         self.turns = TURN_SLOTS_3D if self.is_3d else TURN_SLOTS_2D
         self.turn_slot = {t: i for i, t in enumerate(self.turns)}
-        self._neighbor = {}                 # (tile, dir) -> tile
-        self._link_at = {}                  # (tile, dir) -> Link
-        for link in links:
-            self._neighbor[(link.src, link.direction)] = link.dst
-            self._link_at[(link.src, link.direction)] = link
+        self._link_at = {(link.src, link.direction): link for link in links}
 
     def __len__(self):
         return len(self.tiles)
@@ -410,7 +406,7 @@ class ArchitectureGraph:
 
     def neighbor(self, tile_id, direction):
         """Neighbor tile id in `direction`, or None at the boundary."""
-        return self._neighbor.get((tile_id, direction))
+        return getattr(self.link(tile_id, direction), "dst", None)
 
     def link(self, tile_id, direction):
         """Outgoing link from tile in `direction`, or None at the boundary."""

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import InfeasibilityError, SemanticError
 from .health import SystemHealthMap
+from .mapsched import dump_mapping
 from .reachability import build_region_tables, should_drop
 from .shmu import (
     INTERMITTENT,
@@ -190,6 +191,24 @@ class RunResult:
     decisions = property(lambda self: render(self.events, 1))
     initial_report = property(
         lambda self: next(e[2] for e in self.events if e[1] == "initial"))
+
+    def files(self):
+        """What `nocsim simulate --out` writes, {file name: text} in
+        writing order: metrics.txt (Metrics.to_text); trace.txt and
+        decisions.log (the logs rendered from events, each line
+        newline-terminated); mapping.txt (the final mapping, a blank line,
+        and cmm.schedule: that mapping's ASAP schedule from time 0, not
+        the plan the kernel replayed from a remap's deploy time); mpm.txt
+        (the mapping memory); shm.txt (the health map)."""
+        return {
+            "metrics.txt": self.metrics.to_text(),
+            "trace.txt": "".join(f"{line}\n" for line in self.trace),
+            "decisions.log": "".join(f"{line}\n" for line in self.decisions),
+            "mapping.txt": dump_mapping(self.cmm.mapping) + "\n"
+                           + self.cmm.schedule.dump(),
+            "mpm.txt": self.mpm.dump(),
+            "shm.txt": self.shm.serialize(),
+        }
 
 
 class _FlowState:

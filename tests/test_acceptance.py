@@ -319,15 +319,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         res = ns.run(script)
         rg = ns.build_routing_graph(script.ag, script.turn_model, res.shm)
         tables = build_region_tables(rg, script.budget)
-        outs.append((
-            res.metrics.to_text(),
-            "\n".join(res.trace),
-            "\n".join(res.decisions),
-            ns.dump_mapping(res.cmm.mapping) + res.cmm.schedule.dump(),
-            res.mpm.dump(),
-            res.shm.serialize(),
-            tables.dump(),
-        ))
+        outs.append((res.files(), tables.dump()))
     assert outs[0] == outs[1]
     report(10, "metrics, trace, decisions, mapping, cache, health map, and "
                "region dumps byte-identical across reruns")

@@ -7,6 +7,7 @@ import types
 
 import pytest
 
+import nocsim as ns
 from nocsim import cli
 from nocsim.cli import main
 
@@ -148,6 +149,17 @@ def test_simulate_out_writes_file_set(tmp_path, capsys):
     metrics = (out_dir / "metrics.txt").read_text()
     assert metrics.startswith("makespan ")
     assert "remaps 1" in metrics
+
+
+def test_simulate_writes_and_prints_run_result_files(tmp_path, capsys):
+    files = ns.run(ns.load_scenario(SMOKE)).files()
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", SMOKE, "--out", str(out_dir)]) == 0
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
+        name: text.encode() for name, text in files.items()}
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", SMOKE]) == 0
+    assert capsys.readouterr().out == files["metrics.txt"]
 
 
 def test_simulate_out_verbose_writes_files_and_prints_metrics(tmp_path,

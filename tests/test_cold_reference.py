@@ -35,16 +35,7 @@ HEURISTICS = ("greedy", "ils", "sa")
 def _outputs(path, heuristic):
     """What `nocsim simulate --out` writes, plus the final region dump."""
     result = simkernel.Kernel(load_scenario(path, heuristic=heuristic)).run()
-    return {
-        "metrics.txt": result.metrics.to_text(),
-        "trace.txt": "\n".join(result.trace),
-        "decisions.log": "\n".join(result.decisions),
-        "mapping.txt": ns.dump_mapping(result.cmm.mapping)
-                       + result.cmm.schedule.dump(),
-        "mpm.txt": result.mpm.dump(),
-        "shm.txt": result.shm.serialize(),
-        "regions.txt": result.tables.dump(),
-    }
+    return {**result.files(), "regions.txt": result.tables.dump()}
 
 
 def _go_cold(monkeypatch):
