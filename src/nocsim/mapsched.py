@@ -337,6 +337,13 @@ class SaParams:
     moves_per_temp: int = 100
     tmin_ratio: float = 1e-3
 
+    def __post_init__(self):
+        # Cooling by alpha reaches tmin only for both in (0, 1).
+        for name in ("alpha", "tmin_ratio"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise RangeError(f"SaParams.{name} must be in (0, 1), got {value!r}")
+
 
 @dataclass
 class HeuristicResult:

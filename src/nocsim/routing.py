@@ -34,11 +34,11 @@ keeps every route it computed in its rows, which the scheduler reads
 directly.  A row entry is the Route itself: its links, its hop count and
 its path as port ids from local-in to local-out (rg.nodes[i] decodes
 one).  Every edge is gated by at most one health element, so a broken
-element only deletes edges, and RoutingGraph.without is the only code
-that knows which edges each element gates.  A cold build is the
-structural graph (mesh, turn model, regions) minus the health map's
-broken set through without; a permanent fault derives the graph of the
-faulted state from the one before the same way.
+element only deletes edges, and _gated is the only code that maps an
+element to the edges it gates.  A cold build is the structural graph
+(mesh, turn model, regions; each tile's edges are tile 0's, shifted)
+minus the health map's broken set through without; a permanent fault
+derives the graph of the faulted state from the one before the same way.
 
 A derived graph also derives its reach bits.  `without` records the
 tails of the edges it really deletes.  From an acyclic parent with
@@ -242,54 +242,50 @@ class RoutingGraph:
         return provider
 
     def without(self, faults):
-        """This graph minus the edges that `faults` (health-map elements,
-        each checked by ArchitectureGraph.check_element, as
-        SystemHealthMap.apply_fault checks it) remove: a PE fault
-        removes its tile's local edges, a turn fault its turn edge, a
-        link fault its link edge.
-
-        This is the only code that maps an element to the edges it
-        gates.  build_routing_graph takes its structural graph through
-        it, so on the cold build of a health state the result is the
-        cold build of that state with `faults` applied.  An edge that is
-        already absent (a broken element, a turn the model forbids, a
-        link across regions) stays absent, so deletions commute and the
-        order of `faults` does not matter.  Deleting entries keeps every
-        list sorted.
+        """This graph minus the _gated edges of `faults`, health-map
+        elements that ArchitectureGraph.check_element checks, as
+        SystemHealthMap.apply_fault does.  build_routing_graph takes its
+        structural graph through it, so on the cold build of a health
+        state the result is the cold build of that state with `faults`
+        applied.  An edge already absent (a broken element, a turn the
+        model forbids, a link across regions) stays absent, so deletions
+        commute and the order of `faults` does not matter.  Deleting
+        entries keeps every list sorted.
 
         An acyclic graph with reach bits hands them, its order and the
         deleted edges' tails to the result (module docstring)."""
-        port = self.port_id
         succ = list(self.succ)
         tails = []
-
-        def drop(i, j):
-            if j in succ[i]:
-                succ[i] = tuple(k for k in succ[i] if k != j)
-                tails.append(i)
-
         for fault in faults:
-            kind = self.ag.check_element(fault)[0]
-            if kind == "pe":
-                tile = fault[1]
-                local_in = port(tile, "L", "in")
-                if succ[local_in]:
-                    succ[local_in] = ()
-                    tails.append(local_in)
-                for d in self.ag.directions():
-                    drop(port(tile, d, "in"), port(tile, "L", "out"))
-            elif kind == "turn":
-                a, b = self.ag.turns[fault[2]]
-                drop(port(fault[1], a, "in"), port(fault[1], b, "out"))
-            elif kind == "link":
-                link = self.ag.links[fault[1]]
-                drop(port(link.src, link.direction, "out"),
-                     port(link.dst, OPPOSITE[link.direction], "in"))
+            for i, j in _gated(self.ag, self.slots, self.ag.check_element(fault)):
+                if j in succ[i]:
+                    k = succ[i].index(j)
+                    succ[i] = succ[i][:k] + succ[i][k + 1:]
+                    tails.append(i)
         derived = RoutingGraph(self.ag, tuple(succ), self._nodes)
         if self._reach is not None and self._postorder[1]:
             derived._postorder = self._postorder
             derived._inherit = (self._reach, tails)
         return derived
+
+
+def _gated(ag, slots, element):
+    """The (tail id, head id) edges a checked health element gates: a
+    PE its tile's self-delivery, injection and ejection edges, a turn
+    slot its a-in -> b-out edge, a link its d-out -> opposite(d)-in edge
+    on the neighbour.  The only code that maps an element to edges."""
+    P = 2 * len(slots)
+    if element[0] == "link":
+        link = ag.links[element[1]]
+        return [(link.src * P + slots[link.direction] + 1,
+                 link.dst * P + slots[OPPOSITE[link.direction]])]
+    base = element[1] * P
+    if element[0] == "turn":
+        a, b = ag.turns[element[2]]
+        return [(base + slots[a], base + slots[b] + 1)]
+    local = base + slots["L"]
+    return ([(local, base + slots[d] + 1) for d in slots]
+            + [(base + slots[d], local + 1) for d in ag.directions()])
 
 
 def _dfs_postorder(succ):
@@ -347,37 +343,30 @@ def build_routing_graph(ag, turn_model, shm, regions=None):
     `regions`, when given, supplies a per-tile turn model and suppresses
     external edges between tiles of different regions.
     """
-    dirs = ag.directions()
     slots = _port_slots(ag)
     P = 2 * len(slots)
-    local = slots["L"]
-    straight = [(slots[d], slots[OPPOSITE[d]] + 1) for d in dirs]
-    turns = [(a, b, slots[a], slots[b] + 1) for a, b in ag.turns]
+    common = [(slots[d], slots[OPPOSITE[d]] + 1) for d in ag.directions()]
+    common += _gated(ag, slots, ("pe", 0))
+    template = {}                           # turn model -> tile 0's edges
     succ = [[] for _ in range(len(ag) * P)]
-
+    ids = list(range(len(succ)))            # one shared int per head id
     for t in range(len(ag)):
-        base = t * P
         model = turn_model
         if regions is not None:
             model = regions.turn_model_for(t) or turn_model
-
-        lo = base + local + 1
-        succ[base + local] = [base + slots[d] + 1 for d in dirs] + [lo]
-        for d in dirs:
-            succ[base + slots[d]].append(lo)
-
-        for i, o in straight:
-            succ[base + i].append(base + o)
-
-        for a, b, i, o in turns:
-            if model.allows(a, b):
-                succ[base + i].append(base + o)
+        edges = template.get(model)
+        if edges is None:
+            edges = template[model] = common + [
+                e for slot, turn in enumerate(ag.turns) if model.allows(*turn)
+                for e in _gated(ag, slots, ("turn", 0, slot))]
+        base = t * P
+        for i, j in edges:
+            succ[base + i].append(ids[base + j])
 
     for link in ag.links:
-        if regions is not None and regions.crosses(link.src, link.dst):
-            continue
-        succ[link.src * P + slots[link.direction] + 1].append(
-            link.dst * P + slots[OPPOSITE[link.direction]])
+        if regions is None or not regions.crosses(link.src, link.dst):
+            for i, j in _gated(ag, slots, ("link", link.id)):
+                succ[i].append(ids[j])
 
     return RoutingGraph(ag, tuple(tuple(sorted(s)) for s in succ)).without(
         shm.broken)

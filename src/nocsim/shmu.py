@@ -83,16 +83,21 @@ def classify(history, config):
     if not history:
         raise EmptyHistory("no events recorded for this location")
     config.validate()
-    events = sorted(history, key=lambda e: e.time)
-    if events[-1].retest_persistent:
+    # The last of the latest events, as the stable sort leaves it.
+    if sorted(history, key=lambda e: e.time)[-1].retest_persistent:
         return PERMANENT
-    latest = events[-1].time
-    recent = sum(1 for e in events if e.time >= latest - config.window)
+    recent = _recent(history, config.window)
     if recent >= config.permanent_threshold:
         return PERMANENT
     if recent >= config.intermittent_threshold:
         return INTERMITTENT
     return TRANSIENT
+
+
+def _recent(history, window):
+    """The count of events at or after the latest time minus `window`."""
+    latest = max(e.time for e in history)
+    return sum(1 for e in history if e.time >= latest - window)
 
 
 def degrade_targets(location, ag):
@@ -168,9 +173,7 @@ def predict_mpfs(histories, k, config):
             continue
         if classify(history, config) != INTERMITTENT:
             continue
-        latest = max(e.time for e in history)
-        rate = sum(1 for e in history if e.time >= latest - config.window)
-        ranked.append((-rate, location))
+        ranked.append((-_recent(history, config.window), location))
     ranked.sort()
     return [loc for _, loc in ranked[:k]]
 

@@ -14,6 +14,7 @@ import networkx as nx
 
 import nocsim as ns
 from nocsim.errors import RegionBudgetError, UnroutableFlow
+from nocsim.graphs import OPPOSITE
 from nocsim.mapsched import (
     CommModel,
     FlowPlan,
@@ -65,6 +66,29 @@ def has_cycle_dfs(rg):
                 color[node] = BLACK
                 stack.pop()
     return False
+
+
+def edge_label(ag, a, b):
+    """The health element gating edge a -> b (PortNodes), or "straight"
+    for a straight pass, read off the ports alone per the gating table in
+    the routing module's docstring; exactly one rule must match."""
+    inside = a.tile == b.tile and (a.kind, b.kind) == ("in", "out")
+    turn = (a.direction, b.direction)
+    link = ag.link(a.tile, a.direction)
+    labels = []
+    if (inside and a.direction in ag.directions()
+            and b.direction == OPPOSITE[a.direction]):
+        labels.append("straight")
+    if inside and "L" in turn:
+        labels.append(("pe", a.tile))
+    if inside and turn in ag.turn_slot:
+        labels.append(("turn", a.tile, ag.turn_slot[turn]))
+    if (a.tile != b.tile and link is not None
+            and (a.kind, link.dst, b.direction, b.kind)
+            == ("out", b.tile, OPPOSITE[a.direction], "in")):
+        labels.append(("link", link.id))
+    assert len(labels) == 1, (a, b, labels)
+    return labels[0]
 
 
 def nx_simple_paths(rg, src, dst, cutoff=None):

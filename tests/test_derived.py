@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import UnknownTarget, UnknownTile
-from nocsim.graphs import OPPOSITE
 
 import oracles
 from conftest import two_regions
@@ -143,22 +142,6 @@ def test_without_equals_cold_build_on_large_west_first_meshes(side):
     _check_chain(ag, ns.WEST_FIRST, None, locations, 4, seed=None)
 
 
-def _gate(ag, a, b):
-    """The health element gating edge a -> b (PortNodes), or None for a
-    straight pass, per the table in the routing module's docstring."""
-    if a.tile != b.tile:                    # d-out -> neighbour's opposite-in
-        link = ag.link(a.tile, a.direction)
-        assert (a.kind, b.kind) == ("out", "in")
-        assert (link.dst, b.direction) == (b.tile, OPPOSITE[a.direction])
-        return ("link", link.id)
-    assert (a.kind, b.kind) == ("in", "out")
-    if "L" in (a.direction, b.direction):   # injection, ejection, self
-        return ("pe", a.tile)
-    if b.direction == OPPOSITE[a.direction]:
-        return None
-    return ("turn", a.tile, ag.turn_slot[(a.direction, b.direction)])
-
-
 def _edges(rg):
     return {(a, b) for a, succs in rg.adj.items() for b in succs}
 
@@ -188,7 +171,7 @@ def test_cold_build_follows_the_gating_table(case, data):
     faulted = _edges(ns.build_routing_graph(ag, model, shm, regions))
     assert faulted <= healthy
     for a, b in healthy:
-        gate = _gate(ag, a, b)
+        gate = oracles.edge_label(ag, a, b)
         assert ((a, b) in faulted) == (gate not in broken), (a, b, gate)
 
 

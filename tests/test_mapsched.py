@@ -376,6 +376,18 @@ def test_sa_tiny_t0_acts_as_descent():
         ns.evaluate_cost(s0, ns.SCHEDULE_LENGTH)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 1.0), ("alpha", 1.5), ("alpha", 0.0),
+    ("tmin_ratio", 0.0), ("tmin_ratio", 1.0),
+])
+def test_sa_params_reject_a_schedule_that_never_cools(field, value):
+    # With alpha >= 1 the temperature never falls to tmin, so
+    # run_heuristic("sa", ...) would never return.  The scenario parser
+    # checks documents; SaParams checks library callers too.
+    with pytest.raises(RangeError, match=field):
+        ns.SaParams(**{field: value})
+
+
 def test_heuristic_avoids_broken_pe():
     ag, shm, rg = platform(2, 2)
     shm.apply_fault(("pe", 2))

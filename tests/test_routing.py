@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -323,6 +324,67 @@ def test_rg_monotone_under_extra_faults(seed):
     edges_a = {(a, b) for a, ds in rg_a.adj.items() for b in ds}
     edges_b = {(a, b) for a, ds in rg_b.adj.items() for b in ds}
     assert edges_b <= edges_a
+
+
+# -- the edge gating table ---------------------------------------------------
+
+# name -> (mesh dims, turn model, (left, right) models of conftest's
+# two_regions or None)
+GATING_CASES = {
+    "xy": ((4, 3), ns.XY, None),
+    "west_first": ((4, 3), ns.WEST_FIRST, None),
+    "north_last": ((4, 3), ns.NORTH_LAST, None),
+    "negative_first": ((4, 3), ns.NEGATIVE_FIRST, None),
+    "xyz_3x3x2": ((3, 3, 2), ns.XYZ, None),
+    "custom": ((3, 3), ns.custom_turn_model(
+        [("N", "E"), ("E", "S"), ("S", "W"), ("W", "N"), ("E", "N")]), None),
+    "two_regions": ((4, 3), ns.XY, (ns.XY, ns.WEST_FIRST)),
+}
+
+
+def _port_edges(rg):
+    return {(a, b) for a, succs in rg.adj.items() for b in succs}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(GATING_CASES))
+def test_edges_follow_the_gating_table(case, seed):
+    """The port edges of a cold build, labelled by the gating table in
+    the routing module's docstring: every mesh direction passes straight
+    through every router; a healthy PE gates all 2k + 1 of its local
+    edges, a healthy turn its one edge where the tile's model allows it,
+    a healthy link its one edge inside a region; a broken element gates
+    none.  rg.without([e]) removes exactly the edges e gates."""
+    dims, model, halves = GATING_CASES[case]
+    ag = ns.build_mesh(*dims)
+    shm = random_shm(ag, seed, max_pes=2)
+    regions = two_regions(ag, *halves) if halves else None
+    rg = ns.build_routing_graph(ag, model, shm, regions)
+    edges = _port_edges(rg)
+    gated = collections.defaultdict(set)
+    for a, b in edges:
+        gated[oracles.edge_label(ag, a, b)].add((a, b))
+
+    def half(tile):                         # conftest.two_regions' split
+        return ag.coords(tile)[0] < ag.dims[0] // 2
+
+    k = len(ag.directions())
+    expected = {}
+    for t in range(len(ag)):
+        expected[("pe", t)] = 2 * k + 1
+        tile_model = model if halves is None else halves[not half(t)]
+        for turn, slot in ag.turn_slot.items():
+            expected[("turn", t, slot)] = int(tile_model.allows(*turn))
+    for link in ag.links:
+        expected[("link", link.id)] = int(
+            halves is None or half(link.src) == half(link.dst))
+    assert len(gated.pop("straight")) == k * len(ag)
+    assert not set(gated) & shm.broken
+    assert {e: len(gated[e]) for e in gated} == {
+        e: n for e, n in expected.items() if n and e not in shm.broken}
+    for element in expected:
+        derived = _port_edges(rg.without([element]))
+        assert derived == edges - gated.get(element, set()), element
 
 
 # -- regions ------------------------------------------------------------------

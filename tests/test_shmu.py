@@ -45,6 +45,13 @@ def test_classify_retest_overrides_counts():
     assert ns.classify([ev(10, retest=True)], CFG) == ns.PERMANENT
 
 
+def test_classify_reads_retest_off_the_last_latest_event():
+    # Of two events at the latest time, the later one in the history
+    # decides, as a stable sort by time leaves it last.
+    assert ns.classify([ev(10, retest=True), ev(10)], CFG) == ns.TRANSIENT
+    assert ns.classify([ev(10), ev(10, retest=True)], CFG) == ns.PERMANENT
+
+
 def test_classify_window_expires_old_events():
     # Two old events fall outside the window of the latest one.
     events = [ev(0), ev(1), ev(5000)]
