@@ -71,10 +71,14 @@ def build_parser():
     return parser
 
 
+def _overrides(args):
+    """The load_scenario keyword overrides the common options give."""
+    return dict(seed=args.seed, heuristic=args.heuristic, cost=args.cost,
+                budget=args.budget)
+
+
 def _load(args):
-    return load_scenario(args.scenario, seed=args.seed,
-                         heuristic=args.heuristic, cost=args.cost,
-                         budget=args.budget)
+    return load_scenario(args.scenario, **_overrides(args))
 
 
 def _write(out_dir, name, text):
@@ -87,6 +91,15 @@ def _write(out_dir, name, text):
         raise ValidationError(f"{exc.filename or path}: "
                               f"{exc.strerror or exc}") from None
     return path
+
+
+def _emit(args, name, text):
+    """Write `text` to `name` under --out and say so, or print it."""
+    if args.out:
+        print(f"wrote {_write(args.out, name, text)}")
+    else:
+        print(text, end="")
+    return 0
 
 
 def cmd_validate(args):
@@ -111,12 +124,7 @@ def cmd_map(args):
     text = (dump_mapping(mapping) + "\n" + schedule.dump()
             + f"cost {script.cost} {cost}\n"
             + f"t_rl {report.t_rl}\n")
-    if args.out:
-        path = _write(args.out, "mapping.txt", text)
-        print(f"wrote {path}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(args, "mapping.txt", text)
 
 
 def cmd_simulate(args):
@@ -145,24 +153,19 @@ def cmd_regions(args):
             for fault in degrade_targets(inj.location, script.ag):
                 shm.apply_fault(fault)
     rg = script.build_rg(shm)
-    tables = build_region_tables(rg, script.budget)
-    text = tables.dump()
-    if args.out:
-        path = _write(args.out, "regions.txt", text)
-        print(f"wrote {path}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(args, "regions.txt",
+                 build_region_tables(rg, script.budget).dump())
+
+
+# The Metrics counters a sweep reports per seed, after the seed itself.
+_SWEEP_COLUMNS = ("makespan", "remaps", "flows_dropped", "mpm_hits",
+                  "mpm_misses", "tasks_unfinished")
 
 
 def _sweep_one(task):
-    path, seed, heuristic, cost, budget = task
-    script = load_scenario(path, seed=seed, heuristic=heuristic, cost=cost,
-                           budget=budget)
-    result = Kernel(script).run()
-    m = result.metrics
-    return (seed, m.makespan, m.remaps, m.flows_dropped, m.mpm_hits,
-            m.mpm_misses, m.tasks_unfinished)
+    path, overrides = task
+    m = Kernel(load_scenario(path, **overrides)).run().metrics
+    return (overrides["seed"], *(getattr(m, c) for c in _SWEEP_COLUMNS))
 
 
 def cmd_sweep(args):
@@ -172,7 +175,7 @@ def cmd_sweep(args):
         raise RangeError(f"--jobs must be >= 0, got {args.jobs}")
     base = _load(args)                       # validate once, fail fast
     start = args.seed if args.seed is not None else base.seed
-    tasks = [(args.scenario, start + i, args.heuristic, args.cost, args.budget)
+    tasks = [(args.scenario, {**_overrides(args), "seed": start + i})
              for i in range(args.seeds)]
     # A pool starts all its workers at the first task, and each run is
     # CPU-bound: never more workers than seeds to run or cpus to run them.
@@ -184,20 +187,13 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_one(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
-    lines = ["seed makespan remaps flows_dropped mpm_hits mpm_misses "
-             "tasks_unfinished"]
+    lines = [" ".join(("seed",) + _SWEEP_COLUMNS)]
     for row in rows:
         lines.append(" ".join(str(v) for v in row))
     spans = [r[1] for r in rows]
     lines.append(f"aggregate makespan min={min(spans)} max={max(spans)} "
                  f"mean={sum(spans) / len(spans):.2f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = _write(args.out, "sweep.txt", text)
-        print(f"wrote {path}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(args, "sweep.txt", "\n".join(lines) + "\n")
 
 
 _COMMANDS = {

@@ -53,7 +53,7 @@ from .routing import (
     turn_model_by_name,
 )
 from .shmu import ClassifierConfig, CostModel, CHECKER_UNITS
-from .simkernel import AgingUpdate, DROP, Injection, REQUEUE, ScenarioScript
+from .simkernel import AgingUpdate, Injection, ScenarioScript, SEVERED_POLICIES
 
 # Size caps, checked before anything is built: JSON must not exhaust memory.
 MAX_TILES = 4096                # platform.mesh, tiles in all
@@ -75,7 +75,7 @@ _FLAT = {
     },
     "reachability": {"budget": ("budget", 1)},
     "prediction": {"k": ("prediction_k", 0), "mpm_capacity": ("mpm_capacity", 1)},
-    "policies": {"severed_flows": ("severed_policy", (DROP, REQUEUE))},
+    "policies": {"severed_flows": ("severed_policy", SEVERED_POLICIES)},
 }
 
 
@@ -110,8 +110,8 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
     overrides = {name: value for name, value in (
         ("seed", seed), ("heuristic", heuristic), ("cost", cost),
         ("budget", budget)) if value is not None}
-    values = {"seed": _int(overrides.get("seed", data.get("seed", 0)),
-                           "seed", lo=0)}
+    seed = overrides.get("seed", data.get("seed", ScenarioScript.seed))
+    values = {"seed": _int(seed, "seed", lo=0)}
     values["ag"], values["turn_model"], values["regions"] = _parse_platform(
         _req(data, "platform"))
     values["tg"], values["ctg"] = _parse_application(
@@ -122,9 +122,8 @@ def parse_scenario(data, seed=None, heuristic=None, cost=None, budget=None):
     values["cost"] = COST_ALIASES.get(values["cost"], values["cost"])
     values["sa_params"] = _parse_sa(heur_cfg.get("sa", {}))
 
-    classifier, = _int_sections(data.get("classifier", {}), "classifier",
-                                ClassifierConfig)
-    values["classifier"] = _checked("classifier", classifier.validate)
+    values["classifier"], = _int_sections(data.get("classifier", {}),
+                                          "classifier", ClassifierConfig)
     values["comm"], values["cost_model"] = _int_sections(
         data.get("cost_model", {}), "cost_model", CommModel, CostModel)
 
@@ -218,14 +217,10 @@ def _parse_application(cfg, master_seed):
         density = cfg.get("density", 0.3)
         if not _real(density) or not 0 <= density <= 1:
             raise SemanticError("application.density: expected a number in [0, 1]")
-        wcet_range = _range_pair(cfg.get("wcet_range", [1, 20]),
-                                 "application.wcet_range")
-        weight_range = _range_pair(cfg.get("weight_range", [1, 10]),
-                                   "application.weight_range")
-        tg = random_task_graph(
-            n, density, derive_seed(master_seed, "taskgen"),
-            wcet_range=wcet_range, weight_range=weight_range,
-        )
+        ranges = {key: _range_pair(cfg[key], f"application.{key}")
+                  for key in ("wcet_range", "weight_range") if key in cfg}
+        tg = random_task_graph(n, density, derive_seed(master_seed, "taskgen"),
+                               **ranges)
     else:
         raw_tasks = _req(cfg, "tasks", "application")
         if not isinstance(raw_tasks, list) or not raw_tasks:
@@ -265,9 +260,9 @@ def _parse_application(cfg, master_seed):
         _known(ccfg, "application.cluster", ("k", "heuristic"))
         k = _int(_req(ccfg, "k", "application.cluster"),
                  "application.cluster.k", lo=1)
-        ch = ccfg.get("heuristic", "greedy-merge")
+        given = {"heuristic": ccfg["heuristic"]} if "heuristic" in ccfg else {}
         ctg = _checked("application.cluster", cluster_tasks, tg, k,
-                       heuristic=ch, seed=derive_seed(master_seed, "cluster"))
+                       seed=derive_seed(master_seed, "cluster"), **given)
 
     return tg, ctg
 
@@ -315,12 +310,13 @@ _INT_LO = dict(window=1, intermittent_threshold=2, permanent_threshold=2,
 
 def _int_sections(cfg, path, *classes):
     """One instance per dataclass in `classes`, all of whose fields are
-    ints, read from the one section `cfg`; an omitted field takes its
-    dataclass default."""
+    ints, read from the one section `cfg` and built through _checked at
+    `path`; an omitted field takes its dataclass default."""
     _known(cfg, path, [f.name for cls in classes for f in fields(cls)])
-    return [cls(**{f.name: _int(cfg.get(f.name, f.default), f"{path}.{f.name}",
-                                lo=_INT_LO.get(f.name, 0))
-                   for f in fields(cls)})
+    return [_checked(path, cls, **{f.name: _int(cfg.get(f.name, f.default),
+                                                f"{path}.{f.name}",
+                                                lo=_INT_LO.get(f.name, 0))
+                                   for f in fields(cls)})
             for cls in classes]
 
 

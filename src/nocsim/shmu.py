@@ -3,25 +3,26 @@ locations about to fail for good, and keep precomputed mappings ready.
 
 The manager is the single writer of the health map.  A permanent fault
 is recorded there and triggers a remap when the broken element carries
-current work.  Intermittent faults trigger precomputation: the top
-predicted locations are each applied hypothetically, mapped, and the
-result is stored in a fixed-capacity memory keyed by a 64-bit tag of
-the health-map serialization (verified against the stored full
-configuration on lookup, so hash collisions cannot deploy a wrong
-mapping).  When the predicted fault later turns permanent the stored
-assignment is fetched and only rescheduled, which is much cheaper than
-running the mapping heuristic again.  Each decision forms that key once
-(_lookup) and seeds the heuristic from its tag.  Msu holds the mapper's
-settings; a simkernel.ScenarioScript extends it and is accepted wherever
-it is.  Msu.schedule is the only code that schedules a mapping with the
-MSU's transfer model and routes, for the hit path and the kernel alike.
+current work.  Intermittent faults trigger precomputation: each of the
+top predicted locations is applied to a copy of the health map (the
+live map is only read), mapped, and the result is stored in a
+fixed-capacity memory keyed by a 64-bit tag of the health-map
+serialization (verified against the stored full configuration on
+lookup, so hash collisions cannot deploy a wrong mapping).  When the
+predicted fault later turns permanent the stored assignment is fetched
+and only rescheduled, which is much cheaper than running the mapping
+heuristic again.  Each decision forms that key once (_lookup) and seeds
+the heuristic from its tag.  Msu holds the mapper's settings; a
+simkernel.ScenarioScript extends it and is accepted wherever it is.
+Msu.schedule is the only code that schedules a mapping with the MSU's
+transfer model and routes, for the hit path and the kernel alike.
 
 Reconfiguration latency is accounted in virtual cycles:
   miss: t_rl = t_map_alg + t_par_ext + t_par_map
   hit:  t_rl = t_fetch + t_schd + t_par_ext + t_par_map
 with t_map_alg = candidate evaluations x cycles_per_eval and
-t_schd = task count x cycles_per_task; a report holds 0 for the terms
-its case lacks.
+t_schd = task count x cycles_per_task.  A LatencyReport is given only
+the terms of its case (the rest default to 0) and sums t_rl itself.
 """
 
 from collections import OrderedDict
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from .errors import EmptyHistory, LengthMismatch, RangeError, UnknownTarget
 from .errors import InfeasibilityError
 from .graphs import OPPOSITE
-from .health import config_tag
+from .health import SystemHealthMap, config_tag
 from .mapsched import (CommModel, SaParams, SCHEDULE_LENGTH, asap_schedule,
                        run_heuristic)
 from .rng import derive_seed
@@ -64,7 +65,7 @@ class ClassifierConfig:
     intermittent_threshold: int = 3
     permanent_threshold: int = 8
 
-    def validate(self):
+    def __post_init__(self):
         if self.window <= 0:
             raise RangeError(f"window must be positive, got {self.window}")
         if not self.permanent_threshold >= self.intermittent_threshold >= 2:
@@ -72,7 +73,6 @@ class ClassifierConfig:
                 "thresholds must satisfy permanent >= intermittent >= 2, got "
                 f"{self.permanent_threshold} and {self.intermittent_threshold}"
             )
-        return self
 
 
 def classify(history, config):
@@ -82,7 +82,6 @@ def classify(history, config):
     at intermittent_threshold, transient otherwise."""
     if not history:
         raise EmptyHistory("no events recorded for this location")
-    config.validate()
     # The last of the latest events, as the stable sort leaves it.
     if sorted(history, key=lambda e: e.time)[-1].retest_persistent:
         return PERMANENT
@@ -250,13 +249,20 @@ class CostModel:
 
 @dataclass(frozen=True)
 class LatencyReport:
+    """One decision's reconfiguration latency: the terms of its case,
+    each 0 unless given, and t_rl, their sum, computed here."""
+
     hit: bool
-    t_map_alg: int
-    t_fetch: int
-    t_schd: int
-    t_par_ext: int
-    t_par_map: int
-    t_rl: int
+    t_map_alg: int = 0
+    t_fetch: int = 0
+    t_schd: int = 0
+    t_par_ext: int = 0
+    t_par_map: int = 0
+    t_rl: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_rl", self.t_map_alg + self.t_fetch
+                           + self.t_schd + self.t_par_ext + self.t_par_map)
 
 
 def extract_partial_mapping(old, new):
@@ -330,8 +336,8 @@ def _lookup(shm, mpm):
 
 
 def map_and_store(shm, location, msu, mpm, rg=None):
-    """Precompute for `location` failing permanently: apply the fault
-    hypothetically, map, store, and restore the health map bit for bit.
+    """Precompute for `location` failing permanently: apply the fault to
+    a copy of the health map `shm`, map, and store.  `shm` is only read.
 
     `rg`, the routing graph of the current health state, is optional:
     with it, the hypothetical state's graph is derived from it
@@ -345,23 +351,21 @@ def map_and_store(shm, location, msu, mpm, rg=None):
 
     Returns the stored MpmEntry, or None when the hypothetical state
     admits no feasible mapping (a warning case, nothing stored)."""
-    snap = shm.snapshot()
-    try:
-        targets = degrade_targets(location, shm.ag)
-        for fault in targets:
-            shm.apply_fault(fault)
-        full_config, tag, entry = _lookup(shm, mpm)
-        if entry is None:
-            try:
-                result = msu.compute(shm, rg.without(targets) if rg is not None
-                                     else msu.build_rg(shm), tag)
-            except InfeasibilityError:
-                return None
-            entry = MpmEntry(tag, full_config, tuple(result.mapping))
-        mpm.store(entry)
-        return entry
-    finally:
-        shm.restore(snap)
+    targets = degrade_targets(location, shm.ag)
+    hypo = SystemHealthMap(shm.ag)
+    hypo.restore(shm.snapshot())
+    for fault in targets:
+        hypo.apply_fault(fault)
+    full_config, tag, entry = _lookup(hypo, mpm)
+    if entry is None:
+        try:
+            result = msu.compute(hypo, rg.without(targets) if rg is not None
+                                 else msu.build_rg(hypo), tag)
+        except InfeasibilityError:
+            return None
+        entry = MpmEntry(tag, full_config, tuple(result.mapping))
+    mpm.store(entry)
+    return entry
 
 
 def map_and_deploy(shm, msu, mpm, cmm, rg=None):
@@ -378,29 +382,16 @@ def map_and_deploy(shm, msu, mpm, cmm, rg=None):
     if entry is not None:
         mapping = list(entry.assignment)
         schedule = msu.schedule(shm, rg, mapping)
-        t_map_alg = 0
-        t_fetch = cm.t_fetch
-        t_schd = m * cm.cycles_per_task
+        terms = dict(t_fetch=cm.t_fetch, t_schd=m * cm.cycles_per_task)
     else:
         result = msu.compute(shm, rg, tag)
         mapping, schedule = result.mapping, result.schedule
-        t_map_alg = result.evaluations * cm.cycles_per_eval
-        t_fetch = 0
-        t_schd = 0
+        terms = dict(t_map_alg=result.evaluations * cm.cycles_per_eval)
 
     old = cmm.mapping if cmm.mapping is not None else [None] * m
     moves = extract_partial_mapping(old, mapping)
-    t_par_ext = cm.t_par_ext
-    t_par_map = cm.par_map_per_move * len(moves)
-    report = LatencyReport(
-        hit=entry is not None,
-        t_map_alg=t_map_alg,
-        t_fetch=t_fetch,
-        t_schd=t_schd,
-        t_par_ext=t_par_ext,
-        t_par_map=t_par_map,
-        t_rl=t_map_alg + t_fetch + t_schd + t_par_ext + t_par_map,
-    )
+    report = LatencyReport(hit=entry is not None, t_par_ext=cm.t_par_ext,
+                           t_par_map=cm.par_map_per_move * len(moves), **terms)
     cmm.mapping = list(mapping)
     cmm.schedule = schedule
     return mapping, schedule, report

@@ -36,7 +36,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .errors import InfeasibilityError, SemanticError
+from .errors import InfeasibilityError, RangeError, SemanticError
 from .health import SystemHealthMap
 from .mapsched import dump_mapping
 from .reachability import build_region_tables, should_drop
@@ -64,6 +64,7 @@ _FAULT, _AGING, _FLOW, _TASK = 0, 1, 2, 3
 
 DROP = "drop"
 REQUEUE = "requeue"
+SEVERED_POLICIES = (DROP, REQUEUE)
 # The outcomes of an injected transfer, which held its links.
 _HELD = frozenset(("delivered", "severed", "requeued", "halted"))
 
@@ -99,6 +100,11 @@ class ScenarioScript(Msu):
     injections: tuple = ()
     aging: tuple = ()
 
+    def __post_init__(self):
+        if self.severed_policy not in SEVERED_POLICIES:
+            raise RangeError(f"severed_policy must be one of "
+                             f"{SEVERED_POLICIES}, got {self.severed_policy!r}")
+
 
 @dataclass
 class Metrics:
@@ -123,11 +129,9 @@ class Metrics:
         for i, wall in enumerate(self.recovery_walls):
             lines.append(f"recovery_wall {i} {wall}")
         for i, r in enumerate(self.latency_reports):
-            lines.append(
-                f"latency_report {i} hit={int(r.hit)} t_map_alg={r.t_map_alg} "
-                f"t_fetch={r.t_fetch} t_schd={r.t_schd} t_par_ext={r.t_par_ext} "
-                f"t_par_map={r.t_par_map} t_rl={r.t_rl}"
-            )
+            terms = " ".join(f"{f.name}={int(getattr(r, f.name))}"
+                             for f in fields(r))
+            lines.append(f"latency_report {i} {terms}")
         for link in sorted(self.link_busy):
             lines.append(f"link_busy {link} {self.link_busy[link]}")
         return "\n".join(lines) + "\n"

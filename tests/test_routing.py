@@ -195,6 +195,22 @@ def test_find_paths_matches_oracle_adaptive():
         assert {tuple(p) for p in ref} == {tuple(p) for p in mine}
 
 
+@pytest.mark.parametrize("dims, src, dst, count", [
+    ((2, 2), 0, 3, 2), ((2, 2), 1, 2, 2), ((2, 2), 0, 0, 3),
+    ((3, 2), 0, 5, 8)], ids=["2x2-0-3", "2x2-1-2", "2x2-0-0", "3x2-0-5"])
+def test_find_paths_matches_oracle_on_a_cyclic_model(dims, src, dst, count):
+    # Every turn allowed: the graph has cycles, and only the skip of a
+    # node already on the path ends the search.
+    ag = ns.build_mesh(*dims)
+    model = ns.custom_turn_model(ns.TURN_SLOTS_2D)
+    rg = ns.build_routing_graph(ag, model, ns.SystemHealthMap(ag))
+    assert not ns.is_deadlock_free(rg)
+    mine = ns.find_paths(rg, src, dst)
+    ref = oracles.nx_simple_paths(rg, src, dst)
+    assert len(mine) == len(ref) == count
+    assert {tuple(p) for p in ref} == {tuple(p) for p in mine}
+
+
 @given(st.integers(0, 10**6))
 def test_xy_at_most_one_path_under_faults(seed):
     ag = ns.build_mesh(3, 3)

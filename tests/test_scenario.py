@@ -408,7 +408,7 @@ REGIONS_DOC = doc(platform={
     (ns.scenario, "build_task_graph", EXPLICIT),
     (ns.scenario, "cluster_tasks",
      doc(application={"tasks": 5, "cluster": {"k": 2}})),
-    (ns.ClassifierConfig, "validate", MINIMAL),
+    (ns.ClassifierConfig, "__post_init__", MINIMAL),
 ], ids=["build_mesh", "turn_model_by_name", "region-turn_model_by_name",
         "custom_turn_model", "partition", "build_routing_graph",
         "is_deadlock_free", "random_task_graph", "build_task_graph",

@@ -69,6 +69,18 @@ def test_classifier_config_validation():
                             permanent_threshold=3).validate()
 
 
+@pytest.mark.parametrize("kwargs, fragment", [
+    (dict(window=0), "window must be positive, got 0"),
+    (dict(intermittent_threshold=5, permanent_threshold=3),
+     "thresholds must satisfy permanent >= intermittent >= 2, got 3 and 5"),
+], ids=["window", "thresholds"])
+def test_classifier_config_fails_when_built(kwargs, fragment):
+    # Checked in the constructor, not at the first classify of a run.
+    with pytest.raises(RangeError) as exc:
+        ns.ClassifierConfig(**kwargs)
+    assert str(exc.value) == fragment
+
+
 @pytest.mark.parametrize("call, fragment", [
     (lambda: ns.ClassifierConfig(window=0).validate(),
      "window must be positive, got 0"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import nocsim as ns
@@ -299,6 +301,15 @@ def test_severed_flow_requeue_policy(mesh22):
     assert req.metrics.flows_requeued == 1
     # The policy names the bookkeeping, not the recovery path.
     assert req.metrics.makespan == drop.metrics.makespan == 136
+
+
+@pytest.mark.parametrize("policy", ["REQUEUE", "retry"])
+def test_unknown_severed_policy_fails_when_the_script_is_built(mesh22, policy):
+    # The kernel treats every policy but requeue as drop, so an unknown
+    # one must not reach it.
+    with pytest.raises(ns.RangeError, match=f"got {policy!r}"):
+        dataclasses.replace(script(chain_tg([1, 1]), mesh22),
+                            severed_policy=policy)
 
 
 @pytest.mark.parametrize("policy", [ns.DROP, ns.REQUEUE])
