@@ -56,9 +56,7 @@ from .routing import (
     XYZ,
     build_routing_graph,
     custom_turn_model,
-    find_paths,
     is_deadlock_free,
-    reachability_matrix,
     turn_model_by_name,
 )
 from .health import (
@@ -76,7 +74,6 @@ from .reachability import (
     cover_rectangles,
     partition,
     should_drop,
-    unreachable_set,
 )
 from .mapsched import (
     CommModel,

@@ -213,9 +213,6 @@ class ClusteredTaskGraph:
     def __len__(self):
         return len(self.clusters)
 
-    def cut_weight(self):
-        return sum(self.edges.values())
-
 
 def _canonical_clusters(groups):
     groups = [frozenset(g) for g in groups if g]
@@ -393,16 +390,6 @@ class ArchitectureGraph:
 
     def coords(self, tile_id):
         return self.tiles[self.check_tile(tile_id)].coords
-
-    def tile_at(self, coords):
-        if len(coords) == 2:
-            coords = (coords[0], coords[1], 0)
-        x, y, z = coords
-        w, h = self.dims[0], self.dims[1]
-        d = self.dims[2] if self.is_3d else 1
-        if not (0 <= x < w and 0 <= y < h and 0 <= z < d):
-            raise UnknownTile(f"coords {coords} outside mesh {self.dims}")
-        return x + y * w + z * w * h
 
     def neighbor(self, tile_id, direction):
         """Neighbor tile id in `direction`, or None at the boundary."""

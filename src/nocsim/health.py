@@ -5,7 +5,7 @@ A health element is ("pe", tile), ("turn", tile, slot) or ("link",
 link_id), the one vocabulary that degrade_targets, apply_fault,
 RoutingGraph.without and flow_elements share;
 ArchitectureGraph.check_element is its one check.  The writer and the
-checked readers (pe_healthy, turn_healthy, link_healthy) call it, while
+checked readers (turn_healthy, link_healthy) call it, while
 pe_usable and effective_wcet, on the scoring path, do not.  The map
 holds `broken`, the set of elements that have failed; every other
 element is healthy.  The map has a single writer (the fault-management
@@ -44,9 +44,6 @@ class SystemHealthMap:
         self._aging = [0] * len(ag)
 
     # -- readers -----------------------------------------------------------
-
-    def pe_healthy(self, tile):
-        return self.ag.check_element(("pe", tile)) not in self.broken
 
     def turn_healthy(self, tile, slot):
         return self.ag.check_element(("turn", tile, slot)) not in self.broken

@@ -49,33 +49,10 @@ class Rectangle:
         return Rectangle(lo, hi)
 
 
-def unreachable_set(rg, tile, direction):
-    """Destinations (tile ids, excluding `tile` itself) with no routing
-    graph path from this output port to their local-out node.
-
-    Only neighbor-backed directions are ports; asking about a boundary
-    direction (or a 1x1 mesh, which has none) raises UnknownPort.
-    """
-    ag = rg.ag
-    ag.check_tile(tile)
-    if ag.neighbor(tile, direction) is None:
-        raise UnknownPort(f"tile {tile} has no {direction} output port")
-    reach = rg.reach_by_id()[rg.port_id(tile, direction, "out")]
-    return set(_tiles_of(_unreachable_bits(reach, tile, len(ag))))
-
-
 def _unreachable_bits(reach, tile, n):
     """The tiles other than `tile`, of `n`, missing from a port's reach
     bitset."""
     return ((1 << n) - 1) & ~reach & ~(1 << tile)
-
-
-def _tiles_of(bits):
-    """Tile ids of a bitset, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def cover_rectangles(dest_set, dims, budget):
@@ -328,9 +305,6 @@ class RegionFilter:
     def __init__(self, labels, turn_models):
         self._labels = labels               # tile -> label
         self._models = turn_models          # label -> TurnModel or None
-
-    def label_of(self, tile):
-        return self._labels[tile]
 
     def crosses(self, src, dst):
         return self._labels[src] != self._labels[dst]

@@ -26,7 +26,7 @@ Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
 PortNode order, and the graph is a tuple of sorted successor-id
 tuples.  The reachability index, the route search and the region tables
 run on the ids; PortNode objects appear only in the views tests read
-(nodes, adj, port, find_paths).  Each question about a graph has one
+(nodes, adj, port).  Each question about a graph has one
 structure: one depth-first pass orders the nodes and tells whether the
 graph is acyclic (is_deadlock_free), one propagation loop along that
 order gives the reach index (reach_by_id), and the graph's RouteProvider
@@ -181,12 +181,6 @@ class RoutingGraph:
             self._adj = {nodes[i]: tuple(nodes[j] for j in succs)
                          for i, succs in enumerate(self.succ)}
         return self._adj
-
-    def local_in(self, tile):
-        return PortNode(self.ag.check_tile(tile), "L", "in")
-
-    def local_out(self, tile):
-        return PortNode(self.ag.check_tile(tile), "L", "out")
 
     def port(self, tile, direction, kind):
         node = PortNode(tile, direction, kind)
@@ -376,48 +370,6 @@ def is_deadlock_free(rg):
     """True iff the port graph is acyclic (Dally & Seitz): read off the
     graph's memoised depth-first pass, which finds no back edge."""
     return rg._dfs()[1]
-
-
-def find_paths(rg, src, dst):
-    """All simple port paths local-in(src) .. local-out(dst), in
-    lexicographic order of the visited tile id sequence."""
-    start = rg.local_in(src)
-    goal = rg.local_out(dst)
-    paths = []
-    path = [start]
-    on_path = {start}
-
-    def dfs(node):
-        if node == goal:
-            paths.append(tuple(path))
-            return
-        for nxt in rg.adj[node]:
-            if nxt in on_path:
-                continue
-            # Only the goal tile's local-out ends a route.
-            if nxt.direction == "L" and nxt.kind == "out" and nxt != goal:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            dfs(nxt)
-            path.pop()
-            on_path.remove(nxt)
-
-    dfs(start)
-    paths.sort(key=lambda p: (tuple(n.tile for n in p), p))
-    return paths
-
-
-def reachability_matrix(rg):
-    """matrix[s][d] is True iff some route s -> d exists; the diagonal
-    reflects local self-delivery (healthy PE)."""
-    n = len(rg.ag)
-    reach = rg.reach_by_id()
-    rows = []
-    for s in range(n):
-        bits = reach[rg.port_id(s, "L", "in")]
-        rows.append([bool(bits >> d & 1) for d in range(n)])
-    return rows
 
 
 class RouteProvider:

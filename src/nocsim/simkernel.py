@@ -36,7 +36,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .errors import InfeasibilityError, RangeError, SemanticError
+from .errors import (InfeasibilityError, RangeError, RegionBudgetError,
+                     SemanticError)
 from .health import SystemHealthMap
 from .mapsched import dump_mapping
 from .reachability import build_region_tables, should_drop
@@ -104,6 +105,12 @@ class ScenarioScript(Msu):
         if self.severed_policy not in SEVERED_POLICIES:
             raise RangeError(f"severed_policy must be one of "
                              f"{SEVERED_POLICIES}, got {self.severed_policy!r}")
+        if self.prediction_k < 0:
+            raise RangeError(
+                f"prediction size must be >= 0, got {self.prediction_k}")
+        if self.budget < 1:
+            raise RegionBudgetError(
+                f"rectangle budget must be >= 1, got {self.budget}")
 
 
 @dataclass

@@ -95,7 +95,7 @@ def nx_simple_paths(rg, src, dst, cutoff=None):
     """All local-in(src) to local-out(dst) simple paths, skipping paths
     that eject at an intermediate tile."""
     g = rg_to_nx(rg)
-    a, b = rg.local_in(src), rg.local_out(dst)
+    a, b = rg.port(src, "L", "in"), rg.port(dst, "L", "out")
     out = []
     for path in nx.all_simple_paths(g, a, b, cutoff=cutoff):
         if any(p.direction == "L" and p.tile not in (src, dst)
@@ -117,12 +117,13 @@ def nx_port_reach(rg, tile, direction):
 
 
 def nx_tile_reach(rg, src):
-    return nx_reach(rg, rg.local_in(src))
+    return nx_reach(rg, rg.port(src, "L", "in"))
 
 
 def unreachable_oracle(rg, tile, direction):
-    """Reference for unreachable_set: destinations other than the tile
-    itself with no routing-graph path from the given output port."""
+    """The unreachable set of an output port, as the region tables cover
+    it: destinations other than the tile itself with no routing-graph
+    path from the port."""
     reach = nx_port_reach(rg, tile, direction)
     all_tiles = {t.id for t in rg.ag.tiles}
     return (all_tiles - reach) - {tile}
@@ -134,7 +135,8 @@ def drop_oracle(rg, src, dst):
     loop is missing."""
     if src == dst:
         g = rg_to_nx(rg)
-        return not g.has_edge(rg.local_in(src), rg.local_out(src))
+        return not g.has_edge(rg.port(src, "L", "in"),
+                              rg.port(src, "L", "out"))
     for direction in rg.ag.directions():
         if rg.ag.neighbor(src, direction) is None:
             continue

@@ -146,15 +146,15 @@ def test_cluster_chain_example():
     tg = chain_tg([1, 1, 1], [5, 1])
     ctg = ns.cluster_tasks(tg, 2)
     assert set(ctg.clusters) == {frozenset({0, 1}), frozenset({2})}
-    assert ctg.cut_weight() == 1
-    assert ctg.cut_weight() == oracles.best_partitions(tg, 2)
+    assert sum(ctg.edges.values()) == 1
+    assert sum(ctg.edges.values()) == oracles.best_partitions(tg, 2)
 
 
 def test_cluster_singletons():
     tg = chain_tg([1, 1, 1], [5, 1])
     ctg = ns.cluster_tasks(tg, 3)
     assert all(len(c) == 1 for c in ctg.clusters)
-    assert ctg.cut_weight() == sum(tg.edges.values())
+    assert sum(ctg.edges.values()) == sum(tg.edges.values())
 
 
 def test_cluster_all_in_one():
@@ -186,7 +186,7 @@ def test_cluster_weight_conservation(n, seed):
         w for (a, b), w in tg.edges.items()
         if ctg.task_cluster[a] == ctg.task_cluster[b]
     )
-    assert intra + ctg.cut_weight() == sum(tg.edges.values())
+    assert intra + sum(ctg.edges.values()) == sum(tg.edges.values())
 
 
 def test_local_search_not_worse_than_merge():
@@ -194,7 +194,7 @@ def test_local_search_not_worse_than_merge():
         tg = ns.random_task_graph(8, 0.5, seed)
         merged = ns.cluster_tasks(tg, 3, heuristic="greedy-merge")
         improved = ns.cluster_tasks(tg, 3, heuristic="local-search", seed=seed)
-        assert improved.cut_weight() <= merged.cut_weight()
+        assert sum(improved.edges.values()) <= sum(merged.edges.values())
 
 
 def test_local_search_moves_a_task_off_greedy_merge():
@@ -204,9 +204,9 @@ def test_local_search_moves_a_task_off_greedy_merge():
     tg = ns.random_task_graph(6, 0.3, 27)
     merged = ns.cluster_tasks(tg, 3, "greedy-merge", 27)
     moved = ns.cluster_tasks(tg, 3, "local-search", 27)
-    assert (merged.cut_weight(), merged.clusters) == \
+    assert (sum(merged.edges.values()), merged.clusters) == \
         (20, (frozenset({0, 1, 3}), frozenset({2}), frozenset({4, 5})))
-    assert (moved.cut_weight(), moved.clusters) == \
+    assert (sum(moved.edges.values()), moved.clusters) == \
         (18, (frozenset({0, 1, 3, 5}), frozenset({2}), frozenset({4})))
 
 
@@ -253,8 +253,8 @@ def test_mesh_zero_dimension():
 
 def test_tile_ids_row_major(mesh33):
     assert mesh33.coords(4) == (1, 1)
-    assert mesh33.tile_at((2, 0)) == 2
-    assert mesh33.tile_at((0, 2)) == 6
+    assert mesh33.coords(2) == (2, 0)
+    assert mesh33.coords(6) == (0, 2)
 
 
 def test_neighbors(mesh33):

@@ -20,7 +20,7 @@ from conftest import random_shm
 
 def test_fresh_map_all_healthy(mesh22):
     shm = ns.SystemHealthMap(mesh22)
-    assert all(shm.pe_healthy(t) for t in range(4))
+    assert all(("pe", t) not in shm.broken for t in range(4))
     assert all(shm.link_healthy(l) for l in range(8))
     assert all(shm.turn_healthy(t, s) for t in range(4) for s in range(8))
 
@@ -31,7 +31,7 @@ def test_apply_fault_idempotent(mesh22):
     once = shm.serialize()
     shm.apply_fault(("pe", 3))
     assert shm.serialize() == once
-    assert not shm.pe_healthy(3)
+    assert ("pe", 3) in shm.broken
 
 
 def test_apply_fault_kinds(mesh22):
@@ -150,7 +150,7 @@ def test_aging_rounds_up(mesh22):
 def test_aging_hundred_unusable(mesh22):
     shm = ns.SystemHealthMap(mesh22)
     shm.set_aging(2, 100)
-    assert shm.pe_healthy(2)
+    assert ("pe", 2) not in shm.broken
     assert not shm.pe_usable(2)
     assert ns.usable_tiles(shm) == [0, 1, 3]
 

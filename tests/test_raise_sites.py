@@ -30,8 +30,6 @@ def _rg22():
 
 
 @pytest.mark.parametrize("call, error, fragment", [
-    (lambda: ns.build_mesh(2, 2).tile_at((2, 0)), UnknownTile,
-     "outside mesh (2, 2)"),
     (lambda: _aged_out().effective_wcet(0, 5), RangeError,
      "tile 0 fully aged out, no effective wcet"),
     (lambda: ns.initial_mapping(ns.random_task_graph(3, 0.5, 1),
@@ -51,7 +49,7 @@ def _rg22():
     (lambda: _rg22().port(0, "U", "out"), UnknownTile, "no port node"),
     (lambda: ns.expand_injection(ns.Injection(0, ("pe", 0), "sporadic")),
      SemanticError, "unknown persistence 'sporadic'"),
-], ids=["tile-at-outside-mesh", "effective-wcet-aged-out",
+], ids=["effective-wcet-aged-out",
         "initial-policy", "heuristic-foreign-clustering",
         "heuristic-cost", "heuristic-name", "region-table-port",
         "region-budget", "routing-graph-port", "injection-persistence"])

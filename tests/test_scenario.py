@@ -448,6 +448,58 @@ def test_no_handler_in_the_package_catches_every_exception():
     assert broad == []
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# derive_lbdr_config computes the paper's per-router configuration bits,
+# which criterion 09 checks against the routing graph; it stays until an
+# output reads it (ROADMAP item 14).
+NAMED_ONLY_BY_TESTS = {"derive_lbdr_config"}
+
+
+def _definitions(tree):
+    """Top-level functions and classes and their methods, except the
+    dunder methods Python calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("__"))
+
+
+def _names(tree):
+    """Every identifier a module names in code: names, attributes,
+    imports and string constants equal to one (not text that mentions
+    one, such as a docstring)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    """A function, class or method that only tests (or the package's
+    exports) name is code nothing runs; delete it with its tests."""
+    package = ROOT / "src" / "nocsim"
+    users = ([p for p in package.glob("*.py") if p.name != "__init__.py"]
+             + sorted((ROOT / "scripts").rglob("*.py"))
+             + sorted((ROOT / "benchmark").rglob("*.py")))
+    named = NAMED_ONLY_BY_TESTS.union(
+        name for path in users
+        for name in _names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = [f"{path.name}:{qualified}"
+              for path in sorted(package.glob("*.py"))
+              for qualified in _definitions(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if qualified.rsplit(".", 1)[-1] not in named]
+    assert unused == []
+
+
 # -- injection targets -------------------------------------------------------
 
 
@@ -756,8 +808,10 @@ def test_regions_parse_and_partition():
         },
     }))
     assert s.regions is not None
-    assert s.regions.label_of(0) == "west"
-    assert s.regions.label_of(3) == "east"
+    assert s.regions.turn_model_for(0) is ns.WEST_FIRST
+    assert s.regions.turn_model_for(3) is ns.XY
+    assert s.regions.crosses(1, 2)
+    assert not s.regions.crosses(2, 3)
 
 
 def test_regions_bad_tile_key():

@@ -303,13 +303,22 @@ def test_severed_flow_requeue_policy(mesh22):
     assert req.metrics.makespan == drop.metrics.makespan == 136
 
 
-@pytest.mark.parametrize("policy", ["REQUEUE", "retry"])
-def test_unknown_severed_policy_fails_when_the_script_is_built(mesh22, policy):
+@pytest.mark.parametrize("change, error, message", [
+    pytest.param({"severed_policy": policy}, ns.RangeError,
+                 f"got {policy!r}", id=policy)
+    for policy in ("REQUEUE", "retry")] + [
+    pytest.param({"prediction_k": -1}, ns.RangeError,
+                 "prediction size must be >= 0, got -1", id="prediction_k"),
+    pytest.param({"budget": 0}, ns.RegionBudgetError,
+                 "rectangle budget must be >= 1, got 0", id="budget"),
+])
+def test_unknown_severed_policy_fails_when_the_script_is_built(
+        mesh22, change, error, message):
     # The kernel treats every policy but requeue as drop, so an unknown
-    # one must not reach it.
-    with pytest.raises(ns.RangeError, match=f"got {policy!r}"):
-        dataclasses.replace(script(chain_tg([1, 1]), mesh22),
-                            severed_policy=policy)
+    # one must not reach it; a negative prediction size or a budget
+    # below 1 would otherwise fail only when the run reads it.
+    with pytest.raises(error, match=message):
+        dataclasses.replace(script(chain_tg([1, 1]), mesh22), **change)
 
 
 @pytest.mark.parametrize("policy", [ns.DROP, ns.REQUEUE])
