@@ -3,17 +3,19 @@
 A mapping is a plain list: index task id, value tile id.  The scheduler
 does one topological pass computing each task's start exactly once
 (Schedule.start_computations counts them).  One object, _AsapPass,
-prepares that pass once (task arrays, per-tile cycle table, transfer
+prepares that pass once (a step table of (task, release, ((pred,
+hold), ...)) in topological order, the per-tile cycle table, transfer
 model, route provider) and runs it per mapping: asap_schedule builds one
 over the mapped tiles, and a search is one over the usable tiles.  Data
 transfers occupy route links and are serialized where links are
 contended (earliest-fit).  The pass keeps each link's busy intervals as
-one sorted flat lane [s0, e0, s1, e1, ...], the format _cost reads, so a
-probe bisects to the one interval it can hit, O(log I) in the I
-intervals on the link, but after a conflict it steps past each gap too
-short for the body, linear in the intervals skipped (about 127 per
-transfer on a 1000-task 4x4 schedule).  Tasks sharing a processing
-element are serialized too.
+one sorted flat lane [s0, e0, s1, e1, ...], the format _cost reads.  A
+probe on a lane that ends by its start cannot conflict and an insert
+there appends; otherwise a probe bisects to the one interval it can
+hit, O(log I) in the I intervals on the link, but after a conflict it
+steps past each gap too short for the body, linear in the intervals
+skipped (about 127 per transfer on a 1000-task 4x4 schedule).  Tasks
+sharing a processing element are serialized too.
 
 Routes are read from the route provider's rows, rows[src][dst], which
 every search and asap_schedule call given that provider shares: each
@@ -27,7 +29,10 @@ annealing) share one single-move neighborhood and are deterministic
 given their inputs and seed.  With a clustered application the move
 unit is the whole cluster; tasks inherit their cluster's tile.
 Candidates are scored by the same pass and the one cost routine, _cost,
-without building a Schedule; only the winner's is built."""
+without building a Schedule; only the winner's is built.  A one-unit
+move from a feasible assignment that breaks a route is rejected from
+the moved unit's cross-unit edges alone, without a pass; it still
+counts as an evaluation."""
 
 import math
 import random
@@ -131,8 +136,9 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
 
 class _AsapPass:
     """The ASAP pass shared by asap_schedule and candidate evaluation,
-    with everything no mapping changes prepared once: the topological
-    order, each task's ((pred, weight), ...) and release, each task's
+    with everything no mapping changes prepared once: the step table,
+    which holds per task in topological order (task, release, ((pred,
+    hold), ...)) with hold = weight x unit_link_cycles, each task's
     cycles on each of `tiles` after aging (wcet[tile], None for other
     tiles), the transfer model and the route provider, whose rows the
     pass reads, routing a pair not yet in them.
@@ -145,55 +151,56 @@ class _AsapPass:
         self.tg = tg
         self.comm = comm or CommModel()
         self.routes = routes or rg.route_provider()
-        self.order = tg.topological_order()
-        self.preds = [tuple((a, tg.edges[(a, b)]) for a in tg.predecessors(b))
-                      for b in range(len(tg))]
-        self.release = [t.release for t in tg.tasks]
+        unit = self.comm.unit_link_cycles
+        self.steps = [
+            (b, tg.tasks[b].release,
+             tuple((a, tg.edges[(a, b)] * unit) for a in tg.predecessors(b)))
+            for b in tg.topological_order()]
         self.wcet = [None] * len(shm.ag)
         for tile in tiles:
             self.wcet[tile] = [shm.effective_wcet(tile, t.wcet) for t in tg.tasks]
         self.n_links = len(shm.ag.links)
 
     def run(self, mapping, base_time=0, finished=frozenset(), records=None):
-        """Visits tasks in topological order and computes each start
-        once: the latest of release, PE free time and data arrivals (an
-        unroutable pair raises UnroutableFlow).  Returns the per-task
-        start and finish lists and the busy lanes.  When `records` is a
-        list, appends (src task, dst task, src tile, dst tile, weight,
-        Route, injection) to it per transfer.
+        """Walks the step table and computes each start once: the latest
+        of release, PE free time and data arrivals (an unroutable pair
+        raises UnroutableFlow).  Returns the per-task start and finish
+        lists and the busy lanes.  When `records` is a list, appends
+        (src task, dst task, src tile, dst tile, hold, Route, injection)
+        to it per transfer.
 
         A transfer's head needs router_delay per router; its body holds
-        link i for weight x unit_link_cycles from i router delays after
-        injection.  Placement is earliest-fit: a conflict on some link
-        moves the injection past the conflicting interval, and past any
-        later ones on that link whose gaps are too short for the body;
-        then the check restarts at the first link.  Every time skipped
+        link i for hold cycles from i router delays after injection.
+        Placement is earliest-fit: a conflict on some link moves the
+        injection past the conflicting interval, and past any later
+        ones on that link whose gaps are too short for the body; then
+        the check restarts at the first link.  Every time skipped
         conflicts on that link, so the result is the earliest
         conflict-free injection.  Intervals on one link never overlap,
         so their flat list is sorted and one bisection finds the only
-        interval that can conflict; an unused link needs none.  After a
-        conflict-free pass each interval is inserted where a bisection
-        puts it, which is where the probe found room: a route never
-        repeats a link, so no lane changes between the check and the
-        insert.
+        interval that can conflict.  An unused link, or one whose last
+        interval ends at or before the probe's start, needs none.  After
+        a conflict-free pass each interval is appended to a lane that
+        ends by its start, and otherwise inserted where a bisection puts
+        it, which is where the probe found room: a route never repeats a
+        link, so no lane changes between the check and the insert.
         """
-        order, preds, release, wcet = self.order, self.preds, self.release, self.wcet
+        wcet = self.wcet
         routes = self.routes
-        unit = self.comm.unit_link_cycles
         r = self.comm.router_delay
         rows = routes.rows
-        start = [base_time] * len(order)
-        finish = [base_time] * len(order)
+        start = [base_time] * len(self.steps)
+        finish = [base_time] * len(self.steps)
         pe_free = [base_time] * len(wcet)
         busy = [None] * self.n_links
-        for b in order:
+        for b, release, preds in self.steps:
             if finished and b in finished:
                 continue
             tile_b = mapping[b]
             ready = pe_free[tile_b]
-            if release[b] > ready:
-                ready = release[b]
-            for a, weight in preds[b]:
+            if release > ready:
+                ready = release
+            for a, hold in preds:
                 tile_a = mapping[a]
                 t = finish[a]
                 if tile_a != tile_b:
@@ -206,17 +213,16 @@ class _AsapPass:
                         if not entry:
                             raise UnroutableFlow(tile_a, tile_b)
                     links, hops, _ = entry
-                    hold = weight * unit
                     if hold > 0:
                         while True:
                             s = t
                             for link in links:
                                 s += r
                                 lane = busy[link]
-                                if lane is None:
+                                if lane is None or lane[-1] <= s:
                                     continue
                                 k = bisect_right(lane, s)
-                                if k & 1 or (k < len(lane) and lane[k] < s + hold):
+                                if k & 1 or lane[k] < s + hold:
                                     k |= 1      # end of the conflicting interval
                                     # Skip on while the gap after it is too short.
                                     last = len(lane) - 1
@@ -232,11 +238,13 @@ class _AsapPass:
                             lane = busy[link]
                             if lane is None:
                                 busy[link] = [s, s + hold]
+                            elif lane[-1] <= s:
+                                lane += (s, s + hold)
                             else:
                                 k = bisect_right(lane, s)
                                 lane[k:k] = (s, s + hold)
                     if records is not None:
-                        records.append((a, b, tile_a, tile_b, weight, entry, t))
+                        records.append((a, b, tile_a, tile_b, hold, entry, t))
                     t += hops * r + hold
                 if t > ready:
                     ready = t
@@ -251,8 +259,7 @@ class _AsapPass:
         start, finish, _ = self.run(mapping, base_time, finished, records)
         r = self.comm.router_delay
         flows = []
-        for a, b, tile_a, tile_b, weight, (links, hops, _), t in records:
-            hold = weight * self.comm.unit_link_cycles
+        for a, b, tile_a, tile_b, hold, (links, hops, _), t in records:
             intervals = tuple(
                 (link, t + i * r, t + i * r + hold)
                 for i, link in enumerate(links, start=1)
@@ -263,7 +270,7 @@ class _AsapPass:
         return Schedule(
             task_times=tuple(zip(mapping, start, finish)),
             flows=tuple(flows),
-            start_computations=len(self.order),
+            start_computations=len(self.steps),
             base_time=base_time,
             retained=finished,
             makespan=max(executed) if executed else base_time,
@@ -395,10 +402,11 @@ def _expand(units, unit_tiles, n_tasks):
 
 class _Search(_AsapPass):
     """Shared candidate evaluation for all heuristics: the ASAP pass
-    prepared over the usable tiles, plus the critical deadlines.  The
-    route provider's rows outlive the search.  Candidates only ever
-    place units on usable tiles, so they need no per-candidate
-    validation."""
+    prepared over the usable tiles, the critical deadlines, and per
+    unit its cross-unit edges as (source unit, destination unit) pairs,
+    both directions, each pair once.  The route provider's rows outlive
+    the search.  Candidates only ever place units on usable tiles, so
+    they need no per-candidate validation."""
 
     def __init__(self, tg, shm, rg, cost, ctg, comm, routes):
         if cost not in COST_KINDS:
@@ -410,12 +418,38 @@ class _Search(_AsapPass):
         super().__init__(tg, shm, rg, self.tiles, comm, routes)
         self.deadlines = [(t.id, t.release + t.slack) for t in tg.tasks
                           if t.criticality == CRITICAL and t.slack is not None]
+        unit_of = _expand(self.units, range(len(self.units)), len(tg))
+        cross = [{} for _ in self.units]    # insertion-ordered pair sets
+        for a, b in tg.edges:
+            ua, ub = unit_of[a], unit_of[b]
+            if ua != ub:
+                cross[ua][ua, ub] = cross[ub][ua, ub] = None
+        self.cross = [tuple(pairs) for pairs in cross]
         self.evaluations = 0
 
-    def evaluate(self, unit_tiles):
+    def evaluate(self, unit_tiles, moved=None):
         """The candidate's cost (see _cost), or None when it is
-        infeasible (unroutable transfer or missed critical deadline)."""
+        infeasible (unroutable transfer or missed critical deadline).
+
+        `moved` names the one unit in which `unit_tiles` differs from a
+        feasible assignment (descend's and _run_sa's moves).  Only that
+        unit's cross-unit edges can then lack a route, so they are
+        checked against the provider's rows first, and a candidate that
+        breaks one is rejected without a pass.  Either way the call
+        counts as one evaluation."""
         self.evaluations += 1
+        if moved is not None:
+            routes = self.routes
+            rows = routes.rows
+            for ua, ub in self.cross[moved]:
+                src, dst = unit_tiles[ua], unit_tiles[ub]
+                if src != dst:
+                    row = rows[src]
+                    entry = row and row[dst]
+                    if entry is None:
+                        entry = routes.route(src, dst)
+                    if not entry:
+                        return None
         if self.clustered:
             mapping = _expand(self.units, unit_tiles, len(self.tg))
         else:
@@ -456,7 +490,7 @@ class _Search(_AsapPass):
                         continue
                     cand = list(unit_tiles)
                     cand[u] = tile
-                    c = self.evaluate(cand)
+                    c = self.evaluate(cand, u)
                     if c is not None and c < cost and (
                         best_move is None or c < best_move[0]
                     ):
@@ -544,7 +578,7 @@ def _run_sa(search, start, seed, iterations, params):
                 continue
             cand = list(assign)
             cand[u] = tile
-            c = search.evaluate(cand)
+            c = search.evaluate(cand, u)
             if c is None:
                 continue
             delta = c - cost

@@ -15,7 +15,10 @@ agree byte for byte.  The cold forms, patched in here only:
   kernel's memory, instead of deriving the hypothetical graph and
   reusing an entry already stored;
 - RoutingGraph.route_provider returns a new provider on every request,
-  instead of the one the graph memoises.
+  instead of the one the graph memoises;
+- mapsched._Search.evaluate drops the moved unit it is given and runs
+  the full pass on every candidate, instead of rejecting a one-unit move
+  that breaks a route from the moved unit's cross-unit edges alone.
 """
 
 import pathlib
@@ -23,7 +26,7 @@ import pathlib
 import pytest
 
 import nocsim as ns
-from nocsim import shmu, simkernel
+from nocsim import mapsched, shmu, simkernel
 from nocsim.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,6 +56,10 @@ def _go_cold(monkeypatch):
     monkeypatch.setattr(simkernel, "map_and_store", map_and_store)
     monkeypatch.setattr(ns.RoutingGraph, "route_provider",
                         lambda rg, seed=0: ns.RouteProvider(rg, seed))
+    evaluate = mapsched._Search.evaluate
+    monkeypatch.setattr(mapsched._Search, "evaluate",
+                        lambda search, unit_tiles, moved=None:
+                        evaluate(search, unit_tiles))
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)

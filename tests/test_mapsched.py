@@ -16,7 +16,7 @@ from nocsim.errors import (
 )
 
 import oracles
-from conftest import chain_tg, random_shm
+from conftest import chain_tg, random_shm, two_regions
 
 
 def platform(w, h, faults=()):
@@ -693,6 +693,78 @@ def test_cost_only_sums_in_reference_order():
     assert order_sensitive >= 10
 
 
+def _counting_passes(search):
+    """Counts the ASAP passes `search` runs, in the returned list."""
+    passes = []
+    run = search.run
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return run(*args, **kwargs)
+
+    search.run = counted
+    return passes
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60)
+def test_moved_unit_shortcut_matches_full_pass(seed, clustered):
+    # scenarios/regions.json's split of a 4x4 mesh: no route crosses
+    # from the west half to the east half, so many one-unit moves break
+    # a transfer, through an edge into the moved unit or out of it.
+    rng = random.Random(seed)
+    ag = ns.build_mesh(4, 4)
+    shm = random_shm(ag, seed, max_links=3, max_turns=0, max_pes=2)
+    assume(any(shm.pe_usable(t) for t in range(len(ag))))
+    rg = ns.build_routing_graph(ag, ns.XY, shm,
+                                regions=two_regions(ag, ns.WEST_FIRST, ns.XY))
+    tg = ns.random_task_graph(rng.randint(2, 10), rng.choice((0.2, 0.4, 0.7)),
+                              seed=seed)
+    if rng.random() < 0.5:
+        tasks = [ns.Task(t.id, t.wcet, criticality=rng.choice(
+                     (ns.CRITICAL, ns.NON_CRITICAL)), slack=rng.randint(10, 200))
+                 for t in tg.tasks]
+        tg = ns.build_task_graph(tasks, tg.edges)
+    ctg = ns.cluster_tasks(tg, rng.randint(1, len(tg))) if clustered else None
+    comm = ns.CommModel(unit_link_cycles=rng.choice((0, 1, 3)),
+                        router_delay=rng.choice((0, 1, 2)))
+    cost = rng.choice(ns.mapsched.COST_KINDS)
+    seed_routes = rng.randrange(4)
+
+    def search_of(routes):
+        return ns.mapsched._Search(tg, shm, rg, cost, ctg, comm, routes)
+
+    search = search_of(rg.route_provider(seed_routes))
+    passes = _counting_passes(search)
+    half = rng.choice((search.tiles, [t for t in search.tiles if t % 4 < 2]))
+    try:
+        base, _ = search.feasible_start(
+            [rng.choice(half or search.tiles) for _ in search.units])
+    except InfeasibleInstance:
+        assume(False)
+    routes = ns.RouteProvider(rg, seed_routes)
+    for u in range(len(search.units)):
+        for tile in search.tiles:
+            if tile == base[u]:
+                continue
+            cand = list(base)
+            cand[u] = tile
+            mapping = ns.mapsched._expand(search.units, cand, len(tg))
+            unroutable = any(mapping[a] != mapping[b]
+                             and routes.route(mapping[a], mapping[b]) is None
+                             for a, b in tg.edges)
+            before, ran = search.evaluations, len(passes)
+            got = search.evaluate(cand, u)
+            assert search.evaluations == before + 1
+            # A move that breaks a route is rejected without a pass.
+            assert len(passes) - ran == (0 if unroutable else 1)
+            fresh = search_of(ns.RouteProvider(rg, seed_routes))
+            want = fresh.evaluate(cand)
+            assert fresh.evaluations == 1
+            assert got == want and type(got) is type(want), (u, tile)
+            assert want is None or not unroutable
+
+
 def test_cost_only_deadline_is_inclusive():
     # Finishing exactly at release + slack meets the deadline.
     ag, shm, rg = platform(2, 1)
@@ -711,7 +783,7 @@ def test_cost_only_deadline_is_inclusive():
 def _oracle_search(monkeypatch, shm, rg):
     """Make every heuristic score its candidates with the reference
     scheduler and the public cost function."""
-    def evaluate(search, unit_tiles):
+    def evaluate(search, unit_tiles, moved=None):
         search.evaluations += 1
         mapping = ns.mapsched._expand(search.units, unit_tiles, len(search.tg))
         return oracles.evaluate_candidate(search.tg, mapping, shm, rg, search.comm,
@@ -720,7 +792,9 @@ def _oracle_search(monkeypatch, shm, rg):
 
 
 SEARCH_CASES = [
-    # (heuristic, mesh side, turn model, tasks, cost, clusters, seed)
+    # (heuristic, mesh side, turn model, tasks, cost, clusters, seed); a
+    # [left, right] list of turn models splits the mesh into two regions
+    # with no route between them, so many one-unit moves break a route.
     ("greedy", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 1),
     ("greedy", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, None, 2),
     ("greedy", 4, ns.WEST_FIRST, 10, ns.UTILIZATION_BALANCE, 5, 3),
@@ -729,6 +803,7 @@ SEARCH_CASES = [
     ("sa", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 6),
     ("sa", 3, ns.WEST_FIRST, 9, ns.UTILIZATION_BALANCE, None, 7),
     ("sa", 4, ns.XY, 9, ns.TRAFFIC_BALANCE, 6, 8),
+    ("sa", 4, [ns.WEST_FIRST, ns.XY], 10, ns.SCHEDULE_LENGTH, None, 9),
 ]
 
 
@@ -739,7 +814,11 @@ def test_heuristics_match_reference_driven_search(monkeypatch, case):
     ag = ns.build_mesh(side, side)
     shm = random_shm(ag, seed, max_links=2, max_turns=1, max_pes=1)
     shm.set_aging(seed % len(ag), 40)
-    rg = ns.build_routing_graph(ag, model, shm)
+    regions = None
+    if isinstance(model, list):
+        regions = two_regions(ag, *model)
+        model = model[0]
+    rg = ns.build_routing_graph(ag, model, shm, regions=regions)
     tg = ns.random_task_graph(m, 0.4, seed=seed)
     ctg = ns.cluster_tasks(tg, k) if k else None
     kw = dict(cost=cost, ctg=ctg, seed=seed, iterations=3,
