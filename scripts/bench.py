@@ -212,7 +212,7 @@ def _fault_links(ag, side):
 
 
 def _edges(rg):
-    return sum(len(succs) for succs in rg.adj.values())
+    return sum(map(len, rg.succ))
 
 
 def _rectangles(tables, n):

@@ -47,7 +47,6 @@ from .graphs import (
 from .routing import (
     NEGATIVE_FIRST,
     NORTH_LAST,
-    PortNode,
     RouteProvider,
     RoutingGraph,
     TurnModel,

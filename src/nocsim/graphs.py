@@ -98,9 +98,6 @@ class TaskGraph:
     def __len__(self):
         return len(self.tasks)
 
-    def task(self, task_id):
-        return self.tasks[task_id]
-
     def predecessors(self, task_id):
         return self._preds[task_id]
 
@@ -193,25 +190,13 @@ def random_task_graph(n, density, seed, wcet_range=(1, 20), weight_range=(1, 10)
 class ClusteredTaskGraph:
     """Coarsened view of a TaskGraph: clusters are mapped as units.
 
-    Inter-cluster edge weight is the sum of crossing task-edge weights;
-    intra-cluster edges disappear.
+    Holds the task graph and the partition only; the mapper derives
+    the edges between units from the task graph (mapsched._Search).
     """
 
     def __init__(self, tg, clusters):
         self.tg = tg
         self.clusters = clusters            # tuple of frozenset, canonical order
-        self.task_cluster = {}
-        for ci, members in enumerate(clusters):
-            for t in members:
-                self.task_cluster[t] = ci
-        self.edges = {}
-        for (a, b), w in tg.edges.items():
-            ca, cb = self.task_cluster[a], self.task_cluster[b]
-            if ca != cb:
-                self.edges[(ca, cb)] = self.edges.get((ca, cb), 0) + w
-
-    def __len__(self):
-        return len(self.clusters)
 
 
 def _canonical_clusters(groups):

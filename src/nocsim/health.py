@@ -51,10 +51,6 @@ class SystemHealthMap:
     def link_healthy(self, link_id):
         return self.ag.check_element(("link", link_id)) not in self.broken
 
-    def aging(self, tile):
-        self.ag.check_tile(tile)
-        return self._aging[tile]
-
     def pe_usable(self, tile):
         """Usable for mapping work: healthy and not fully aged out."""
         return ("pe", tile) not in self.broken and self._aging[tile] < 100

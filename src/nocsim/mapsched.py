@@ -212,7 +212,7 @@ class _AsapPass:
                             entry = rows[tile_a][tile_b]
                         if not entry:
                             raise UnroutableFlow(tile_a, tile_b)
-                    links, hops, _ = entry
+                    links, hops = entry
                     if hold > 0:
                         while True:
                             s = t
@@ -259,7 +259,7 @@ class _AsapPass:
         start, finish, _ = self.run(mapping, base_time, finished, records)
         r = self.comm.router_delay
         flows = []
-        for a, b, tile_a, tile_b, hold, (links, hops, _), t in records:
+        for a, b, tile_a, tile_b, hold, (links, hops), t in records:
             intervals = tuple(
                 (link, t + i * r, t + i * r + hold)
                 for i, link in enumerate(links, start=1)

@@ -55,31 +55,21 @@ def _unreachable_bits(reach, tile, n):
     return ((1 << n) - 1) & ~reach & ~(1 << tile)
 
 
-def cover_rectangles(dest_set, dims, budget):
+def cover_rectangles(bits, dims, budget):
     """Cover a destination set with at most `budget` rectangles.
 
-    `dest_set` is an iterable of tile coords, or an int whose bit
-    x + (y + z*h)*w is set for each destination (w, h = dims[:2]): the
-    tile-id bitset of a mesh built by build_mesh.
+    `bits` is the tile-id bitset of a mesh built by build_mesh: bit
+    x + (y + z*h)*w is set for each destination (w, h = dims[:2]).
 
     First an exact cover: repeatedly extract the largest rectangle fully
     inside the remaining set (ties: lexicographically smallest corners).
     If that exceeds the budget, repeatedly merge the pair with the
     smallest bounding box (ties by the lowest tile id of the box
     corners), which may over-approximate but never under-approximate.
-    A cell or bit outside the mesh raises RangeError.
+    A bit outside the mesh raises RangeError.
     """
     w, h = dims[0], dims[1]
     dims3 = dims if len(dims) == 3 else (w, h, 1)
-    if isinstance(dest_set, int):
-        bits = dest_set
-    else:
-        bits = 0
-        for c in dest_set:
-            x, y, z = c[0], c[1], (c[2] if len(c) == 3 else 0)
-            if not (0 <= x < w and 0 <= y < h and 0 <= z < dims3[2]):
-                raise RangeError(f"cell {c} is outside the {dims} mesh")
-            bits |= 1 << (x + (y + z * h) * w)
     if bits < 0 or bits >> (w * h * dims3[2]):
         raise RangeError(f"tile bitset names a tile outside the {dims} mesh")
     if not bits:
@@ -230,7 +220,7 @@ class PortRegionTable:
 
     def dump(self):
         lines = [f"budget {self.budget}"]
-        for (tile, direction) in sorted(self._rects, key=lambda k: (k[0], k[1])):
+        for (tile, direction) in sorted(self._rects):
             rects = self._rects[(tile, direction)]
             body = " ".join(f"{r.lo}-{r.hi}" for r in rects) if rects else "-"
             lines.append(f"tile {tile} {direction}: {body}")

@@ -23,22 +23,23 @@ as ag.turns), as do the directions the port slots follow
                                        regions, both ends in one region)
 
 Nodes are numbered tile * P + port slot (RoutingGraph.port_id), in
-PortNode order, and the graph is a tuple of sorted successor-id
-tuples.  The reachability index, the route search and the region tables
-run on the ids; PortNode objects appear only in the views tests read
-(nodes, adj, port).  Each question about a graph has one
-structure: one depth-first pass orders the nodes and tells whether the
-graph is acyclic (is_deadlock_free), one propagation loop along that
-order gives the reach index (reach_by_id), and the graph's RouteProvider
-keeps every route it computed in its rows, which the scheduler reads
-directly.  A row entry is the Route itself: its links, its hop count and
-its path as port ids from local-in to local-out (rg.nodes[i] decodes
-one).  Every edge is gated by at most one health element, so a broken
-element only deletes edges, and _gated is the only code that maps an
-element to the edges it gates.  A cold build is the structural graph
-(mesh, turn model, regions; each tile's edges are tile 0's, shifted)
-minus the health map's broken set through without; a permanent fault
-derives the graph of the faulted state from the one before the same way.
+(tile, direction, kind) order, and the graph is a tuple of sorted
+successor-id tuples; the ids are the only form of a port.  The
+reachability index, the route search and the region tables run on
+them.  Each question about a graph has one structure: one depth-first
+pass orders the nodes and tells whether the graph is acyclic
+(is_deadlock_free), one propagation loop along that order gives the
+reach index (reach_by_id), and the graph's RouteProvider keeps every
+route it computed in its rows, which the scheduler reads directly.  A
+row entry is the Route itself: its link ids and its hop count.  The
+links fix the port path, since each link joins its d-out port to the
+opposite(d)-in port of the next router.  Every edge is gated by at most
+one health element, so a broken element only deletes edges, and _gated
+is the only code that maps an element to the edges it gates.  A cold
+build is the structural graph (mesh, turn model, regions; each tile's
+edges are tile 0's, shifted) minus the health map's broken set through
+without; a permanent fault derives the graph of the faulted state from
+the one before the same way.
 
 A derived graph also derives its reach bits.  `without` records the
 tails of the edges it really deletes.  From an acyclic parent with
@@ -57,7 +58,7 @@ is_deadlock_free.
 import random
 from typing import NamedTuple
 
-from .errors import RangeError, UnknownTile
+from .errors import RangeError
 from .graphs import OPPOSITE, TURN_SLOTS_2D, TURN_SLOTS_3D
 from .rng import derive_seed
 
@@ -126,15 +127,6 @@ def custom_turn_model(pairs, is_3d=False):
     return _model("custom", pairs)
 
 
-class PortNode(NamedTuple):
-    tile: int
-    direction: str
-    kind: str                               # "in" or "out"
-
-
-_KINDS = ("in", "out")
-
-
 def _port_slots(ag):
     """Node ids are tile * P + slot[direction] + (kind == "out"), where
     P is twice the port count.  Slots follow the mesh's direction
@@ -144,18 +136,13 @@ def _port_slots(ag):
 
 
 class RoutingGraph:
-    """Immutable port graph over int node ids with sorted adjacency.
+    """Immutable port graph over int node ids with sorted adjacency."""
 
-    The PortNode views (nodes, adj) are built on first request and
-    memoised; tables, routes and derived graphs read the ids only."""
-
-    def __init__(self, ag, succ, nodes=None):
+    def __init__(self, ag, succ):
         self.ag = ag
         self.succ = succ                    # tuple of sorted id tuples, by id
         self.slots = _port_slots(ag)
         self.ports_per_tile = 2 * len(self.slots)
-        self._nodes = nodes                 # memoised PortNode tuple, by id
-        self._adj = None                    # memoised PortNode adjacency
         self._reach = None                  # memoised reach bitsets, by id
         self._postorder = None              # (DFS postorder, acyclic flag)
         self._inherit = None                # (parent reach, deleted tails)
@@ -163,30 +150,6 @@ class RoutingGraph:
 
     def port_id(self, tile, direction, kind):
         return tile * self.ports_per_tile + self.slots[direction] + (kind == "out")
-
-    @property
-    def nodes(self):
-        """PortNode per id, ascending.  A derived graph takes its
-        source's tuple when that one is already built."""
-        if self._nodes is None:
-            self._nodes = tuple(PortNode(t, d, k) for t in range(len(self.ag))
-                                for d in self.slots for k in _KINDS)
-        return self._nodes
-
-    @property
-    def adj(self):
-        """dict PortNode -> tuple of successor PortNodes."""
-        if self._adj is None:
-            nodes = self.nodes
-            self._adj = {nodes[i]: tuple(nodes[j] for j in succs)
-                         for i, succs in enumerate(self.succ)}
-        return self._adj
-
-    def port(self, tile, direction, kind):
-        node = PortNode(tile, direction, kind)
-        if node not in self.adj:
-            raise UnknownTile(f"no port node {node}")
-        return node
 
     def _dfs(self):
         """(depth-first postorder, acyclic flag), memoised or inherited."""
@@ -256,7 +219,7 @@ class RoutingGraph:
                     k = succ[i].index(j)
                     succ[i] = succ[i][:k] + succ[i][k + 1:]
                     tails.append(i)
-        derived = RoutingGraph(self.ag, tuple(succ), self._nodes)
+        derived = RoutingGraph(self.ag, tuple(succ))
         if self._reach is not None and self._postorder[1]:
             derived._postorder = self._postorder
             derived._inherit = (self._reach, tails)
@@ -454,7 +417,6 @@ class RouteProvider:
         succ = self.succ
         link_of = self._links
         rng = None
-        path = [node]
         links = []
         while left > 0:
             left -= 1
@@ -467,12 +429,10 @@ class RouteProvider:
                 nxt = rng.choice(step)
             if nxt // P != node // P:
                 links.append(link_of[node])
-            path.append(nxt)
             node = nxt
-        return Route(tuple(links), len(links) + 1, tuple(path))
+        return Route(tuple(links), len(links) + 1)
 
 
 class Route(NamedTuple):
     links: tuple                            # link ids, source to destination
     hops: int                               # routers on the route
-    path: tuple                             # port ids, local-in to local-out

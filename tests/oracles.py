@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import weakref
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -25,17 +26,68 @@ from nocsim.reachability import Rectangle
 from nocsim.routing import RouteProvider
 
 
+# -- port decoding -------------------------------------------------------------
+# The library names a port only by its int id.  These decoders rebuild
+# the (tile, direction, kind) each id stands for from the layout the
+# routing module documents: per tile, an in and an out port for each of
+# the mesh's directions in order, then for L.
+
+
+class Port(NamedTuple):
+    tile: int
+    direction: str
+    kind: str                               # "in" or "out"
+
+
+_PORT_ADJ = weakref.WeakKeyDictionary()    # routing graph -> its port_adj
 _NX_GRAPHS = weakref.WeakKeyDictionary()   # routing graph -> its digraph
 
 
+def ports(rg):
+    """The Port of every node id of `rg`, ascending."""
+    return tuple(Port(t, d, k) for t in range(len(rg.ag))
+                 for d in rg.ag.directions() + ("L",) for k in ("in", "out"))
+
+
+def port_adj(rg):
+    """dict Port -> tuple of successor Ports, decoded from rg.succ."""
+    adj = _PORT_ADJ.get(rg)
+    if adj is None:
+        nodes = ports(rg)
+        assert len(nodes) == len(rg.succ)
+        adj = _PORT_ADJ[rg] = {nodes[i]: tuple(nodes[j] for j in succs)
+                               for i, succs in enumerate(rg.succ)}
+    return adj
+
+
+def port(rg, tile, direction, kind):
+    """The Port (tile, direction, kind), which must be a node of `rg`."""
+    node = Port(tile, direction, kind)
+    assert node in port_adj(rg), node
+    return node
+
+
+def route_ports(ag, route, src, dst):
+    """The port path of a src -> dst route, rebuilt from its link ids:
+    local-in(src), then per link its d-out port and the opposite(d)-in
+    port on its far side, then local-out(dst)."""
+    path = [Port(src, "L", "in")]
+    for link_id in route.links:
+        link = ag.links[link_id]
+        path += [Port(link.src, link.direction, "out"),
+                 Port(link.dst, OPPOSITE[link.direction], "in")]
+    return path + [Port(dst, "L", "out")]
+
+
 def rg_to_nx(rg):
-    """The routing graph as a networkx digraph; routing graphs are
-    immutable, so each is converted once."""
+    """The routing graph as a networkx digraph over Ports; routing
+    graphs are immutable, so each is converted once."""
     g = _NX_GRAPHS.get(rg)
     if g is None:
         g = _NX_GRAPHS[rg] = nx.DiGraph()
-        g.add_nodes_from(rg.nodes)
-        for src, dsts in rg.adj.items():
+        adj = port_adj(rg)
+        g.add_nodes_from(adj)
+        for src, dsts in adj.items():
             for dst in dsts:
                 g.add_edge(src, dst)
     return g
@@ -43,13 +95,14 @@ def rg_to_nx(rg):
 
 def has_cycle_dfs(rg):
     """Three-color depth-first cycle detector, recursion-free, written
-    against rg.adj directly."""
+    against port_adj directly."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in rg.nodes}
-    for root in rg.nodes:
+    adj = port_adj(rg)
+    color = {n: WHITE for n in adj}
+    for root in adj:
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(rg.adj.get(root, ())))]
+        stack = [(root, iter(adj[root]))]
         color[root] = GREY
         while stack:
             node, it = stack[-1]
@@ -59,7 +112,7 @@ def has_cycle_dfs(rg):
                     return True
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
-                    stack.append((nxt, iter(rg.adj.get(nxt, ()))))
+                    stack.append((nxt, iter(adj[nxt])))
                     advanced = True
                     break
             if not advanced:
@@ -69,7 +122,7 @@ def has_cycle_dfs(rg):
 
 
 def edge_label(ag, a, b):
-    """The health element gating edge a -> b (PortNodes), or "straight"
+    """The health element gating edge a -> b (Ports), or "straight"
     for a straight pass, read off the ports alone per the gating table in
     the routing module's docstring; exactly one rule must match."""
     inside = a.tile == b.tile and (a.kind, b.kind) == ("in", "out")
@@ -95,7 +148,7 @@ def nx_simple_paths(rg, src, dst, cutoff=None):
     """All local-in(src) to local-out(dst) simple paths, skipping paths
     that eject at an intermediate tile."""
     g = rg_to_nx(rg)
-    a, b = rg.port(src, "L", "in"), rg.port(dst, "L", "out")
+    a, b = port(rg, src, "L", "in"), port(rg, dst, "L", "out")
     out = []
     for path in nx.all_simple_paths(g, a, b, cutoff=cutoff):
         if any(p.direction == "L" and p.tile not in (src, dst)
@@ -113,11 +166,11 @@ def nx_reach(rg, start):
 
 def nx_port_reach(rg, tile, direction):
     """Tiles whose local-out is reachable from (tile, direction, out)."""
-    return nx_reach(rg, rg.port(tile, direction, "out"))
+    return nx_reach(rg, port(rg, tile, direction, "out"))
 
 
 def nx_tile_reach(rg, src):
-    return nx_reach(rg, rg.port(src, "L", "in"))
+    return nx_reach(rg, port(rg, src, "L", "in"))
 
 
 def unreachable_oracle(rg, tile, direction):
@@ -135,8 +188,8 @@ def drop_oracle(rg, src, dst):
     loop is missing."""
     if src == dst:
         g = rg_to_nx(rg)
-        return not g.has_edge(rg.port(src, "L", "in"),
-                              rg.port(src, "L", "out"))
+        return not g.has_edge(port(rg, src, "L", "in"),
+                              port(rg, src, "L", "out"))
     for direction in rg.ag.directions():
         if rg.ag.neighbor(src, direction) is None:
             continue
@@ -194,6 +247,18 @@ def cover_rectangles(dest_set, dims, budget):
     if len(dims) == 2:
         rects = [Rectangle(r.lo[:2], r.hi[:2]) for r in rects]
     return tuple(rects)
+
+
+def tile_bits(cells, dims):
+    """The tile-id bitset of a set of coords on a build_mesh mesh of
+    `dims`: bit x + (y + z*h)*w per cell."""
+    w, h = dims[0], dims[1]
+    d = dims[2] if len(dims) == 3 else 1
+    bits = 0
+    for x, y, z in map(_norm_coords, cells):
+        assert 0 <= x < w and 0 <= y < h and 0 <= z < d, (x, y, z)
+        bits |= 1 << (x + (y + z * h) * w)
+    return bits
 
 
 def _norm_coords(coords):
@@ -270,17 +335,7 @@ def best_partitions(tg, k):
         for p in parts(rest, k - 1):
             yield p + [{head}]
 
-    best = None
-    for partition in parts(ids, k):
-        task_cluster = {}
-        for i, cluster in enumerate(partition):
-            for t in cluster:
-                task_cluster[t] = i
-        cut = sum(w for (a, b), w in tg.edges.items()
-                  if task_cluster[a] != task_cluster[b])
-        if best is None or cut < best:
-            best = cut
-    return best
+    return min(cut_weight(tg, partition) for partition in parts(ids, k))
 
 
 def cluster_tasks(tg, k, heuristic="greedy-merge", seed=0):
@@ -313,7 +368,9 @@ def _inter_weight(tg, ga, gb):
     return w
 
 
-def _cut_of(tg, groups):
+def cut_weight(tg, groups):
+    """Total weight of the task edges whose ends lie in different
+    groups (sets of task ids that partition the tasks)."""
     owner = {}
     for gi, g in enumerate(groups):
         for t in g:
@@ -324,7 +381,7 @@ def _cut_of(tg, groups):
 def _local_search(tg, groups, seed, rounds=50):
     rng = random.Random(seed)
     groups = [set(g) for g in groups]
-    best_cut = _cut_of(tg, groups)
+    best_cut = cut_weight(tg, groups)
     for _ in range(rounds):
         improved = False
         tasks = list(range(len(tg)))
@@ -338,7 +395,7 @@ def _local_search(tg, groups, seed, rounds=50):
                     continue
                 groups[src].remove(t)
                 groups[dst].add(t)
-                cut = _cut_of(tg, groups)
+                cut = cut_weight(tg, groups)
                 if cut < best_cut:
                     best_cut = cut
                     src = dst
@@ -434,7 +491,7 @@ def asap_schedule(tg, mapping, shm, rg, comm=None, routes=None, base_time=0,
                 arrival = flow.delivery
             data_ready = max(data_ready, arrival)
 
-        task = tg.task(b)
+        task = tg.tasks[b]
         start = max(task.release, data_ready, pe_free.get(tile_b, base_time), base_time)
         finish = start + shm.effective_wcet(tile_b, task.wcet)
         pe_free[tile_b] = finish

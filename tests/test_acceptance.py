@@ -85,7 +85,7 @@ def _oracle_drop_table(rg):
         for direction in rg.ag.directions():
             if rg.ag.neighbor(tile, direction) is None:
                 continue
-            start = rg.port(tile, direction, "out")
+            start = oracles.port(rg, tile, direction, "out")
             seen = nx.descendants(g, start)
             union |= {n.tile for n in seen
                       if n.direction == "L" and n.kind == "out"}
@@ -296,16 +296,16 @@ def test_criterion_09_lbdr_bits_match_rg_edges():
     ag = ns.build_mesh(4, 4)
     for seed in range(1000):
         shm = random_shm(ag, seed, max_links=4, max_turns=6)
-        rg = ns.build_routing_graph(ag, ns.XY, shm)
+        adj = oracles.port_adj(ns.build_routing_graph(ag, ns.XY, shm))
         for tile in range(16):
             cfg = ns.derive_lbdr_config(shm, ns.XY, tile)
             for d in ("N", "E", "W", "S"):
-                out = rg.port(tile, d, "out")
-                has_ext = any(b.tile != tile for b in rg.adj[out])
+                out = adj[oracles.Port(tile, d, "out")]
+                has_ext = any(b.tile != tile for b in out)
                 assert bool(cfg.connectivity[d]) == has_ext, (seed, tile, d)
             for (a, b), bit in cfg.routing.items():
-                edge = (rg.port(tile, b, "out")
-                        in rg.adj[rg.port(tile, a, "in")])
+                edge = (oracles.Port(tile, b, "out")
+                        in adj[oracles.Port(tile, a, "in")])
                 assert bool(bit) == edge, (seed, tile, a, b)
     report(9, "connectivity and routing bits bijective with routing-graph "
               "edges across 1000 random health states")

@@ -41,10 +41,6 @@ def test_route_provider_shortest_paths(mesh44):
         dx, dy = mesh44.coords(dst)
         assert route.hops == abs(sx - dx) + abs(sy - dy) + 1
         assert len(route.links) == route.hops - 1
-        # Every step exists in the routing graph.
-        ports = [rg.nodes[i] for i in route.path]
-        for a, b in zip(ports, ports[1:]):
-            assert b in rg.adj[a]
 
 
 def test_route_provider_deterministic_per_pair(mesh44):

@@ -7,7 +7,7 @@ import pytest
 
 import nocsim as ns
 from nocsim.errors import (RangeError, RegionBudgetError, SemanticError,
-                           UnknownPort, UnknownTile)
+                           UnknownPort)
 
 
 def _aged_out():
@@ -46,13 +46,12 @@ def _rg22():
      UnknownPort, "tile 0 has no W output port"),
     (lambda: ns.build_region_tables(_rg22(), 0), RegionBudgetError,
      "rectangle budget must be >= 1, got 0"),
-    (lambda: _rg22().port(0, "U", "out"), UnknownTile, "no port node"),
     (lambda: ns.expand_injection(ns.Injection(0, ("pe", 0), "sporadic")),
      SemanticError, "unknown persistence 'sporadic'"),
 ], ids=["effective-wcet-aged-out",
         "initial-policy", "heuristic-foreign-clustering",
         "heuristic-cost", "heuristic-name", "region-table-port",
-        "region-budget", "routing-graph-port", "injection-persistence"])
+        "region-budget", "injection-persistence"])
 def test_unreached_raise_site_raises_its_error(call, error, fragment):
     with pytest.raises(error) as exc:
         call()

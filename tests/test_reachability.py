@@ -50,23 +50,25 @@ def test_unreachable_broken_east_link_east_port_dangles():
 
 
 def test_cover_column_is_one_rectangle():
-    rects = ns.cover_rectangles({(1, 0), (1, 1)}, (2, 2), 4)
+    rects = ns.cover_rectangles(oracles.tile_bits({(1, 0), (1, 1)}, (2, 2)),
+                                (2, 2), 4)
     assert rects == (ns.Rectangle((1, 0), (1, 1)),)
 
 
 def test_cover_empty():
-    assert ns.cover_rectangles(set(), (2, 2), 4) == ()
+    assert ns.cover_rectangles(0, (2, 2), 4) == ()
 
 
 def test_cover_merge_to_budget_overapproximates():
-    rects = ns.cover_rectangles({(0, 0), (1, 1)}, (2, 2), 1)
+    rects = ns.cover_rectangles(oracles.tile_bits({(0, 0), (1, 1)}, (2, 2)),
+                                (2, 2), 1)
     assert rects == (ns.Rectangle((0, 0), (1, 1)),)
     assert rects[0].area() == 4
 
 
 def test_cover_budget_zero_rejected():
     with pytest.raises(RegionBudgetError):
-        ns.cover_rectangles({(0, 0)}, (2, 2), 0)
+        ns.cover_rectangles(1, (2, 2), 0)
 
 
 def test_rectangle_contains():
@@ -83,10 +85,11 @@ def test_cover_is_sound_and_within_budget(seed, budget):
     w, h = rng.randint(2, 5), rng.randint(2, 5)
     cells = {(rng.randrange(w), rng.randrange(h))
              for _ in range(rng.randint(1, w * h))}
-    rects = ns.cover_rectangles(cells, (w, h), budget)
+    bits = oracles.tile_bits(cells, (w, h))
+    rects = ns.cover_rectangles(bits, (w, h), budget)
     assert len(rects) <= budget
     assert all(any(r.contains(c) for r in rects) for c in cells)
-    generous = ns.cover_rectangles(cells, (w, h), w * h)
+    generous = ns.cover_rectangles(bits, (w, h), w * h)
     covered = {(x, y) for x in range(w) for y in range(h)
                if any(r.contains((x, y)) for r in generous)}
     assert covered == cells
@@ -106,15 +109,14 @@ def test_cover_matches_oracle(data):
     cells = {c for c in itertools.product(*(range(d) for d in dims))
              if rng.random() < density}
     budget = data.draw(st.integers(1, 8))
-    assert ns.cover_rectangles(cells, dims, budget) == \
-        oracles.cover_rectangles(cells, dims, budget)
+    assert ns.cover_rectangles(oracles.tile_bits(cells, dims), dims, budget) \
+        == oracles.cover_rectangles(cells, dims, budget)
 
 
 def test_cover_deterministic():
-    cells = {(0, 0), (2, 1), (1, 2), (2, 2), (0, 2)}
-    a = ns.cover_rectangles(cells, (3, 3), 2)
-    b = ns.cover_rectangles(set(cells), (3, 3), 2)
-    assert a == b
+    bits = oracles.tile_bits({(0, 0), (2, 1), (1, 2), (2, 2), (0, 2)}, (3, 3))
+    assert ns.cover_rectangles(bits, (3, 3), 2) == \
+        ns.cover_rectangles(bits, (3, 3), 2)
 
 
 # -- port tables and the drop filter ----------------------------------------------

@@ -2,7 +2,7 @@ import collections
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nocsim as ns
 from nocsim.errors import RangeError
@@ -75,13 +75,13 @@ def test_custom_model_rejects_non_turn():
 
 
 def test_rg_node_counts():
-    assert len(healthy_rg(2, 2).nodes) == 4 * 10
+    assert len(oracles.ports(healthy_rg(2, 2))) == 4 * 10
     rg3 = healthy_rg(2, 2, depth=2)
-    assert len(rg3.nodes) == 8 * 14
+    assert len(oracles.ports(rg3)) == 8 * 14
 
 
 def external_edges(rg):
-    return [(a, b) for a, dsts in rg.adj.items() for b in dsts
+    return [(a, b) for a, dsts in oracles.port_adj(rg).items() for b in dsts
             if a.tile != b.tile]
 
 
@@ -95,7 +95,7 @@ def test_rg_broken_link_removes_one_external_edge():
     shm.apply_fault(("link", ag.link(0, "E").id))
     rg = ns.build_routing_graph(ag, ns.XY, shm)
     assert len(external_edges(rg)) == 7
-    assert len(rg.nodes) == 40
+    assert len(oracles.ports(rg)) == 40
 
 
 def test_healthy_rgs_acyclic_all_models():
@@ -206,6 +206,46 @@ def test_xy_at_most_one_path_under_faults(seed):
         assert len(oracles.nx_simple_paths(rg, src, dst)) <= 1
 
 
+ROUTE_CASES = {
+    "xy": ns.XY,
+    "west_first": ns.WEST_FIRST,
+    "north_last": ns.NORTH_LAST,
+    "negative_first": ns.NEGATIVE_FIRST,
+    "xyz_3x3x2": ns.XYZ,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_every_route_steps_along_the_graph(case, data):
+    """A route is its link ids and hop count; the port path those links
+    fix runs along rg.succ from local-in(src) to local-out(dst), and a
+    pair has a route exactly when local-in(src) reaches dst."""
+    model = ROUTE_CASES[case]
+    if model is ns.XYZ:
+        ag = ns.build_mesh(3, 3, 2)
+    else:
+        ag = ns.build_mesh(data.draw(st.integers(1, 5), label="w"),
+                           data.draw(st.integers(1, 5), label="h"))
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    shm = random_shm(ag, seed, max_links=6 if ag.links else 0, max_turns=0)
+    rg = ns.build_routing_graph(ag, model, shm)
+    routes = rg.route_provider(seed)
+    reach = rg.reach_by_id()
+    ids = {node: i for i, node in enumerate(oracles.ports(rg))}
+    for src, dst in itertools.product(range(len(ag)), repeat=2):
+        route = routes.route(src, dst)
+        assert (route is not None) == bool(
+            reach[ids[oracles.Port(src, "L", "in")]] >> dst & 1)
+        if route is None:
+            continue
+        assert route.hops == len(route.links) + 1
+        path = [ids[p] for p in oracles.route_ports(ag, route, src, dst)]
+        for a, b in zip(path, path[1:]):
+            assert b in rg.succ[a], (src, dst, route)
+
+
 # -- reachability ----------------------------------------------------------------
 # Row s of the all-pairs reachability matrix is the reach bits of s's
 # local-in port.
@@ -259,7 +299,7 @@ def test_reach_index_matches_oracles(case, seed, turns):
     rg = ns.build_routing_graph(ag, model, shm)
     n = len(ag)
     reach = rg.reach_by_id()
-    for i, node in enumerate(rg.nodes):
+    for i, node in enumerate(oracles.ports(rg)):
         assert {t for t in range(n) if reach[i] >> t & 1} == \
             oracles.nx_reach(rg, node)
 
@@ -316,8 +356,8 @@ def test_rg_monotone_under_extra_faults(seed):
     shm.apply_fault(("link", seed % len(ag.links)))
     shm.apply_fault(("turn", seed % 9, seed % 8))
     rg_b = ns.build_routing_graph(ag, ns.XY, shm)
-    edges_a = {(a, b) for a, ds in rg_a.adj.items() for b in ds}
-    edges_b = {(a, b) for a, ds in rg_b.adj.items() for b in ds}
+    edges_a = {(a, b) for a, ds in oracles.port_adj(rg_a).items() for b in ds}
+    edges_b = {(a, b) for a, ds in oracles.port_adj(rg_b).items() for b in ds}
     assert edges_b <= edges_a
 
 
@@ -338,7 +378,7 @@ GATING_CASES = {
 
 
 def _port_edges(rg):
-    return {(a, b) for a, succs in rg.adj.items() for b in succs}
+    return {(a, b) for a, succs in oracles.port_adj(rg).items() for b in succs}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -414,7 +454,7 @@ def test_single_region_equals_unpartitioned(mesh33):
     shm = ns.SystemHealthMap(mesh33)
     rg_a = ns.build_routing_graph(mesh33, ns.XY, shm)
     rg_b = ns.build_routing_graph(mesh33, ns.XY, shm, regions=regions)
-    assert rg_a.adj == rg_b.adj
+    assert oracles.port_adj(rg_a) == oracles.port_adj(rg_b)
 
 
 def test_isolated_tile_region(mesh33):

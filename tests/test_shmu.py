@@ -8,6 +8,7 @@ from nocsim.errors import (EmptyHistory, LengthMismatch, RangeError, UnknownTarg
                            UnknownTile)
 from nocsim.shmu import flow_elements
 
+import oracles
 from conftest import chain_tg
 
 
@@ -252,7 +253,7 @@ def test_flow_turns_read_off_links_match_the_port_path(seed):
         route = routes.route(src, dst)
         if route is None:
             continue
-        ports = [rg.nodes[i] for i in route.path]
+        ports = oracles.route_ports(ag, route, src, dst)
         taken = {(a.tile, slots.index((a.direction, b.direction)))
                  for a, b in zip(ports, ports[1:])
                  if a.kind == "in" and b.kind == "out"
