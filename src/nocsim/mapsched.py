@@ -29,10 +29,15 @@ annealing) share one single-move neighborhood and are deterministic
 given their inputs and seed.  With a clustered application the move
 unit is the whole cluster; tasks inherit their cluster's tile.
 Candidates are scored by the same pass and the one cost routine, _cost,
-without building a Schedule; only the winner's is built.  A one-unit
-move from a feasible assignment that breaks a route is rejected from
-the moved unit's cross-unit edges alone, without a pass; it still
-counts as an evaluation."""
+without building a Schedule; only the winner's is built.  Descent and
+annealing score each one-unit move in place on one assignment list and
+undo it; annealing draws its moves with the stdlib's randrange/choice
+rejection loop, inlined, so its stream is theirs.  Where some pair of
+usable tiles has no route (the provider's distance columns tell), a
+one-unit move from a feasible assignment that breaks a route is
+rejected from the moved unit's cross-unit edges alone, without a pass;
+it still counts as an evaluation.  Where every pair routes, no move can
+break one, and that check is skipped."""
 
 import math
 import random
@@ -156,16 +161,19 @@ class _AsapPass:
             (b, tg.tasks[b].release,
              tuple((a, tg.edges[(a, b)] * unit) for a in tg.predecessors(b)))
             for b in tg.topological_order()]
+        self.rows = self.routes.rows
+        self.router_delay = self.comm.router_delay
         self.wcet = [None] * len(shm.ag)
         for tile in tiles:
             self.wcet[tile] = [shm.effective_wcet(tile, t.wcet) for t in tg.tasks]
         self.n_links = len(shm.ag.links)
 
     def run(self, mapping, base_time=0, finished=frozenset(), records=None):
-        """Walks the step table and computes each start once: the latest
-        of release, PE free time and data arrivals (an unroutable pair
-        raises UnroutableFlow).  Returns the per-task start and finish
-        lists and the busy lanes.  When `records` is a list, appends
+        """Walks the step table, less the `finished` tasks, and computes
+        each start once: the latest of release, PE free time and data
+        arrivals (an unroutable pair raises UnroutableFlow).  Returns
+        the per-task start and finish lists and the busy lanes.  When
+        `records` is a list, appends
         (src task, dst task, src tile, dst tile, hold, Route, injection)
         to it per transfer.
 
@@ -187,15 +195,16 @@ class _AsapPass:
         """
         wcet = self.wcet
         routes = self.routes
-        r = self.comm.router_delay
-        rows = routes.rows
-        start = [base_time] * len(self.steps)
-        finish = [base_time] * len(self.steps)
+        r = self.router_delay
+        rows = self.rows
+        steps = self.steps
+        start = [base_time] * len(steps)
+        finish = [base_time] * len(steps)
         pe_free = [base_time] * len(wcet)
         busy = [None] * self.n_links
-        for b, release, preds in self.steps:
-            if finished and b in finished:
-                continue
+        if finished:
+            steps = [step for step in steps if step[0] not in finished]
+        for b, release, preds in steps:
             tile_b = mapping[b]
             ready = pe_free[tile_b]
             if release > ready:
@@ -257,7 +266,7 @@ class _AsapPass:
         transfer."""
         records = []
         start, finish, _ = self.run(mapping, base_time, finished, records)
-        r = self.comm.router_delay
+        r = self.router_delay
         flows = []
         for a, b, tile_a, tile_b, hold, (links, hops), t in records:
             intervals = tuple(
@@ -296,7 +305,12 @@ def _pstdev(values):
     if not values:
         return 0.0
     mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    # Added left to right, as sum() added floats before Python 3.12 made
+    # it compensated, so a cost is one float on every Python version.
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return math.sqrt(squares / len(values))
 
 
 def _cost(kind, tiles, start, finish, busy, base_time=0):
@@ -425,6 +439,8 @@ class _Search(_AsapPass):
             if ua != ub:
                 cross[ua][ua, ub] = cross[ub][ua, ub] = None
         self.cross = [tuple(pairs) for pairs in cross]
+        # A move can break a route only where some pair of tiles has none.
+        self.check_moves = not self.routes.connects(self.tiles)
         self.evaluations = 0
 
     def evaluate(self, unit_tiles, moved=None):
@@ -433,12 +449,13 @@ class _Search(_AsapPass):
 
         `moved` names the one unit in which `unit_tiles` differs from a
         feasible assignment (descend's and _run_sa's moves).  Only that
-        unit's cross-unit edges can then lack a route, so they are
+        unit's cross-unit edges can then lack a route, so, on a search
+        whose usable tiles do not all route to each other, they are
         checked against the provider's rows first, and a candidate that
         breaks one is rejected without a pass.  Either way the call
         counts as one evaluation."""
         self.evaluations += 1
-        if moved is not None:
+        if moved is not None and self.check_moves:
             routes = self.routes
             rows = routes.rows
             for ua, ub in self.cross[moved]:
@@ -480,7 +497,9 @@ class _Search(_AsapPass):
         )
 
     def descend(self, unit_tiles, cost):
-        """Steepest descent with the single-unit-move neighborhood."""
+        """Steepest descent with the single-unit-move neighborhood.  Each
+        move is scored in place on one copy of `unit_tiles` and undone."""
+        unit_tiles = list(unit_tiles)
         while True:
             best_move = None
             for u in range(len(self.units)):
@@ -488,16 +507,17 @@ class _Search(_AsapPass):
                 for tile in self.tiles:
                     if tile == here:
                         continue
-                    cand = list(unit_tiles)
-                    cand[u] = tile
-                    c = self.evaluate(cand, u)
+                    unit_tiles[u] = tile
+                    c = self.evaluate(unit_tiles, u)
                     if c is not None and c < cost and (
                         best_move is None or c < best_move[0]
                     ):
-                        best_move = (c, cand)
+                        best_move = (c, u, tile)
+                unit_tiles[u] = here
             if best_move is None:
                 return unit_tiles, cost
-            cost, unit_tiles = best_move
+            cost, u, tile = best_move
+            unit_tiles[u] = tile
 
 
 def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
@@ -561,31 +581,47 @@ def _run_ils(search, start, seed, iterations, sa_params):
 
 
 def _run_sa(search, start, seed, iterations, params):
+    """Simulated annealing (Kirkpatrick et al., Science 1983).  Each
+    move draws its unit and its tile with the rejection loop of the
+    stdlib's randrange(n) and choice(seq), getrandbits(n.bit_length())
+    until below n, inlined, so the stream is theirs.  The move is scored
+    in place on the one current assignment and undone when rejected."""
     rng = random.Random(derive_seed(seed, "sa"))
+    getrandbits = rng.getrandbits
     assign, cost = search.feasible_start(start)
+    assign = list(assign)
     best_assign, best_cost = list(assign), cost
+    evaluate = search.evaluate
+    tiles = search.tiles
+    n_units, n_tiles = len(search.units), len(tiles)
+    k_units, k_tiles = n_units.bit_length(), n_tiles.bit_length()
 
     t0 = params.t0 if params.t0 is not None else float(cost)
-    if t0 <= 0:
+    if t0 <= 0 or not n_units:              # no units: no move to draw
         return search.descend(assign, cost)[0]
     tmin = params.tmin_ratio * t0
     temp = t0
     while temp > tmin:
         for _ in range(params.moves_per_temp):
-            u = rng.randrange(len(search.units))
-            tile = rng.choice(search.tiles)
-            if tile == assign[u]:
+            u = getrandbits(k_units)
+            while u >= n_units:
+                u = getrandbits(k_units)
+            i = getrandbits(k_tiles)
+            while i >= n_tiles:
+                i = getrandbits(k_tiles)
+            here, tile = assign[u], tiles[i]
+            if tile == here:
                 continue
-            cand = list(assign)
-            cand[u] = tile
-            c = search.evaluate(cand, u)
-            if c is None:
-                continue
-            delta = c - cost
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                assign, cost = cand, c
-                if c < best_cost:
-                    best_assign, best_cost = list(cand), c
+            assign[u] = tile
+            c = evaluate(assign, u)
+            if c is not None:
+                delta = c - cost
+                if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                    cost = c
+                    if c < best_cost:
+                        best_assign, best_cost = list(assign), c
+                    continue
+            assign[u] = here
         temp *= params.alpha
     return best_assign
 

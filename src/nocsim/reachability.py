@@ -204,7 +204,8 @@ class PortRegionTable:
         self._reach = reach                 # the graph's reach bits, by id
 
     def ports(self, tile):
-        return sorted(d for (t, d) in self._rects if t == tile)
+        return [d for d in sorted(self.ag.directions())
+                if (tile, d) in self._rects]
 
     def rectangles(self, tile, direction):
         if (tile, direction) not in self._rects:

@@ -344,6 +344,13 @@ class RouteProvider:
     order.  The sub-stream is seeded at the pair's first choice; a pair
     that has none never draws.
 
+    A walk chooses only at in-side ports.  An in port's successors are
+    out ports of its router, and a d-out port has one successor at
+    most, its link's far in port (none when the link is broken or cut
+    by regions; such a port reaches no tile, so no walk picks it).  So
+    from a d-out the walk takes its link without a choice, and draws
+    what a walk that chose at every port would draw.
+
     Routes are kept in rows: rows[src][dst] is None until the pair is
     first routed, then () when it has no route, else its Route.  A
     source's row is made on its first use, so a large mesh allocates
@@ -393,6 +400,14 @@ class RouteProvider:
         self._dist[dst] = dist
         return dist
 
+    def connects(self, tiles):
+        """True iff every tile of `tiles` routes to every one: each
+        tile's local-in has a distance in each tile's column."""
+        P, local = self._P, self._local
+        sources = [t * P + local for t in tiles]
+        return all(min(map(self._dist_to(dst).__getitem__, sources)) >= 0
+                   for dst in tiles)
+
     def route(self, src, dst):
         """The pair's Route, or None when unroutable, from its row
         entry; the entry is computed on the first request."""
@@ -407,10 +422,12 @@ class RouteProvider:
         return entry or None
 
     def _walk(self, src, dst):
-        """The pair's row entry: () or its Route."""
+        """The pair's row entry: () or its Route.  Walks a shortest path
+        from src's local-in one router per step: pick an out port one
+        hop closer (drawing when several are), then, unless it is dst's
+        local-out, take its link to the next router's in port."""
         dist = self._dist_to(dst)
-        P = self._P
-        node = src * P + self._local
+        node = src * self._P + self._local
         left = dist[node]
         if left < 0:
             return ()
@@ -418,19 +435,20 @@ class RouteProvider:
         link_of = self._links
         rng = None
         links = []
-        while left > 0:
+        while True:
             left -= 1
             step = [n for n in succ[node] if dist[n] == left]
             if len(step) == 1:
-                nxt = step[0]
+                out = step[0]
             else:
                 if rng is None:
                     rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
-                nxt = rng.choice(step)
-            if nxt // P != node // P:
-                links.append(link_of[node])
-            node = nxt
-        return Route(tuple(links), len(links) + 1)
+                out = rng.choice(step)
+            if not left:                    # dst's local-out
+                return Route(tuple(links), len(links) + 1)
+            links.append(link_of[out])
+            node = succ[out][0]
+            left -= 1
 
 
 class Route(NamedTuple):

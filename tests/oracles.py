@@ -23,7 +23,8 @@ from nocsim.mapsched import (
     validate_mapping,
 )
 from nocsim.reachability import Rectangle
-from nocsim.routing import RouteProvider
+from nocsim.rng import derive_seed
+from nocsim.routing import Route, RouteProvider
 
 
 # -- port decoding -------------------------------------------------------------
@@ -77,6 +78,36 @@ def route_ports(ag, route, src, dst):
         path += [Port(link.src, link.direction, "out"),
                  Port(link.dst, OPPOSITE[link.direction], "in")]
     return path + [Port(dst, "L", "out")]
+
+
+def port_by_port_walk(self, src, dst):
+    """RouteProvider._walk as it was before it stepped once per router:
+    one step per port, a choice among the successors one hop closer at
+    every port, on `self`'s distance table and seed.  The pair's row
+    entry: () or its Route."""
+    dist = self._dist_to(dst)
+    P = self._P
+    node = src * P + self._local
+    left = dist[node]
+    if left < 0:
+        return ()
+    succ = self.succ
+    link_of = self._links
+    rng = None
+    links = []
+    while left > 0:
+        left -= 1
+        step = [n for n in succ[node] if dist[n] == left]
+        if len(step) == 1:
+            nxt = step[0]
+        else:
+            if rng is None:
+                rng = random.Random(derive_seed(self.seed, f"route:{src}:{dst}"))
+            nxt = rng.choice(step)
+        if nxt // P != node // P:
+            links.append(link_of[node])
+        node = nxt
+    return Route(tuple(links), len(links) + 1)
 
 
 def rg_to_nx(rg):
@@ -413,7 +444,10 @@ def pstdev(values):
     if not values:
         return 0.0
     mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    squares = 0.0                           # left to right, on every version
+    for v in values:
+        squares += (v - mean) ** 2
+    return math.sqrt(squares / len(values))
 
 
 def schedule_cost(schedule, kind):

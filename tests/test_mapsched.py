@@ -14,6 +14,7 @@ from nocsim.errors import (
     UnknownTile,
     UnroutableFlow,
 )
+from nocsim.rng import derive_seed
 
 import oracles
 from conftest import chain_tg, random_shm, two_regions
@@ -370,6 +371,15 @@ def test_sa_tiny_t0_acts_as_descent():
                              seed=2).schedule
     assert ns.evaluate_cost(sched, ns.SCHEDULE_LENGTH) <= \
         ns.evaluate_cost(s0, ns.SCHEDULE_LENGTH)
+
+
+def test_sa_without_units_draws_no_move():
+    """An empty application has no unit to move; its draw loop would
+    never end (getrandbits(0) is 0), so SA returns the empty mapping."""
+    ag, shm, rg = platform(2, 2)
+    tg = ns.build_task_graph([], {})
+    r = ns.run_heuristic("sa", tg, shm, rg, sa_params=ns.SaParams(t0=1.0))
+    assert r.mapping == [] and r.evaluations == 1
 
 
 @pytest.mark.parametrize("field, value", [
@@ -829,3 +839,34 @@ def test_heuristics_match_reference_driven_search(monkeypatch, case):
     assert got.schedule.dump() == want.schedule.dump()
     ref = oracles.asap_schedule(tg, want.mapping, shm, rg, routes=kw["routes"])
     assert got.schedule.dump() == ref.dump()
+
+
+class _MoveLog:
+    """A stand-in search for _run_sa: every unit starts off the tiles,
+    so every draw is a move, and evaluate logs the move and rejects it."""
+
+    def __init__(self, n_units, tiles):
+        self.units, self.tiles, self.moves = [None] * n_units, tiles, []
+
+    def feasible_start(self, start):
+        return start, 1.0
+
+    def evaluate(self, assign, u):
+        self.moves.append((u, assign[u]))
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2**64))
+def test_sa_draws_match_randrange_and_choice(seed):
+    """_run_sa draws with getrandbits in the stdlib's rejection loop; for
+    every size 1..70 of the units and of the tiles, its moves must be
+    what randrange(units) and choice(tiles) draw from the same stream."""
+    params = ns.SaParams(t0=1.0, alpha=0.5, moves_per_temp=20, tmin_ratio=0.1)
+    for n in range(1, 71):
+        tiles = list(range(100, 171 - n))
+        search = _MoveLog(n, tiles)
+        ns.mapsched._run_sa(search, [-1] * n, seed, 0, params)
+        rng = random.Random(derive_seed(seed, "sa"))
+        # Four temperature levels (1, 1/2, 1/4, 1/8 > 1/10) of 20 moves.
+        assert search.moves == [(rng.randrange(n), rng.choice(tiles))
+                                for _ in range(4 * 20)]

@@ -178,6 +178,22 @@ def test_budget_one_single_rectangle_per_port():
             assert len(tables.rectangles(tile, d)) <= 1
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 10**6), st.booleans())
+def test_ports_are_the_tiles_sorted_table_keys(seed, is_3d):
+    """ports(tile) reads the mesh's directions; it must list what a scan
+    of the table's (tile, direction) keys, sorted, lists."""
+    rng = random.Random(seed)
+    dims = [rng.randint(1, 4), rng.randint(1, 4)] + ([rng.randint(1, 3)] if is_3d else [])
+    ag = ns.build_mesh(*dims)
+    model = ns.XYZ if is_3d else rng.choice(
+        (ns.XY, ns.WEST_FIRST, ns.NORTH_LAST, ns.NEGATIVE_FIRST))
+    rg = ns.build_routing_graph(ag, model, random_shm(ag, seed, max_pes=1))
+    tables = ns.build_region_tables(rg, rng.randint(1, 4))
+    for tile in range(len(ag) + 1):
+        assert tables.ports(tile) == sorted(d for (t, d) in tables._rects if t == tile)
+
+
 @given(st.integers(0, 10**6))
 def test_drop_conservative_at_tight_budget(seed):
     """A tight budget may drop reachable destinations but must never

@@ -246,6 +246,34 @@ def test_every_route_steps_along_the_graph(case, data):
             assert b in rg.succ[a], (src, dst, route)
 
 
+WALK_MODELS = [ns.XY, ns.WEST_FIRST, ns.NORTH_LAST, ns.NEGATIVE_FIRST,
+               "xyz_3x3x2", "two_regions"]
+
+
+@settings(max_examples=60)
+@given(model=st.sampled_from(WALK_MODELS), w=st.integers(1, 6),
+       h=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_walk_matches_port_by_port_oracle(model, w, h, seed):
+    """The walk steps once per router, choosing only at in-side ports;
+    every pair's row entry must equal the port-by-port walk's on the
+    same distance table and seed, draws included."""
+    regions = None
+    if model == "xyz_3x3x2":
+        ag, model = ns.build_mesh(3, 3, 2), ns.XYZ
+    else:
+        ag = ns.build_mesh(w, h)
+        if model == "two_regions":
+            model = ns.XY
+            regions = two_regions(ag, ns.WEST_FIRST, ns.NORTH_LAST)
+    shm = random_shm(ag, seed, max_links=4 if ag.links else 0, max_turns=3,
+                     max_pes=2)
+    rg = ns.build_routing_graph(ag, model, shm, regions=regions)
+    routes = ns.RouteProvider(rg, seed % 7)
+    for src, dst in itertools.product(range(len(ag)), repeat=2):
+        assert routes._walk(src, dst) == oracles.port_by_port_walk(
+            routes, src, dst), (src, dst)
+
+
 # -- reachability ----------------------------------------------------------------
 # Row s of the all-pairs reachability matrix is the reach bits of s's
 # local-in port.
