@@ -86,7 +86,6 @@ from .mapsched import (
     asap_schedule,
     dump_mapping,
     evaluate_cost,
-    initial_mapping,
     run_heuristic,
     usable_tiles,
     validate_mapping,

@@ -169,6 +169,8 @@ def random_task_graph(n, density, seed, wcet_range=(1, 20), weight_range=(1, 10)
     with probability `density`; edge direction follows task id order so
     the result is acyclic by construction.  Deterministic for a seed.
     """
+    if type(n) is not int:
+        raise RangeError(f"task count must be an int, got {n!r}")
     if n <= 0:
         raise RangeError(f"task count must be positive, got {n}")
     if not 0.0 <= density <= 1.0:
@@ -268,7 +270,11 @@ def _merge(tg, k):
     return [members[a] for a in alive]
 
 
-def _local_search(tg, groups, seed, rounds=50):
+# At most this many shuffled passes of local-search clustering.
+LOCAL_SEARCH_ROUNDS = 50
+
+
+def _local_search(tg, groups, seed):
     """Move single tasks between clusters while the cut improves.
 
     Moves that would empty a cluster are skipped (k is fixed).  Moving
@@ -282,7 +288,7 @@ def _local_search(tg, groups, seed, rounds=50):
         for t in g:
             owner[t] = gi
     adj = _edge_weights(tg)
-    for _ in range(rounds):
+    for _ in range(LOCAL_SEARCH_ROUNDS):
         improved = False
         tasks = list(range(len(tg)))
         rng.shuffle(tasks)
@@ -391,6 +397,8 @@ def build_mesh(width, height, depth=None):
     direction order) so enumeration is canonical.
     """
     dims = (width, height) if depth is None else (width, height, depth)
+    if any(type(d) is not int for d in dims):
+        raise RangeError(f"mesh dimensions must be ints, got {dims}")
     if any(d <= 0 for d in dims):
         raise ZeroDimensionError(f"mesh dimensions must be positive, got {dims}")
 

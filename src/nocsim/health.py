@@ -90,7 +90,7 @@ class SystemHealthMap:
     def set_aging(self, tile, percent):
         """Record the frequency decrement (0..100) of a tile's PE."""
         self.ag.check_tile(tile)
-        if not isinstance(percent, int) or not 0 <= percent <= 100:
+        if type(percent) is not int or not 0 <= percent <= 100:
             raise RangeError(f"aging decrement must be an int in 0..100, got {percent!r}")
         self._aging[tile] = percent
 

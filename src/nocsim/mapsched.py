@@ -6,7 +6,8 @@ does one topological pass computing each task's start exactly once
 prepares that pass once (a step table of (task, release, ((pred,
 hold), ...)) in topological order, the per-tile cycle table, transfer
 model, route provider) and runs it per mapping: asap_schedule builds one
-over the mapped tiles, and a search is one over the usable tiles.  Data
+over the mapped tiles, and a search is one over the usable tiles, which
+scores its candidates and then builds its winner's schedule.  Data
 transfers occupy route links and are serialized where links are
 contended (earliest-fit).  The pass keeps each link's busy intervals as
 one sorted flat lane [s0, e0, s1, e1, ...], the format _cost reads.  A
@@ -29,7 +30,8 @@ annealing) share one single-move neighborhood and are deterministic
 given their inputs and seed.  With a clustered application the move
 unit is the whole cluster; tasks inherit their cluster's tile.
 Candidates are scored by the same pass and the one cost routine, _cost,
-without building a Schedule; only the winner's is built.  Descent and
+without building a Schedule; only the winner's is built.  A search
+starts from its initial policy's unit assignment.  Descent and
 annealing score each one-unit move in place on one assignment list and
 undo it; annealing draws its moves with the stdlib's randrange/choice
 rejection loop, inlined, so its stream is theirs.  Where some pair of
@@ -383,21 +385,6 @@ def usable_tiles(shm):
 INITIAL_POLICIES = ("first_fit", "random")
 
 
-def initial_mapping(tg, shm, policy="first_fit", seed=0, ctg=None):
-    """Starting assignment: "first_fit" deals units onto usable tiles
-    round-robin by id; "random" draws each unit's tile from `seed`."""
-    units = _units(tg, ctg)
-    tiles = usable_tiles(shm)
-    if policy == "first_fit":
-        unit_tiles = [tiles[i % len(tiles)] for i in range(len(units))]
-    elif policy == "random":
-        rng = random.Random(seed)
-        unit_tiles = [rng.choice(tiles) for _ in units]
-    else:
-        raise RangeError(f"unknown initial mapping policy {policy!r}")
-    return _expand(units, unit_tiles, len(tg))
-
-
 def _units(tg, ctg):
     if ctg is None:
         return [frozenset((i,)) for i in range(len(tg))]
@@ -420,16 +407,29 @@ class _Search(_AsapPass):
     unit its cross-unit edges as (source unit, destination unit) pairs,
     both directions, each pair once.  The route provider's rows outlive
     the search.  Candidates only ever place units on usable tiles, so
-    they need no per-candidate validation."""
+    they need no per-candidate validation, and neither does the winner
+    the search's own pass schedules.
 
-    def __init__(self, tg, shm, rg, cost, ctg, comm, routes):
+    `start` is the unit assignment a heuristic starts from:
+    "first_fit" deals units onto the usable tiles round-robin by id;
+    "random" draws each unit's tile from derive_seed(seed, "initial")."""
+
+    def __init__(self, tg, shm, rg, cost, ctg, comm, routes,
+                 initial_policy="first_fit", seed=0):
         if cost not in COST_KINDS:
             raise RangeError(f"unknown cost function {cost!r}; choices: {COST_KINDS}")
         self.cost = cost
         self.units = _units(tg, ctg)
         self.clustered = ctg is not None
-        self.tiles = usable_tiles(shm)
-        super().__init__(tg, shm, rg, self.tiles, comm, routes)
+        self.tiles = tiles = usable_tiles(shm)
+        if initial_policy == "first_fit":
+            self.start = [tiles[i % len(tiles)] for i in range(len(self.units))]
+        elif initial_policy == "random":
+            rng = random.Random(derive_seed(seed, "initial"))
+            self.start = [rng.choice(tiles) for _ in self.units]
+        else:
+            raise RangeError(f"unknown initial mapping policy {initial_policy!r}")
+        super().__init__(tg, shm, rg, tiles, comm, routes)
         self.deadlines = [(t.id, t.release + t.slack) for t in tg.tasks
                           if t.criticality == CRITICAL and t.slack is not None]
         unit_of = _expand(self.units, range(len(self.units)), len(tg))
@@ -521,39 +521,21 @@ class _Search(_AsapPass):
 
 
 def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,
-                  routes=None, seed=0, initial=None, initial_policy="first_fit",
+                  routes=None, seed=0, initial_policy="first_fit",
                   iterations=10, sa_params=None):
-    """Dispatch a mapping heuristic; returns HeuristicResult with the
-    number of candidate evaluations performed (the mapping effort unit
-    of the reconfiguration cost model).  Candidates are scored without
-    building a Schedule; the winner's is built once at the end."""
-    search = _Search(tg, shm, rg, cost, ctg, comm, routes)
-    if initial is None:
-        initial = initial_mapping(tg, shm, policy=initial_policy,
-                                  seed=derive_seed(seed, "initial"), ctg=ctg)
-    if len(initial) != len(tg):
-        raise LengthMismatch(
-            f"initial mapping has {len(initial)} entries for {len(tg)} tasks"
-        )
-    start = [initial[min(members)] for members in search.units]
-    mapping = _expand(search.units, start, len(tg))
-    if mapping != list(initial):
-        split = [sorted(m) for m in search.units
-                 if len({initial[t] for t in m}) > 1]
-        raise SemanticError(
-            f"initial mapping {list(initial)} splits clusters {split}")
-    validate_mapping(tg, mapping, shm)
-
+    """Dispatch a mapping heuristic from the search's `initial_policy`
+    start; returns HeuristicResult with the number of candidate
+    evaluations performed (the mapping effort unit of the
+    reconfiguration cost model).  Candidates are scored without building
+    a Schedule; the search's pass builds the winner's once at the end."""
+    search = _Search(tg, shm, rg, cost, ctg, comm, routes, initial_policy, seed)
     run = HEURISTICS.get(name)
     if run is None:
         raise RangeError(f"unknown heuristic {name!r}; "
                          f"choices: {', '.join(HEURISTICS)}")
-    assign = run(search, start, seed, iterations, sa_params or SaParams())
-
+    assign = run(search, search.start, seed, iterations, sa_params or SaParams())
     mapping = _expand(search.units, assign, len(tg))
-    schedule = asap_schedule(tg, mapping, shm, rg, comm=search.comm,
-                             routes=search.routes)
-    return HeuristicResult(mapping, schedule, search.evaluations)
+    return HeuristicResult(mapping, search.schedule(mapping), search.evaluations)
 
 
 def _run_greedy(search, start, seed, iterations, sa_params):

@@ -200,8 +200,6 @@ class RunResult:
 
     trace = property(lambda self: render(self.events, 0))
     decisions = property(lambda self: render(self.events, 1))
-    initial_report = property(
-        lambda self: next(e[2] for e in self.events if e[1] == "initial"))
 
     def files(self):
         """What `nocsim simulate --out` writes, {file name: text} in

@@ -334,6 +334,27 @@ def _largest_rectangle(cells, dims3):
     return best
 
 
+def initial_mapping(tg, shm, policy="first_fit", seed=0, ctg=None):
+    """The task mapping a search starts from: "first_fit" deals units
+    (ctg's clusters, else single tasks) onto the usable tiles
+    round-robin by id; "random" draws each unit's tile with
+    random.Random(seed).choice.  run_heuristic draws from
+    derive_seed(its seed, "initial")."""
+    units = ctg.clusters if ctg is not None else [(t,) for t in range(len(tg))]
+    tiles = [t for t in range(len(shm.ag)) if shm.pe_usable(t)]
+    if policy == "first_fit":
+        unit_tiles = [tiles[i % len(tiles)] for i in range(len(units))]
+    else:
+        assert policy == "random", policy
+        rng = random.Random(seed)
+        unit_tiles = [rng.choice(tiles) for _ in units]
+    mapping = [None] * len(tg)
+    for members, tile in zip(units, unit_tiles):
+        for t in members:
+            mapping[t] = tile
+    return mapping
+
+
 def exhaustive_best_mapping(tg, shm, rg, cost, comm=None):
     """Minimum cost over every mapping of tasks to usable tiles."""
     tiles = ns.usable_tiles(shm)

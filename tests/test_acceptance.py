@@ -194,7 +194,8 @@ def test_criterion_05_latency_accounting_and_speedup():
                                             turn_model=ns.XY,
                                             injections=(perm,)))
         for res in (hit_run, miss_run):
-            _assert_report_identities(res.initial_report, cm)
+            initial, = [e[2] for e in res.events if e[1] == "initial"]
+            _assert_report_identities(initial, cm)
             for r in res.metrics.latency_reports:
                 _assert_report_identities(r, cm)
 

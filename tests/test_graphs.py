@@ -67,6 +67,15 @@ def test_self_edge_rejected():
      "task count must be positive, got 0"),
     (lambda: ns.random_task_graph(3, 1.5, 1),
      "density must be in [0, 1], got 1.5"),
+    (lambda: ns.random_task_graph(3.5, 0.3, 1),
+     "task count must be an int, got 3.5"),
+    (lambda: ns.random_task_graph(True, 0.3, 1),
+     "task count must be an int, got True"),
+    (lambda: ns.build_mesh(2.0, 2), "mesh dimensions must be ints, got (2.0, 2)"),
+    (lambda: ns.build_mesh(True, 2),
+     "mesh dimensions must be ints, got (True, 2)"),
+    (lambda: ns.build_mesh(2, 2, False),
+     "mesh dimensions must be ints, got (2, 2, False)"),
     (lambda: ns.cluster_tasks(ns.random_task_graph(3, 0.5, 1), 2, "spectral"),
      "unknown clustering heuristic 'spectral'"),
     (lambda: ns.cover_rectangles(1 << 9, (2, 2), 4),
@@ -74,7 +83,9 @@ def test_self_edge_rejected():
     (lambda: ns.cover_rectangles(-1, (2, 2), 4),
      "tile bitset names a tile outside the (2, 2) mesh"),
 ], ids=["wcet", "release", "criticality", "slack", "edge-weight",
-        "random-count", "random-density", "cluster-heuristic",
+        "random-count", "random-density", "random-count-float",
+        "random-count-bool", "mesh-float", "mesh-bool", "mesh-depth-bool",
+        "cluster-heuristic",
         "cover-bits-past-mesh", "cover-bits-negative"])
 def test_graph_field_checks_raise_range_error(call, fragment):
     with pytest.raises(RangeError) as exc:

@@ -162,6 +162,12 @@ def test_aging_range_checked(mesh22):
         shm.set_aging(0, 101)
     with pytest.raises(RangeError):
         shm.set_aging(0, -1)
+    # Not an int, or a bool: True would be written as "aging 0 True" and
+    # tag the health map apart from the same state with 1.
+    for percent in (True, 50.0):
+        with pytest.raises(RangeError, match="must be an int"):
+            shm.set_aging(0, percent)
+    assert shm.serialize() == ns.SystemHealthMap(mesh22).serialize()
 
 
 # -- snapshot/restore and serialization ------------------------------------------

@@ -249,20 +249,20 @@ def test_cost_unknown_kind():
 def test_initial_first_fit_round_robin():
     ag, shm, rg = platform(2, 2)
     tg = ns.build_task_graph([ns.Task(i, 5) for i in range(4)], {})
-    assert ns.initial_mapping(tg, shm) == [0, 1, 2, 3]
+    assert oracles.initial_mapping(tg, shm) == [0, 1, 2, 3]
 
 
 def test_initial_single_task():
     ag, shm, rg = platform(1, 1)
     tg = ns.build_task_graph([ns.Task(0, 5)], {})
-    assert ns.initial_mapping(tg, shm) == [0]
+    assert oracles.initial_mapping(tg, shm) == [0]
 
 
 def test_initial_random_deterministic():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(7, 0.3, seed=2)
-    a = ns.initial_mapping(tg, shm, policy="random", seed=44)
-    b = ns.initial_mapping(tg, shm, policy="random", seed=44)
+    a = oracles.initial_mapping(tg, shm, policy="random", seed=44)
+    b = oracles.initial_mapping(tg, shm, policy="random", seed=44)
     assert a == b
 
 
@@ -271,7 +271,7 @@ def test_initial_skips_unusable():
     shm.apply_fault(("pe", 0))
     shm.set_aging(1, 100)
     tg = ns.build_task_graph([ns.Task(i, 5) for i in range(4)], {})
-    mapping = ns.initial_mapping(tg, shm)
+    mapping = oracles.initial_mapping(tg, shm)
     assert set(mapping) <= {2, 3}
 
 
@@ -282,13 +282,35 @@ def test_no_healthy_pe():
         ns.usable_tiles(shm)
 
 
+@given(st.integers(0, 10**6), st.sampled_from(ns.mapsched.INITIAL_POLICIES),
+       st.booleans())
+@settings(max_examples=100)
+def test_search_start_matches_reference(seed, policy, clustered):
+    """A search's start, expanded to tasks, is the reference initial
+    mapping drawn from derive_seed(seed, "initial"), on the usable tiles
+    only: broken and aged-out PEs take no unit."""
+    rng = random.Random(seed)
+    ag = ns.build_mesh(rng.randint(1, 4), rng.randint(1, 4))
+    shm = random_shm(ag, seed, max_links=0, max_turns=0, max_pes=2)
+    for tile in rng.sample(range(len(ag)), rng.randint(0, len(ag) // 2)):
+        shm.set_aging(tile, rng.choice((30, 100)))
+    assume(any(shm.pe_usable(t) for t in range(len(ag))))
+    rg = ns.build_routing_graph(ag, ns.XY, shm)
+    tg = ns.random_task_graph(rng.randint(1, 12), 0.3, seed=seed)
+    ctg = ns.cluster_tasks(tg, rng.randint(1, len(tg))) if clustered else None
+    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, ctg, None,
+                                 None, policy, seed)
+    assert ns.mapsched._expand(search.units, search.start, len(tg)) == \
+        oracles.initial_mapping(tg, shm, policy, derive_seed(seed, "initial"), ctg)
+
+
 # -- heuristics ---------------------------------------------------------------------
 
 
 def test_greedy_descends_from_initial():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(9, 0.4, seed=7)
-    start = ns.initial_mapping(tg, shm)
+    start = oracles.initial_mapping(tg, shm)
     s0 = ns.asap_schedule(tg, start, shm, rg)
     r = ns.run_heuristic("greedy", tg, shm, rg)
     mapping, sched = r.mapping, r.schedule
@@ -364,7 +386,7 @@ def test_sa_matches_exhaustive_optimum():
 def test_sa_tiny_t0_acts_as_descent():
     ag, shm, rg = platform(3, 3)
     tg = ns.random_task_graph(7, 0.4, seed=21)
-    start = ns.initial_mapping(tg, shm)
+    start = oracles.initial_mapping(tg, shm)
     s0 = ns.asap_schedule(tg, start, shm, rg)
     params = ns.SaParams(t0=1e-9)
     sched = ns.run_heuristic("sa", tg, shm, rg, sa_params=params,
@@ -460,64 +482,6 @@ def test_greedy_valid_on_random_instances(seed):
     ns.validate_mapping(tg, mapping, shm)
     for f in sched.flows:
         assert ns.RouteProvider(rg).route(f.src_tile, f.dst_tile) is not None
-
-
-# -- initial mapping validation -----------------------------------------------
-
-
-def test_initial_of_wrong_length_is_a_length_mismatch():
-    ag, shm, rg = platform(2, 2)
-    tg = chain_tg([3, 3, 3, 3, 3])
-    with pytest.raises(LengthMismatch):
-        ns.run_heuristic("greedy", tg, shm, rg, initial=[0, 1, 2, 3])
-    with pytest.raises(LengthMismatch):
-        ns.run_heuristic("sa", tg, shm, rg, initial=[0, 1, 2, 3, 0, 1])
-
-
-def test_initial_outside_the_mesh_is_an_unknown_tile():
-    ag, shm, rg = platform(2, 2)
-    tg = chain_tg([3, 3, 3])
-    with pytest.raises(UnknownTile):
-        ns.run_heuristic("greedy", tg, shm, rg, initial=[0, 4, 1])
-    with pytest.raises(UnknownTile):
-        ns.run_heuristic("ils", tg, shm, rg, initial=[-1, 0, 1])
-
-
-def test_initial_on_an_unusable_tile_is_a_semantic_error():
-    ag, shm, rg = platform(2, 2)
-    shm.apply_fault(("pe", 3))
-    shm.set_aging(2, 100)
-    tg = chain_tg([3, 3, 3])
-    for bad in (3, 2):
-        with pytest.raises(SemanticError):
-            ns.run_heuristic("greedy", tg, shm, rg, initial=[0, bad, 1])
-
-
-def test_initial_that_splits_a_cluster_is_a_semantic_error():
-    ag, shm, rg = platform(2, 2)
-    tg = chain_tg([4, 4, 4, 4], [9, 1, 9])
-    ctg = ns.ClusteredTaskGraph(tg, (frozenset({0, 1}), frozenset({2, 3})))
-    for name in ("greedy", "ils", "sa"):
-        with pytest.raises(SemanticError, match="splits cluster"):
-            ns.run_heuristic(name, tg, shm, rg, ctg=ctg, initial=[0, 3, 1, 2])
-
-
-def test_initial_that_keeps_clusters_whole_maps_as_before():
-    ag, shm, rg = platform(2, 2)
-    tg = chain_tg([4, 4, 4, 4], [9, 1, 9])
-    ctg = ns.ClusteredTaskGraph(tg, (frozenset({0, 1}), frozenset({2, 3})))
-    # (heuristic, initial) -> (mapping, evaluations), frozen values.
-    expected = {
-        ("greedy", (0, 0, 3, 3)): ([3, 3, 3, 3], 13),
-        ("greedy", (1, 1, 2, 2)): ([2, 2, 2, 2], 13),
-        ("sa", (0, 0, 3, 3)): ([0, 0, 0, 0], 17162),
-        ("sa", (1, 1, 2, 2)): ([1, 1, 1, 1], 17161),
-    }
-    for (name, initial), (mapping, evaluations) in expected.items():
-        r = ns.run_heuristic(name, tg, shm, rg, ctg=ctg, initial=list(initial),
-                             seed=3)
-        assert (r.mapping, r.evaluations) == (mapping, evaluations)
-        assert r.schedule.makespan == 16
 
 
 # -- route provider memo ------------------------------------------------------
@@ -797,26 +761,30 @@ def _oracle_search(monkeypatch, shm, rg):
     monkeypatch.setattr(ns.mapsched._Search, "evaluate", evaluate)
 
 
+FF, RANDOM = "first_fit", "random"
 SEARCH_CASES = [
-    # (heuristic, mesh side, turn model, tasks, cost, clusters, seed); a
-    # [left, right] list of turn models splits the mesh into two regions
-    # with no route between them, so many one-unit moves break a route.
-    ("greedy", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 1),
-    ("greedy", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, None, 2),
-    ("greedy", 4, ns.WEST_FIRST, 10, ns.UTILIZATION_BALANCE, 5, 3),
-    ("ils", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 4),
-    ("ils", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, 4, 5),
-    ("sa", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 6),
-    ("sa", 3, ns.WEST_FIRST, 9, ns.UTILIZATION_BALANCE, None, 7),
-    ("sa", 4, ns.XY, 9, ns.TRAFFIC_BALANCE, 6, 8),
-    ("sa", 4, [ns.WEST_FIRST, ns.XY], 10, ns.SCHEDULE_LENGTH, None, 9),
+    # (heuristic, mesh side, turn model, tasks, cost, clusters, seed,
+    # initial policy); a [left, right] list of turn models splits the
+    # mesh into two regions with no route between them, so many one-unit
+    # moves break a route.
+    ("greedy", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 1, FF),
+    ("greedy", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, None, 2, FF),
+    ("greedy", 4, ns.WEST_FIRST, 10, ns.UTILIZATION_BALANCE, 5, 3, FF),
+    ("ils", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 4, FF),
+    ("ils", 3, ns.WEST_FIRST, 9, ns.TRAFFIC_BALANCE, 4, 5, FF),
+    ("sa", 3, ns.XY, 8, ns.SCHEDULE_LENGTH, None, 6, FF),
+    ("sa", 3, ns.WEST_FIRST, 9, ns.UTILIZATION_BALANCE, None, 7, FF),
+    ("sa", 4, ns.XY, 9, ns.TRAFFIC_BALANCE, 6, 8, FF),
+    ("sa", 4, [ns.WEST_FIRST, ns.XY], 10, ns.SCHEDULE_LENGTH, None, 9, FF),
+    ("ils", 3, ns.XY, 9, ns.SCHEDULE_LENGTH, 3, 10, RANDOM),
 ]
 
 
-@pytest.mark.parametrize("case", SEARCH_CASES,
-                         ids=[f"{c[0]}-{c[4]}-{c[6]}" for c in SEARCH_CASES])
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=[
+    f"{c[0]}-{c[4]}-{c[6]}" + ("" if c[7] == FF else f"-{c[7]}")
+    for c in SEARCH_CASES])
 def test_heuristics_match_reference_driven_search(monkeypatch, case):
-    name, side, model, m, cost, k, seed = case
+    name, side, model, m, cost, k, seed, initial_policy = case
     ag = ns.build_mesh(side, side)
     shm = random_shm(ag, seed, max_links=2, max_turns=1, max_pes=1)
     shm.set_aging(seed % len(ag), 40)
@@ -828,7 +796,7 @@ def test_heuristics_match_reference_driven_search(monkeypatch, case):
     tg = ns.random_task_graph(m, 0.4, seed=seed)
     ctg = ns.cluster_tasks(tg, k) if k else None
     kw = dict(cost=cost, ctg=ctg, seed=seed, iterations=3,
-              routes=rg.route_provider(seed),
+              initial_policy=initial_policy, routes=rg.route_provider(seed),
               sa_params=ns.SaParams(alpha=0.8, moves_per_temp=30))
     got = ns.run_heuristic(name, tg, shm, rg, **kw)
     with monkeypatch.context() as mp:

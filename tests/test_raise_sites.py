@@ -32,10 +32,8 @@ def _rg22():
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: _aged_out().effective_wcet(0, 5), RangeError,
      "tile 0 fully aged out, no effective wcet"),
-    (lambda: ns.initial_mapping(ns.random_task_graph(3, 0.5, 1),
-                                ns.SystemHealthMap(ns.build_mesh(2, 2)),
-                                policy="last_fit"),
-     RangeError, "unknown initial mapping policy 'last_fit'"),
+    (lambda: _heuristic(initial_policy="zigzag"), RangeError,
+     "unknown initial mapping policy 'zigzag'"),
     (lambda: _heuristic(ctg=ns.cluster_tasks(ns.random_task_graph(3, 0.5, 1),
                                              2)),
      SemanticError, "clustered graph built from a different task graph"),

@@ -456,15 +456,19 @@ NAMED_ONLY_BY_TESTS = {"derive_lbdr_config"}
 
 
 def _definitions(tree):
-    """Top-level functions and classes and their methods, except the
-    dunder methods Python calls itself."""
+    """Top-level functions and classes, their methods and their plain
+    (unannotated) class-body assignments, except the dunder names Python
+    reads itself."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         if isinstance(node, ast.ClassDef):
-            yield from (f"{node.name}.{m.name}" for m in node.body
-                        if isinstance(m, ast.FunctionDef)
-                        and not m.name.startswith("__"))
+            for m in node.body:
+                names = ([m.name] if isinstance(m, ast.FunctionDef) else
+                         [t.id for t in m.targets if isinstance(t, ast.Name)]
+                         if isinstance(m, ast.Assign) else [])
+                yield from (f"{node.name}.{name}" for name in names
+                            if not name.startswith("__"))
 
 
 def _names(tree, attributes=False):
@@ -483,28 +487,123 @@ def _names(tree, attributes=False):
             yield node.value
 
 
-def test_every_library_definition_is_used_outside_the_tests():
-    """A function, class or method that only tests (or the package's
-    exports) name is code nothing runs; delete it with its tests.  A
-    method or property counts as used only where it is read as an
-    attribute or named by a string, so a local variable or field of the
-    same name does not keep it."""
-    package = ROOT / "src" / "nocsim"
-    users = ([p for p in package.glob("*.py") if p.name != "__init__.py"]
+PACKAGE = ROOT / "src" / "nocsim"
+
+
+def _user_trees():
+    """The syntax trees of the code outside the tests that uses the
+    library: the package less its exports (__init__.py), scripts and
+    benchmark."""
+    users = ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
              + sorted((ROOT / "scripts").rglob("*.py"))
              + sorted((ROOT / "benchmark").rglob("*.py")))
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in users]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in users]
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    """A function, class, method or class attribute that only tests (or
+    the package's exports) name is code nothing runs; delete it with its
+    tests.  A method, property or class attribute counts as used only
+    where it is read as an attribute or named by a string, so a local
+    variable or field of the same name does not keep it."""
+    trees = _user_trees()
     named = NAMED_ONLY_BY_TESTS.union(
         name for tree in trees for name in _names(tree))
     read = NAMED_ONLY_BY_TESTS.union(
         name for tree in trees for name in _names(tree, attributes=True))
     unused = [f"{path.name}:{qualified}"
-              for path in sorted(package.glob("*.py"))
+              for path in sorted(PACKAGE.glob("*.py"))
               for qualified in _definitions(
                   ast.parse(path.read_text(encoding="utf-8")))
               if qualified.rsplit(".", 1)[-1]
               not in (read if "." in qualified else named)]
     assert unused == []
+
+
+# cli.main's argv is the seam through which the tests run the command line.
+PASSED_ONLY_BY_TESTS = {"main(argv)"}
+
+
+def _signatures(tree):
+    """Per top-level function and method: its qualified name, the names
+    a call of it uses (a class's name calls its __init__), its
+    positional parameters less self or cls, and those of its parameters,
+    keyword-only ones included, that have a default."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, {node.name}, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{m.name}",
+                      {m.name, node.name} if m.name == "__init__" else {m.name},
+                      m, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in m.decorator_list) else 1)
+                     for m in node.body if isinstance(m, ast.FunctionDef)]
+        else:
+            continue
+        for qualified, names, fn, skip in found:
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args][skip:]
+            defaulted = set(positional[len(positional) - len(a.defaults):]
+                            if a.defaults else ()).union(
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None)
+            yield qualified, names, positional, defaulted
+
+
+def _calls(tree):
+    """(called name, positional arguments, keywords) per call, where
+    scenario._checked(path, fn, ...) is a call of fn.  A pure
+    f(*args, **kwargs) pass-through passes nothing of its own."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "_checked" and len(args) > 1:
+            func, args = args[1], args[2:]
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None or (
+                len(args) == 1 and isinstance(args[0], ast.Starred)
+                and len(node.keywords) == 1 and node.keywords[0].arg is None):
+            continue
+        yield name, args, node.keywords
+
+
+def _passed(call, positional, defaulted):
+    """The defaulted parameters a call passes: by position, by keyword,
+    and every remaining one where it unpacks *x or **x."""
+    args, keywords = call
+    passed = set()
+    for i, arg in enumerate(args):
+        if isinstance(arg, ast.Starred):
+            passed.update(positional[i:])
+            break
+        passed.update(positional[i:i + 1])
+    for keyword in keywords:
+        passed.update(defaulted if keyword.arg is None else {keyword.arg})
+    return passed & defaulted
+
+
+def test_every_library_parameter_default_is_overridden_outside_the_tests():
+    """A parameter whose default no call outside the tests overrides
+    always takes that default; make the value a constant, or delete
+    the parameter with the code that only the tests reach."""
+    calls = {}
+    for tree in _user_trees():
+        for name, args, keywords in _calls(tree):
+            calls.setdefault(name, []).append((args, keywords))
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, names, positional, defaulted in _signatures(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            passed = set().union(*(_passed(call, positional, defaulted)
+                                   for name in names
+                                   for call in calls.get(name, ())))
+            short = qualified.rsplit(".", 1)[-1]
+            unpassed.extend(f"{path.name}:{qualified}({p})"
+                            for p in sorted(defaulted - passed)
+                            if f"{short}({p})" not in PASSED_ONLY_BY_TESTS)
+    assert unpassed == []
 
 
 # -- injection targets -------------------------------------------------------

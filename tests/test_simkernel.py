@@ -58,7 +58,8 @@ def test_fault_free_matches_static_schedule(mesh33):
         shm, msu, ns.MpmMemory(16), ns.CurrentMappingMemory())
     assert sched.makespan == m.makespan
     assert res.cmm.mapping == mapping
-    assert res.initial_report == report
+    initial, = [e[2] for e in res.events if e[1] == "initial"]
+    assert initial == report
     assert report.t_rl == 741
 
 
