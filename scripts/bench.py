@@ -12,8 +12,13 @@ parameters and work counters:
   greedy    one greedy mapping: 12 tasks on 4x4, 20 on 6x6, 30 on 8x8
   simulate  `simulate scenarios/S --heuristic H`, one Kernel(script).run()
             per repeat, for S in smoke.json, regions.json and
-            burst_recovery.json and H in greedy, ils and sa; its work
-            counters include the run's candidate evaluations
+            burst_recovery.json and H in greedy, ils and sa, and
+            `simulate scripts/mesh16.json --heuristic greedy`: 16 tasks
+            on a 16x16 west_first mesh with two remapping PE faults
+            (the second timed to hit the remapped plan) and three
+            faults that only rebuild the region tables; its work
+            counters include the run's candidate evaluations and
+            makespan
 
 and, on 4x4, 8x8, 12x12 and 16x16 west_first meshes with two permanent
 link faults (TABLE_BUDGET rectangles per port):
@@ -79,6 +84,10 @@ REPEATS = 5
 LIMIT_S = 60.0
 SIMULATE_SCENARIOS = ("smoke.json", "regions.json", "burst_recovery.json")
 SIMULATE_HEURISTICS = ("greedy", "ils", "sa")
+# (scenario file under this checkout, heuristic) per simulate rung.
+SIMULATE_RUNS = tuple((f"scenarios/{s}", h) for s in SIMULATE_SCENARIOS
+                      for h in SIMULATE_HEURISTICS) + (
+    ("scripts/mesh16.json", "greedy"),)
 REFERENCE_ITEMS = 200_000
 ROUTING_SIDES = (4, 8, 12, 16)
 TABLE_BUDGET = 4
@@ -289,24 +298,23 @@ def simulate_rungs(ns):
         evaluations[-1] += result.evaluations
         return result
 
-    for scenario in SIMULATE_SCENARIOS:
-        path = os.path.join(ROOT, "scenarios", scenario)
-        for heuristic in SIMULATE_HEURISTICS:
-            def run():
-                script = ns.load_scenario(path, heuristic=heuristic)
-                evaluations.append(0)
-                shmu.run_heuristic = counted
-                try:
-                    return ns.Kernel(script).run()
-                finally:
-                    shmu.run_heuristic = run_heuristic
+    for scenario, heuristic in SIMULATE_RUNS:
+        path = os.path.join(ROOT, scenario)
 
-            yield ("simulate",
-                   {"scenario": f"scenarios/{scenario}", "heuristic": heuristic},
-                   run,
-                   lambda r: {"evaluations": evaluations[-1],
-                              "makespan": r.metrics.makespan,
-                              "trace_lines": len(r.trace)})
+        def run():
+            script = ns.load_scenario(path, heuristic=heuristic)
+            evaluations.append(0)
+            shmu.run_heuristic = counted
+            try:
+                return ns.Kernel(script).run()
+            finally:
+                shmu.run_heuristic = run_heuristic
+
+        yield ("simulate", {"scenario": scenario, "heuristic": heuristic},
+               run,
+               lambda r: {"evaluations": evaluations[-1],
+                          "makespan": r.metrics.makespan,
+                          "trace_lines": len(r.trace)})
 
 
 def ladder(ns):

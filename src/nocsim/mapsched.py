@@ -34,12 +34,15 @@ without building a Schedule; only the winner's is built.  A search
 starts from its initial policy's unit assignment.  Descent and
 annealing score each one-unit move in place on one assignment list and
 undo it; annealing draws its moves with the stdlib's randrange/choice
-rejection loop, inlined, so its stream is theirs.  Where some pair of
-usable tiles has no route (the provider's distance columns tell), a
-one-unit move from a feasible assignment that breaks a route is
-rejected from the moved unit's cross-unit edges alone, without a pass;
-it still counts as an evaluation.  Where every pair routes, no move can
-break one, and that check is skipped."""
+rejection loop, inlined, so its stream is theirs.  Once a pass of the
+search has found a route missing, a one-unit move from a feasible
+assignment that breaks a route is rejected from the moved unit's
+cross-unit edges alone, without a pass; until then the check is
+skipped.  Under schedule_length with one-task units, descent also
+bounds each round's moves from one pass over the round's assignment
+(the route-free critical path, _Search.move_bounds) and rejects,
+without a route walk or a pass, a move that cannot beat the round's
+best.  A rejected move still counts as an evaluation."""
 
 import math
 import random
@@ -439,21 +442,25 @@ class _Search(_AsapPass):
             if ua != ub:
                 cross[ua][ua, ub] = cross[ub][ua, ub] = None
         self.cross = [tuple(pairs) for pairs in cross]
-        # A move can break a route only where some pair of tiles has none.
-        self.check_moves = not self.routes.connects(self.tiles)
+        # Set by the first pass that finds a route missing.
+        self.check_moves = False
+        # (Manhattan + 1) x router_delay to each usable tile, one row per
+        # tile that held a task in a base of move_bounds.
+        self.delays = {}
         self.evaluations = 0
 
-    def evaluate(self, unit_tiles, moved=None):
+    def evaluate(self, unit_tiles, moved=None, hopeless=False):
         """The candidate's cost (see _cost), or None when it is
-        infeasible (unroutable transfer or missed critical deadline).
+        infeasible (unroutable transfer or missed critical deadline) or
+        `hopeless` (descend's bound shows it cannot win).
 
         `moved` names the one unit in which `unit_tiles` differs from a
         feasible assignment (descend's and _run_sa's moves).  Only that
-        unit's cross-unit edges can then lack a route, so, on a search
-        whose usable tiles do not all route to each other, they are
+        unit's cross-unit edges can then lack a route, so, once a pass
+        of this search has found a route missing (check_moves), they are
         checked against the provider's rows first, and a candidate that
-        breaks one is rejected without a pass.  Either way the call
-        counts as one evaluation."""
+        breaks one is rejected without a pass; a `hopeless` one that
+        passes is too.  Each call counts as one evaluation."""
         self.evaluations += 1
         if moved is not None and self.check_moves:
             routes = self.routes
@@ -467,6 +474,8 @@ class _Search(_AsapPass):
                         entry = routes.route(src, dst)
                     if not entry:
                         return None
+        if hopeless:
+            return None
         if self.clustered:
             mapping = _expand(self.units, unit_tiles, len(self.tg))
         else:
@@ -474,6 +483,7 @@ class _Search(_AsapPass):
         try:
             start, finish, busy = self.run(mapping)
         except UnroutableFlow:
+            self.check_moves = True
             return None
         for task, deadline in self.deadlines:
             if finish[task] > deadline:
@@ -496,28 +506,119 @@ class _Search(_AsapPass):
             "no feasible assignment found by bounded probing"
         )
 
+    def move_bounds(self, mapping):
+        """Lower bounds on the schedule length of every one-task move
+        from the feasible `mapping`: bounds[u][i] for task u on
+        self.tiles[i].  None unless the cost is schedule_length and every
+        unit is one task.  One pass over `mapping` (not an evaluation)
+        gives each task's finish.  Moving u changes no other task's
+        tile, nor the times of the tasks before u in step order, so the
+        bound for u on tile t is the largest of
+          - the last finish among the tasks before u;
+          - the last finish of a task after u along paths that avoid u,
+            each task starting at its release or after each other
+            predecessor's finish (or bound) plus the comm term;
+          - u's finish plus its tail: u starts at its release, the last
+            finish on t before u or each predecessor's finish plus the
+            comm term, whichever is latest, and its tail is the longest
+            path after it, with the comm term per edge.
+        The comm term between tasks on tiles x != y is (Manhattan(x, y)
+        + 1) x router_delay + hold, and 0 on one tile: a route takes at
+        least Manhattan + 1 routers, and no term counts link contention
+        or PE sharing after u, so no bound exceeds the move's pass cost."""
+        if self.cost != SCHEDULE_LENGTH or self.clustered:
+            return None
+        _, finish, _ = self.run(mapping)
+        r = self.router_delay
+        wcet = self.wcet
+        steps = self.steps
+        tiles = self.tiles
+        index = {t: i for i, t in enumerate(tiles)}
+        delays = self.delays
+        missing = set(mapping).difference(delays)
+        if missing:
+            places = [(*self.routes.ag.tiles[t].coords, 0)[:3] for t in tiles]
+            for tile in missing:
+                x0, y0, z0 = places[index[tile]]
+                delays[tile] = [
+                    r * (abs(x - x0) + abs(y - y0) + abs(z - z0) + 1)
+                    for x, y, z in places]
+
+        def arrive(tile, t, hold, into):
+            """`into` raised, per usable tile, to `t` plus the comm term
+            from `tile`."""
+            k = t + hold
+            row = [x if x > (y := k + d) else y
+                   for x, d in zip(into, delays[tile])]
+            i = index[tile]
+            row[i] = into[i] if into[i] > t else t
+            return row
+
+        # after[a][i]: the longest path after a when a is on tiles[i].
+        after = [[0] * len(tiles)] * len(finish)  # rows replaced, not changed
+        for b, _, preds in reversed(steps):
+            tile = mapping[b]
+            path = wcet[tile][b] + after[b][index[tile]]
+            for a, hold in preds:
+                after[a] = arrive(tile, path, hold, after[a])
+        cols = list(zip(*[wcet[t] for t in tiles]))  # per task, per tile
+        bounds = [None] * len(finish)
+        free = [0] * len(tiles)             # last finish per usable tile
+        longest = 0
+        for pos, (b, release, preds) in enumerate(steps):
+            others = longest
+            head = finish[:]                # finish bounds without b
+            for w, start, into in steps[pos + 1:]:
+                tile = mapping[w]
+                i = index[tile]
+                for a, hold in into:
+                    if a != b:
+                        t = head[a]
+                        if mapping[a] != tile:
+                            t += hold + delays[mapping[a]][i]
+                        if t > start:
+                            start = t
+                head[w] = start = start + wcet[tile][w]
+                if start > others:
+                    others = start
+            ready = [f if f > release else release for f in free]
+            for a, hold in preds:
+                ready = arrive(mapping[a], finish[a], hold, ready)
+            bounds[b] = [v if (v := s + w + o) > others else others
+                         for s, w, o in zip(ready, cols[b], after[b])]
+            free[index[mapping[b]]] = finish[b]
+            if finish[b] > longest:
+                longest = finish[b]
+        return bounds
+
     def descend(self, unit_tiles, cost):
         """Steepest descent with the single-unit-move neighborhood.  Each
-        move is scored in place on one copy of `unit_tiles` and undone."""
+        move is scored in place on one copy of `unit_tiles` and undone.
+        A move whose bound (move_bounds, one per round) is at least the
+        cost to beat, the lesser of `cost` and the round's best move so
+        far, is hopeless: it counts as an evaluation, runs no pass and
+        cannot win."""
         unit_tiles = list(unit_tiles)
         while True:
-            best_move = None
+            bounds = self.move_bounds(unit_tiles)
+            best_move, limit = None, cost
             for u in range(len(self.units)):
                 here = unit_tiles[u]
-                for tile in self.tiles:
+                row = bounds[u] if bounds else None
+                for i, tile in enumerate(self.tiles):
                     if tile == here:
                         continue
                     unit_tiles[u] = tile
-                    c = self.evaluate(unit_tiles, u)
-                    if c is not None and c < cost and (
-                        best_move is None or c < best_move[0]
-                    ):
-                        best_move = (c, u, tile)
+                    c = self.evaluate(unit_tiles, u,
+                                      row is not None and row[i] >= limit)
+                    if c is not None and c < limit:
+                        best_move, limit = (u, tile), c
                 unit_tiles[u] = here
             if best_move is None:
                 return unit_tiles, cost
-            cost, u, tile = best_move
+            u, tile = best_move
             unit_tiles[u] = tile
+            cost = limit
 
 
 def run_heuristic(name, tg, shm, rg, cost=SCHEDULE_LENGTH, ctg=None, comm=None,

@@ -400,14 +400,6 @@ class RouteProvider:
         self._dist[dst] = dist
         return dist
 
-    def connects(self, tiles):
-        """True iff every tile of `tiles` routes to every one: each
-        tile's local-in has a distance in each tile's column."""
-        P, local = self._P, self._local
-        sources = [t * P + local for t in tiles]
-        return all(min(map(self._dist_to(dst).__getitem__, sources)) >= 0
-                   for dst in tiles)
-
     def route(self, src, dst):
         """The pair's Route, or None when unroutable, from its row
         entry; the entry is computed on the first request."""

@@ -611,3 +611,48 @@ def evaluate_candidate(tg, mapping, shm, rg, comm, routes, cost):
             if schedule.task_times[task.id][2] > task.release + task.slack:
                 return None
     return schedule_cost(schedule, cost)
+
+
+def move_bound(tg, shm, comm, mapping, finish, u, tile):
+    """The bound _Search.move_bounds gives for moving task u to `tile`
+    from `mapping`, whose pass gave `finish`, computed for this one move
+    from the task graph: the largest of the last finish before u in
+    topological order, the last finish after u along paths that avoid u,
+    and u's start on `tile` plus its wcet and its tail (the longest path
+    after it).  Each edge between two tiles costs (Manhattan + 1) x
+    router_delay + weight x unit_link_cycles, and no PE or link waits."""
+    order = list(tg.topological_order())
+    before, after = order[:order.index(u)], order[order.index(u) + 1:]
+    place = list(mapping)
+    place[u] = tile
+    coords = [t.coords for t in shm.ag.tiles]
+
+    def cycles(t):
+        return shm.effective_wcet(place[t], tg.tasks[t].wcet)
+
+    def edge(a, b):
+        if place[a] == place[b]:
+            return 0
+        hops = sum(abs(p - q) for p, q in zip(coords[place[a]],
+                                              coords[place[b]])) + 1
+        return (hops * comm.router_delay
+                + tg.edges[(a, b)] * comm.unit_link_cycles)
+
+    tails = {}
+
+    def tail(t):
+        if t not in tails:
+            tails[t] = max((edge(t, s) + cycles(s) + tail(s)
+                            for s in tg.successors(t)), default=0)
+        return tails[t]
+
+    head = {t: finish[t] for t in before}
+    for w in after:
+        head[w] = max([tg.tasks[w].release]
+                      + [head[a] + edge(a, w) for a in tg.predecessors(w)
+                         if a != u]) + cycles(w)
+    start = max([tg.tasks[u].release]
+                + [finish[t] for t in before if mapping[t] == tile]
+                + [finish[a] + edge(a, u) for a in tg.predecessors(u)])
+    return max([start + cycles(u) + tail(u)]
+               + [finish[t] for t in before] + [head[w] for w in after])

@@ -18,7 +18,10 @@ agree byte for byte.  The cold forms, patched in here only:
   instead of the one the graph memoises;
 - mapsched._Search.evaluate drops the moved unit it is given and runs
   the full pass on every candidate, instead of rejecting a one-unit move
-  that breaks a route from the moved unit's cross-unit edges alone.
+  that breaks a route from the moved unit's cross-unit edges alone;
+- mapsched._Search.move_bounds returns None, so descent scores every
+  move with a pass, instead of rejecting a move whose bound shows it
+  cannot beat the round's best.
 """
 
 import pathlib
@@ -58,8 +61,10 @@ def _go_cold(monkeypatch):
                         lambda rg, seed=0: ns.RouteProvider(rg, seed))
     evaluate = mapsched._Search.evaluate
     monkeypatch.setattr(mapsched._Search, "evaluate",
-                        lambda search, unit_tiles, moved=None:
-                        evaluate(search, unit_tiles))
+                        lambda search, unit_tiles, moved=None, hopeless=False:
+                        evaluate(search, unit_tiles, None, hopeless))
+    monkeypatch.setattr(mapsched._Search, "move_bounds",
+                        lambda search, mapping: None)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)

@@ -705,6 +705,7 @@ def test_moved_unit_shortcut_matches_full_pass(seed, clustered):
         return ns.mapsched._Search(tg, shm, rg, cost, ctg, comm, routes)
 
     search = search_of(rg.route_provider(seed_routes))
+    assert not search.check_moves
     passes = _counting_passes(search)
     half = rng.choice((search.tiles, [t for t in search.tiles if t % 4 < 2]))
     try:
@@ -723,16 +724,186 @@ def test_moved_unit_shortcut_matches_full_pass(seed, clustered):
             unroutable = any(mapping[a] != mapping[b]
                              and routes.route(mapping[a], mapping[b]) is None
                              for a, b in tg.edges)
-            before, ran = search.evaluations, len(passes)
+            before, ran, gate = search.evaluations, len(passes), search.check_moves
             got = search.evaluate(cand, u)
             assert search.evaluations == before + 1
-            # A move that breaks a route is rejected without a pass.
-            assert len(passes) - ran == (0 if unroutable else 1)
+            # The search's first unroutable candidate runs its pass and
+            # sets the gate; every later one is rejected without a pass.
+            assert len(passes) - ran == (0 if unroutable and gate else 1)
+            assert search.check_moves == (gate or unroutable)
             fresh = search_of(ns.RouteProvider(rg, seed_routes))
             want = fresh.evaluate(cand)
             assert fresh.evaluations == 1
             assert got == want and type(got) is type(want), (u, tile)
             assert want is None or not unroutable
+
+
+BOUND_MODELS = [ns.XY, ns.WEST_FIRST, ns.NORTH_LAST, ns.NEGATIVE_FIRST,
+                "xyz_3x3x2", "two_regions"]
+
+
+def bound_inputs(model, w, h, seed):
+    """A random platform, application and comm model for the move bound:
+    faults of every kind, aging, releases and critical deadlines."""
+    rng = random.Random(seed)
+    regions = None
+    if model == "xyz_3x3x2":
+        ag, model = ns.build_mesh(3, 3, 2), ns.XYZ
+    else:
+        ag = ns.build_mesh(w, h)
+        if model == "two_regions":
+            model = ns.WEST_FIRST
+            regions = two_regions(ag, ns.WEST_FIRST, ns.XY)
+    shm = random_shm(ag, seed, max_links=3 if ag.links else 0, max_turns=2,
+                     max_pes=1)
+    for tile in rng.sample(range(len(ag)), rng.randint(0, min(2, len(ag)))):
+        shm.set_aging(tile, rng.choice((10, 25, 60)))
+    assume(any(shm.pe_usable(t) for t in range(len(ag))))
+    rg = ns.build_routing_graph(ag, model, shm, regions=regions)
+    tg = ns.random_task_graph(rng.randint(1, 10), rng.choice((0.2, 0.4, 0.7)),
+                              seed=seed)
+    kinds = [ns.CRITICAL] + [ns.NON_CRITICAL] * 3
+    tasks = [ns.Task(t.id, t.wcet, release=rng.choice((0, 0, rng.randint(0, 40))),
+                     criticality=rng.choice(kinds), slack=rng.randint(20, 400))
+             for t in tg.tasks]
+    tg = ns.build_task_graph(tasks, tg.edges)
+    comm = ns.CommModel(unit_link_cycles=rng.choice((0, 1, 3)),
+                        router_delay=rng.choice((0, 1, 2)))
+    return tg, shm, rg, comm, rng
+
+
+@settings(max_examples=80)
+@given(model=st.sampled_from(BOUND_MODELS), w=st.integers(1, 5),
+       h=st.integers(1, 5), seed=st.integers(0, 10**6))
+def test_move_bound_never_exceeds_the_pass(model, w, h, seed):
+    """No bound move_bounds gives exceeds the schedule length of the
+    move's pass, for every one-task move from a feasible base, and each
+    is the one oracles.move_bound computes for that move alone."""
+    tg, shm, rg, comm, rng = bound_inputs(model, w, h, seed)
+    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None, comm,
+                                 rg.route_provider(rng.randrange(4)))
+    try:
+        base, _ = search.feasible_start(
+            [rng.choice(search.tiles) for _ in search.units])
+    except InfeasibleInstance:
+        assume(False)
+    _, base_finish, _ = search.run(base)
+    bounds = search.move_bounds(base)
+    assert len(bounds) == len(tg)
+    for u in range(len(tg)):
+        assert bounds[u] == [
+            oracles.move_bound(tg, shm, comm, base, base_finish, u, tile)
+            for tile in search.tiles], u
+        for tile, bound in zip(search.tiles, bounds[u]):
+            cand = list(base)
+            cand[u] = tile
+            try:
+                _, finish, _ = search.run(cand)
+            except UnroutableFlow:
+                continue
+            assert bound <= max(finish), (u, tile)
+
+
+@settings(max_examples=40)
+@given(side=st.integers(2, 5), seed=st.integers(0, 10**6),
+       router_delay=st.integers(0, 3))
+def test_move_bound_is_exact_without_contention(side, seed, router_delay):
+    """With no link hold (unit_link_cycles 0), every task on its own
+    tile, minimal XY routes and a move to a free tile, no transfer or
+    task waits for another, so each bound equals the move's pass cost."""
+    rng = random.Random(seed)
+    ag = ns.build_mesh(side, side)
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, ns.XY, shm)
+    tg = ns.random_task_graph(rng.randint(1, len(ag) - 1),
+                              rng.choice((0.2, 0.5, 0.9)), seed=seed)
+    comm = ns.CommModel(unit_link_cycles=0, router_delay=router_delay)
+    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None, comm,
+                                 rg.route_provider())
+    base = rng.sample(search.tiles, len(tg))
+    bounds = search.move_bounds(base)
+    for u in range(len(tg)):
+        for tile, bound in zip(search.tiles, bounds[u]):
+            if tile not in base:
+                cand = list(base)
+                cand[u] = tile
+                _, finish, _ = search.run(cand)
+                assert bound == max(finish), (u, tile)
+
+
+@settings(max_examples=60)
+@given(model=st.sampled_from(BOUND_MODELS), w=st.integers(1, 5),
+       h=st.integers(1, 5), seed=st.integers(0, 10**6),
+       cost=st.sampled_from(ns.mapsched.COST_KINDS), clustered=st.booleans())
+def test_descend_with_its_bound_matches_descend_without(model, w, h, seed,
+                                                        cost, clustered):
+    """The bound only saves passes: descent returns the same assignment,
+    cost and evaluation count without it.  A balance cost or clustered
+    units keep no bound, so there both runs score every move."""
+    tg, shm, rg, comm, rng = bound_inputs(model, w, h, seed)
+    ctg = ns.cluster_tasks(tg, rng.randint(1, len(tg))) if clustered else None
+    routes = rg.route_provider(rng.randrange(4))
+    search = ns.mapsched._Search(tg, shm, rg, cost, ctg, comm, routes)
+    try:
+        start = search.feasible_start(
+            [rng.choice(search.tiles) for _ in search.units])
+    except InfeasibleInstance:
+        assume(False)
+    results = []
+    for bounded in (True, False):
+        search = ns.mapsched._Search(tg, shm, rg, cost, ctg, comm, routes)
+        if not bounded:
+            search.move_bounds = lambda mapping: None
+        elif cost != ns.SCHEDULE_LENGTH or clustered:
+            assert search.move_bounds(start[0]) is None
+        assign, c = search.descend(*start)
+        results.append((assign, c, type(c), search.evaluations))
+    assert results[0] == results[1]
+
+
+def test_greedy_pin_on_the_ladders_6x6_instance():
+    """The bench ladder's 20-task greedy instance on a healthy 6x6 XY
+    mesh, as computed before descent bounded its moves."""
+    ag = ns.build_mesh(6, 6)
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, ns.XY, shm)
+    tg = ns.random_task_graph(20, 0.2, seed=20)
+    result = ns.run_heuristic("greedy", tg, shm, rg)
+    assert result.evaluations == 4901
+    assert result.schedule.makespan == 105
+    assert result.mapping == [0, 2, 2, 5, 0, 5, 6, 7, 5, 9, 10, 11, 12, 13, 14,
+                              15, 14, 17, 14, 19]
+
+
+def test_greedy_runs_bfs_only_for_the_destinations_it_routes(monkeypatch):
+    """On a healthy 8x8 west_first mesh every pair routes, so no pass
+    finds a route missing and no move is checked before its pass; the
+    provider computes a distance column only for a destination some
+    transfer is routed to, once each."""
+    ag = ns.build_mesh(8, 8)
+    shm = ns.SystemHealthMap(ag)
+    rg = ns.build_routing_graph(ag, ns.WEST_FIRST, shm)
+    columns = []
+    dist_to = ns.RouteProvider._dist_to
+
+    def counted(provider, dst):
+        if dst not in provider._dist:
+            columns.append(dst)
+        return dist_to(provider, dst)
+
+    monkeypatch.setattr(ns.RouteProvider, "_dist_to", counted)
+    routes = rg.route_provider(3)
+    tg = ns.random_task_graph(6, 0.4, seed=2)
+    search = ns.mapsched._Search(tg, shm, rg, ns.SCHEDULE_LENGTH, None,
+                                 ns.CommModel(), routes)
+    search.descend(*search.feasible_start(search.start))
+    assert not search.check_moves
+    routed = {dst for row in routes.rows if row
+              for dst, entry in enumerate(row) if entry is not None}
+    assert all(entry for row in routes.rows if row for entry in row
+               if entry is not None)
+    assert sorted(columns) == sorted(routed)
+    assert len(columns) < len(ag)
 
 
 def test_cost_only_deadline_is_inclusive():
@@ -752,8 +923,9 @@ def test_cost_only_deadline_is_inclusive():
 
 def _oracle_search(monkeypatch, shm, rg):
     """Make every heuristic score its candidates with the reference
-    scheduler and the public cost function."""
-    def evaluate(search, unit_tiles, moved=None):
+    scheduler and the public cost function, a hopeless move too (it
+    scores no less than the cost descent has to beat)."""
+    def evaluate(search, unit_tiles, moved=None, hopeless=False):
         search.evaluations += 1
         mapping = ns.mapsched._expand(search.units, unit_tiles, len(search.tg))
         return oracles.evaluate_candidate(search.tg, mapping, shm, rg, search.comm,
