@@ -1,8 +1,8 @@
 """Task-to-tile mapping and ASAP scheduling.
 
 A mapping is a plain list: index task id, value tile id.  The scheduler
-does one topological pass computing each task's start exactly once
-(Schedule.start_computations counts them).  One object, _AsapPass,
+does one topological pass computing each executed task's start once;
+Schedule.start_computations is the task count.  One object, _AsapPass,
 prepares that pass once (a step table of (task, release, ((pred,
 hold), ...)) in topological order, the per-tile cycle table, transfer
 model, route provider) and runs it per mapping: asap_schedule builds one
@@ -34,20 +34,20 @@ without building a Schedule; only the winner's is built.  A search
 starts from its initial policy's unit assignment.  Descent and
 annealing score each one-unit move in place on one assignment list and
 undo it; annealing draws its moves with the stdlib's randrange/choice
-rejection loop, inlined, so its stream is theirs.  Once a pass of the
-search has found a route missing, a one-unit move from a feasible
-assignment that breaks a route is rejected from the moved unit's
-cross-unit edges alone, without a pass; until then the check is
-skipped.  Under schedule_length with one-task units, descent also
-bounds each round's moves from one pass over the round's assignment
-(the route-free critical path, _Search.move_bounds) and rejects,
-without a route walk or a pass, a move that cannot beat the round's
-best.  A rejected move still counts as an evaluation."""
+rejection loop, inlined, so its stream is theirs.  A one-unit move is
+rejected at the first of three checks, and still counts as an
+evaluation: (1) under schedule_length with one-task units, descent's
+bound (the route-free critical path, _Search.move_bounds, one pass per
+round) rules out, with no route walk or pass, a move that cannot beat
+the round's best; (2) once a pass of the search has found a route
+missing, a move from a feasible assignment that breaks a route among
+the moved unit's cross-unit edges is rejected without a pass; (3) the
+pass finds a route missing or a critical deadline missed."""
 
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     InfeasibleInstance,
@@ -62,6 +62,17 @@ from .rng import derive_seed
 from .routing import RouteProvider  # noqa: F401  (part of this module's API)
 
 
+def _check_cycle_counts(obj):
+    """RangeError unless each field of the dataclass `obj` is an int >= 0
+    (not a bool): a negative delay would let a transfer arrive before
+    it leaves, and move bounds assume none."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise RangeError(f"{type(obj).__name__}.{f.name} must be an int "
+                             f">= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CommModel:
     """Cycle costs of one data transfer: weight x unit_link_cycles of
@@ -70,6 +81,9 @@ class CommModel:
 
     unit_link_cycles: int = 1
     router_delay: int = 1
+
+    def __post_init__(self):
+        _check_cycle_counts(self)
 
 
 @dataclass(frozen=True)
@@ -449,18 +463,18 @@ class _Search(_AsapPass):
         self.delays = {}
         self.evaluations = 0
 
-    def evaluate(self, unit_tiles, moved=None, hopeless=False):
+    def evaluate(self, unit_tiles, moved=None):
         """The candidate's cost (see _cost), or None when it is
-        infeasible (unroutable transfer or missed critical deadline) or
-        `hopeless` (descend's bound shows it cannot win).
+        infeasible (unroutable transfer or missed critical deadline).
 
         `moved` names the one unit in which `unit_tiles` differs from a
         feasible assignment (descend's and _run_sa's moves).  Only that
         unit's cross-unit edges can then lack a route, so, once a pass
         of this search has found a route missing (check_moves), they are
         checked against the provider's rows first, and a candidate that
-        breaks one is rejected without a pass; a `hopeless` one that
-        passes is too.  Each call counts as one evaluation."""
+        breaks one is rejected without a pass.  descend calls this only
+        for a move its bound has not ruled out.  Each call counts as one
+        evaluation."""
         self.evaluations += 1
         if moved is not None and self.check_moves:
             routes = self.routes
@@ -474,8 +488,6 @@ class _Search(_AsapPass):
                         entry = routes.route(src, dst)
                     if not entry:
                         return None
-        if hopeless:
-            return None
         if self.clustered:
             mapping = _expand(self.units, unit_tiles, len(self.tg))
         else:
@@ -596,8 +608,8 @@ class _Search(_AsapPass):
         move is scored in place on one copy of `unit_tiles` and undone.
         A move whose bound (move_bounds, one per round) is at least the
         cost to beat, the lesser of `cost` and the round's best move so
-        far, is hopeless: it counts as an evaluation, runs no pass and
-        cannot win."""
+        far, is hopeless: it counts as an evaluation, is never written,
+        routed or scored, and cannot win."""
         unit_tiles = list(unit_tiles)
         while True:
             bounds = self.move_bounds(unit_tiles)
@@ -608,9 +620,11 @@ class _Search(_AsapPass):
                 for i, tile in enumerate(self.tiles):
                     if tile == here:
                         continue
+                    if row is not None and row[i] >= limit:
+                        self.evaluations += 1       # hopeless
+                        continue
                     unit_tiles[u] = tile
-                    c = self.evaluate(unit_tiles, u,
-                                      row is not None and row[i] >= limit)
+                    c = self.evaluate(unit_tiles, u)
                     if c is not None and c < limit:
                         best_move, limit = (u, tile), c
                 unit_tiles[u] = here

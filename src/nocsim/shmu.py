@@ -33,7 +33,7 @@ from .errors import InfeasibilityError
 from .graphs import OPPOSITE
 from .health import SystemHealthMap, config_tag
 from .mapsched import (CommModel, SaParams, SCHEDULE_LENGTH, asap_schedule,
-                       run_heuristic)
+                       run_heuristic, _check_cycle_counts)
 from .rng import derive_seed
 from .routing import build_routing_graph
 
@@ -245,6 +245,9 @@ class CostModel:
     t_par_ext: int = 5
     par_map_per_move: int = 2
     detection_latency: int = 1
+
+    def __post_init__(self):
+        _check_cycle_counts(self)
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ def _go_cold(monkeypatch):
                         lambda rg, seed=0: ns.RouteProvider(rg, seed))
     evaluate = mapsched._Search.evaluate
     monkeypatch.setattr(mapsched._Search, "evaluate",
-                        lambda search, unit_tiles, moved=None, hopeless=False:
-                        evaluate(search, unit_tiles, None, hopeless))
+                        lambda search, unit_tiles, moved=None:
+                        evaluate(search, unit_tiles))
     monkeypatch.setattr(mapsched._Search, "move_bounds",
                         lambda search, mapping: None)
 

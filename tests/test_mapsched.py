@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from nocsim.rng import derive_seed
 
 import oracles
 from conftest import chain_tg, random_shm, two_regions
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def platform(w, h, faults=()):
@@ -861,6 +864,53 @@ def test_descend_with_its_bound_matches_descend_without(model, w, h, seed,
     assert results[0] == results[1]
 
 
+def test_descend_routes_no_move_its_bound_rules_out():
+    """scenarios/regions.json's healthy graph: no route crosses from the
+    west half to the east half, so greedy's first descent soon sets
+    check_moves.  Every move descent hands to evaluate has a bound below
+    the cost of its round's base, and every route walk happens inside
+    one of those calls; a hopeless move still counts as an evaluation."""
+    script = ns.load_scenario(str(SCENARIOS / "regions.json"))
+    shm = ns.SystemHealthMap(script.ag)
+    rg = script.build_rg(shm)
+    routes = script.routes_for(rg)
+    search = ns.mapsched._Search(script.tg, shm, rg, ns.SCHEDULE_LENGTH, None,
+                                 script.comm, routes)
+    start = search.feasible_start(search.start)
+    base = {}                               # the round's bounds and base cost
+    move_bounds, evaluate, route = search.move_bounds, search.evaluate, routes.route
+    calls, inside, gated, walks = [], [], [], []
+
+    def bounded(mapping):
+        base["bounds"] = move_bounds(mapping)
+        base["cost"] = max(search.run(mapping)[1])
+        return base["bounds"]
+
+    def logged(unit_tiles, moved=None, *rest):
+        calls.append(moved)
+        gated.append(search.check_moves)
+        bound = base["bounds"][moved][search.tiles.index(unit_tiles[moved])]
+        assert bound < base["cost"], (moved, unit_tiles[moved])
+        inside.append(moved)
+        try:
+            return evaluate(unit_tiles, moved, *rest)
+        finally:
+            inside.pop()
+
+    def walked(src, dst):
+        assert inside, (src, dst)
+        walks.append((src, dst))
+        return route(src, dst)
+
+    search.move_bounds, search.evaluate, routes.route = bounded, logged, walked
+    before = search.evaluations
+    search.descend(*start)
+    assert search.check_moves and any(gated)
+    assert walks
+    hopeless = search.evaluations - before - len(calls)
+    assert hopeless > 0
+
+
 def test_greedy_pin_on_the_ladders_6x6_instance():
     """The bench ladder's 20-task greedy instance on a healthy 6x6 XY
     mesh, as computed before descent bounded its moves."""
@@ -923,9 +973,9 @@ def test_cost_only_deadline_is_inclusive():
 
 def _oracle_search(monkeypatch, shm, rg):
     """Make every heuristic score its candidates with the reference
-    scheduler and the public cost function, a hopeless move too (it
-    scores no less than the cost descent has to beat)."""
-    def evaluate(search, unit_tiles, moved=None, hopeless=False):
+    scheduler and the public cost function.  A move descent's bound
+    rules out no longer reaches evaluate; descend still counts it."""
+    def evaluate(search, unit_tiles, moved=None):
         search.evaluations += 1
         mapping = ns.mapsched._expand(search.units, unit_tiles, len(search.tg))
         return oracles.evaluate_candidate(search.tg, mapping, shm, rg, search.comm,

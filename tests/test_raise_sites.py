@@ -46,10 +46,19 @@ def _rg22():
      "rectangle budget must be >= 1, got 0"),
     (lambda: ns.expand_injection(ns.Injection(0, ("pe", 0), "sporadic")),
      SemanticError, "unknown persistence 'sporadic'"),
+    (lambda: ns.CommModel(router_delay=-5), RangeError,
+     "CommModel.router_delay must be an int >= 0, got -5"),
+    (lambda: ns.CommModel(unit_link_cycles=-3), RangeError,
+     "CommModel.unit_link_cycles must be an int >= 0, got -3"),
+    (lambda: ns.CommModel(router_delay=True), RangeError,
+     "CommModel.router_delay must be an int >= 0, got True"),
+    (lambda: ns.CostModel(t_fetch="2"), RangeError,
+     "CostModel.t_fetch must be an int >= 0, got '2'"),
 ], ids=["effective-wcet-aged-out",
         "initial-policy", "heuristic-foreign-clustering",
         "heuristic-cost", "heuristic-name", "region-table-port",
-        "region-budget", "injection-persistence"])
+        "region-budget", "injection-persistence", "comm-negative-delay",
+        "comm-negative-link-cycles", "comm-bool", "cost-model-str"])
 def test_unreached_raise_site_raises_its_error(call, error, fragment):
     with pytest.raises(error) as exc:
         call()
